@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check vet check bench bench-parity bench-smoke chaos-smoke scenarios scenarios-smoke
+.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check vet check bench bench-parity bench-smoke bench-check chaos-smoke scenarios scenarios-smoke
 
 all: check
 
@@ -64,6 +64,16 @@ bench-parity:
 # race-clean without paying for a full benchmark run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Fig8' -benchtime 1x -race .
+
+# bench-check builds and tests the host-cost benchmark module. bench/
+# is its own Go module, so the root build and test never compile it; a
+# change to an internal API it imports (fault.Spec, experiment.Options,
+# scenario.RunPolicy) would otherwise surface only when the benchmark
+# runs. Its tests include the seed-1 golden digests of every workload
+# (bench/golden.json).
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # chaos-smoke is the CI soak: the kitchen-sink fault mix (network
 # faults + failpoints + watchdog + shedding) against the Figure 8

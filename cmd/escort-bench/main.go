@@ -13,8 +13,9 @@
 //
 // -faults applies a deterministic fault spec (see ROBUSTNESS.md for the
 // grammar) to every figure run: network faults on both segments, the
-// named failpoints in the kernel, and the degradation knobs (watchdog,
-// shedding) in the server. Table runs stay fault-free.
+// named failpoints in the kernel, and the defense knobs (watchdog,
+// shedding, session reaper, puzzle gate, adaptive detector) in the
+// server. Table runs stay fault-free.
 //
 // -scenario runs one attack scenario (or the whole library) from
 // internal/scenario instead of the figure sweeps, under BOTH defense

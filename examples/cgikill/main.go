@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("paths killed:              %d\n", c.Kills)
 	fmt.Printf("last pathKill cost:        %d cycles (%.3f ms)\n",
 		c.LastKillCycles, c.LastKillCycles.Milliseconds())
-	fmt.Printf("mean pathKill cost:        %d cycles\n", c.TotalKillCycles/sim.Cycles(c.Kills))
+	fmt.Printf("mean pathKill cost:        %d cycles\n", c.ReclaimedCycles/sim.Cycles(c.Kills))
 	fmt.Printf("connection table entries:  %d (attacker state fully reclaimed)\n", srv.TCP.OpenConns())
 	fmt.Printf("live threads:              %d\n", srv.K.LiveThreads())
 	fmt.Printf("client kept being served:  %d requests\n", client.Completed)

@@ -28,7 +28,6 @@ func main() {
 		Kind:       escort.KindAccounting,
 		Docs:       map[string][]byte{"/": []byte("ok")},
 		PenaltyBox: true,
-		PenaltyCap: 4,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -70,6 +70,10 @@ var (
 	ServerMAC = netsim.MAC(0x0200_0000_0001)
 )
 
+// penaltySynCap bounds the penalty listener's SYN_RECVD backlog: boxed
+// offenders get a trickle of admissions, never a backlog.
+const penaltySynCap = 4
+
 // TrustedMatch is the default trust predicate: the 10/8 subnet.
 func TrustedMatch(ip uint32) bool { return ip>>24 == 10 }
 
@@ -92,10 +96,6 @@ type Options struct {
 	SynCapTrusted   int
 	SynCapUntrusted int
 
-	// CGILimit is the maximum thread runtime without yields (default the
-	// paper's 2 ms); it only takes effect when accounting is enabled.
-	CGILimit sim.Cycles
-
 	// QoSRateBps enables the stream service on port 81 at this rate;
 	// QoSTickets is the reservation's proportional share.
 	QoSRateBps int
@@ -116,9 +116,6 @@ type Options struct {
 	// killed paths) to a distinct passive path with a tiny allocation —
 	// the alternative policy of §4.4.4. Requires accounting.
 	PenaltyBox bool
-	// PenaltyCap bounds the penalty listener's SYN_RECVD backlog
-	// (default 4).
-	PenaltyCap int
 
 	// FSCacheBudget bounds the block cache (default 16 MB).
 	FSCacheBudget int
@@ -203,9 +200,6 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	if opt.TrustedMatch == nil {
 		opt.TrustedMatch = TrustedMatch
 	}
-	if opt.CGILimit == 0 {
-		opt.CGILimit = policy.DefaultCGILimit
-	}
 	if opt.FSCacheBudget == 0 {
 		opt.FSCacheBudget = 16 << 20
 	}
@@ -246,7 +240,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	if accounting {
 		// Detection requires accounting: base Scout cannot enforce the
 		// runtime limit (the point of the comparison).
-		kcfg.MaxRunDefault = opt.CGILimit
+		kcfg.MaxRunDefault = policy.DefaultCGILimit
 	}
 	k := kernel.New(eng, model, kcfg)
 
@@ -343,8 +337,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		s.Contain = policy.EnableContainment(k, mgr)
 	}
 	if opt.Faults != nil && opt.Faults.Watchdog && accounting {
-		s.Watchdog = policy.EnableWatchdog(k, mgr,
-			policy.WatchdogConfig{Stall: opt.Faults.WatchdogStall})
+		s.Watchdog = policy.EnableWatchdog(k, mgr, opt.Faults.WatchdogStall)
 	}
 	if opt.Faults != nil && opt.Faults.Shed > 0 {
 		// Overload shedding: refuse new connections while page-pool
@@ -361,12 +354,10 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		s.TCP.Puzzle = &tcpmod.PuzzleGate{Bits: opt.Faults.PuzzleBits}
 	}
 	if opt.Faults != nil && opt.Faults.Reaper && accounting {
-		s.Reaper = policy.EnableSessionReaper(k, mgr, s.TCP,
-			policy.ReaperConfig{MinAge: opt.Faults.ReaperMinAge})
+		s.Reaper = policy.EnableSessionReaper(k, mgr, s.TCP, opt.Faults.ReaperMinAge)
 	}
 	if opt.Faults != nil && opt.Faults.Detector && accounting {
-		s.Detector = policy.EnableDetector(k, mgr, s.TCP, s.TCP, o.Metrics,
-			policy.DetectorConfig{Warmup: opt.Faults.DetectorWarmup, K: opt.Faults.DetectorK})
+		s.Detector = policy.EnableDetector(k, mgr, s.TCP, s.TCP, o.Metrics)
 		s.TCP.ShedSrc = s.Detector.SourceShed
 	}
 
@@ -381,12 +372,8 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		s.Penalty = policy.NewPenaltyBox(eng, 0)
 		s.Penalty.Tracer = o.Tracer
 		s.TCP.OnOffender = s.Penalty.Record
-		cap := opt.PenaltyCap
-		if cap == 0 {
-			cap = 4
-		}
 		penaltyAttrs := policy.PassiveAttrs(80, "penalty", s.Penalty.IsOffender,
-			cap, "scsi", nil)
+			penaltySynCap, "scsi", nil)
 		penaltyAttrs[tcpmod.AttrOnAccept] = func(p module.PathRef) {
 			policy.DemotePriority(p)
 			if tr := o.Tracer; tr != nil {

@@ -396,15 +396,18 @@ func TestPenaltyBoxDemotesRepeatOffenders(t *testing.T) {
 }
 
 func TestPenaltyBoxCapsOffenderBacklog(t *testing.T) {
-	b := newBed(t, KindAccounting, Options{PenaltyBox: true, PenaltyCap: 2})
+	b := newBed(t, KindAccounting, Options{PenaltyBox: true})
 	atk := workload.NewCGIAttacker(b.eng, b.hub, "cgi",
 		lib.IPv4(10, 0, 2, 1), netsim.MAC(0x0200_0000_2001), ServerIP, 77)
 	atk.Interval = sim.CyclesPerSecond / 4 // aggressive: 4 attacks/s
 	atk.Start()
 	b.srv.Run(6 * sim.CyclesPerSecond)
 	pl := b.srv.PenaltyListener
-	if pl.SynRecvd > 2 {
-		t.Fatalf("penalty backlog %d exceeds cap", pl.SynRecvd)
+	if pl.SynCap != penaltySynCap {
+		t.Fatalf("penalty listener cap = %d, want %d", pl.SynCap, penaltySynCap)
+	}
+	if pl.SynRecvd > penaltySynCap {
+		t.Fatalf("penalty backlog %d exceeds cap %d", pl.SynRecvd, penaltySynCap)
 	}
 	if pl.Accepted == 0 && pl.DroppedSyn == 0 {
 		t.Fatal("penalty listener saw no traffic")

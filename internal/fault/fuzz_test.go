@@ -11,7 +11,8 @@ import (
 // non-negative (the unit multiply must not wrap), shed inside (0, 1],
 // puzzle bits inside the wire clamp, flap down time under its period.
 // The seed corpus (testdata/fuzz/FuzzParseSpec) covers every grammar
-// production, including the detector's WARMUP:K sub-parameters.
+// production, plus the detector values the grammar no longer accepts
+// (detector=WARMUP[:K]), which must be rejected without panicking.
 func FuzzParseSpec(f *testing.F) {
 	for _, spec := range []string{
 		"",
@@ -76,7 +77,6 @@ func FuzzParseSpec(f *testing.F) {
 			{"partition for", int64(s.Net.PartitionFor)},
 			{"watchdog stall", int64(s.WatchdogStall)},
 			{"reaper min age", int64(s.ReaperMinAge)},
-			{"detector warmup", int64(s.DetectorWarmup)},
 		} {
 			if d.v < 0 {
 				t.Fatalf("accepted negative %s %d (overflowed duration?)", d.name, d.v)
@@ -90,9 +90,6 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if s.Net.FlapPeriod > 0 && s.Net.FlapDown >= s.Net.FlapPeriod {
 			t.Fatalf("accepted flap down %d >= period %d", s.Net.FlapDown, s.Net.FlapPeriod)
-		}
-		if s.DetectorK < 0 {
-			t.Fatalf("accepted negative detector K %d", s.DetectorK)
 		}
 		for _, p := range s.Points {
 			if p.Trig.Nth == 0 && (p.Trig.P < 0 || p.Trig.P > 1) {

@@ -39,12 +39,8 @@ type Spec struct {
 	// not prove ~2^bits of client hash work are rejected cheaply instead
 	// of shed wholesale (zero disables the gate).
 	PuzzleBits uint
-	// Detector enables the adaptive anomaly detector; DetectorWarmup
-	// overrides its observation period and DetectorK its z-score
-	// multiplier (zero = the policy defaults).
-	Detector       bool
-	DetectorWarmup sim.Cycles
-	DetectorK      int64
+	// Detector enables the adaptive anomaly detector.
+	Detector bool
 }
 
 // PointSpec names a failpoint and its trigger.
@@ -99,11 +95,9 @@ func (s *Spec) NewSet() *Set {
 //	shed=FRAC               shed new connections above FRAC page use
 //	reaper[=MINAGE]         enable the idle/slow-session reaper
 //	puzzle=BITS             client-puzzle SYN gate under shed pressure
-//	detector[=WARMUP[:K]]   enable the adaptive anomaly detector
+//	detector                enable the adaptive anomaly detector
 //
 // Durations accept us/ms/s suffixes; a bare number is virtual cycles.
-// (The detector's sub-parameters use ':' because ',' separates spec
-// entries, matching jitter=P:MAX.)
 // The empty string parses to nil (no faults).
 func ParseSpec(spec string) (*Spec, error) {
 	spec = strings.TrimSpace(spec)
@@ -240,24 +234,10 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 		}
 		s.PuzzleBits = uint(n)
 	case "detector":
-		s.Detector = true
-		if hasVal && val != "" {
-			warm, rest, hasK := strings.Cut(val, ":")
-			if warm != "" {
-				d, err := parseDuration(warm)
-				if err != nil {
-					return err
-				}
-				s.DetectorWarmup = d
-			}
-			if hasK {
-				k, err := strconv.ParseInt(rest, 10, 32)
-				if err != nil || k <= 0 {
-					return fmt.Errorf("detector K %q must be a positive integer", rest)
-				}
-				s.DetectorK = k
-			}
+		if hasVal {
+			return fmt.Errorf("detector takes no value")
 		}
+		s.Detector = true
 	default:
 		return fmt.Errorf("unknown key %q", key)
 	}

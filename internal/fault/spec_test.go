@@ -19,6 +19,7 @@ func TestParseSpecDegradationKnobs(t *testing.T) {
 			return s.Reaper && s.ReaperMinAge == 250*sim.CyclesPerMillisecond
 		}},
 		{"puzzle=12", func(s *Spec) bool { return s.PuzzleBits == 12 }},
+		{"detector", func(s *Spec) bool { return s.Detector }},
 		{"shed=0.5,puzzle=8,reaper=1s", func(s *Spec) bool {
 			return s.Shed == 0.5 && s.PuzzleBits == 8 && s.Reaper &&
 				s.ReaperMinAge == sim.CyclesPerSecond
@@ -64,6 +65,9 @@ func TestParseSpecMalformed(t *testing.T) {
 		{"fp:kmem.aloc=n1", "fp:kmem.aloc=n1"},
 		{"fp:=n1", "fp:=n1"},
 		{"drop=0.1,fp:page.alloc=p0.5,dup=0.1", "fp:page.alloc=p0.5"},
+		{"detector=300ms", "detector=300ms"},
+		{"detector=:6", "detector=:6"},
+		{"detector=", "detector="},
 		{"nonsense", "nonsense"},
 		{"nonsense=1", "nonsense=1"},
 	}

@@ -38,16 +38,6 @@ type Metrics struct {
 	next        sim.Cycles
 	samples     []Sample
 	subscribers []func(Sample)
-
-	// OnSample, when non-nil, observes each sample as it is taken. The
-	// scenario harness rides this hook: detection-quality metrics
-	// (time-to-detect and friends) are computed on the same 10 ms
-	// cadence as the per-owner series, instead of a second timer wheel.
-	// The callback must not mutate the sample or charge cycles.
-	// Subscribers registered with Subscribe run first, in registration
-	// order, so a policy subscriber's reaction (the adaptive detector's
-	// demote/kill) is visible to this hook within the same tick.
-	OnSample func(Sample)
 }
 
 func newMetrics(csv, jsonW io.Writer, interval sim.Cycles, group func(string) string) *Metrics {
@@ -70,12 +60,15 @@ func NewSampler(interval sim.Cycles, group func(string) string) *Metrics {
 	return newMetrics(nil, nil, interval, group)
 }
 
-// Subscribe registers an additional per-sample observer. Subscribers
-// run in registration order, before OnSample. Like OnSample callbacks
-// they must not mutate the sample; unlike OnSample they may act on the
-// kernel (the detector demotes/kills from inside its subscriber — the
-// sampler runs at scheduler-loop boundaries where that is safe).
-// Nil-safe: subscribing on a nil *Metrics is a no-op.
+// Subscribe registers a per-sample observer. Subscribers run on every
+// sample in registration order, so a later subscriber sees the effects
+// of an earlier one within the same tick: the scenario harness
+// subscribes after the adaptive detector and observes its demote/kill
+// reaction on the sample that caused it. Subscribers must not mutate
+// the sample; they may act on the kernel (the detector demotes/kills
+// from inside its subscriber — the sampler runs at scheduler-loop
+// boundaries where that is safe). Nil-safe: subscribing on a nil
+// *Metrics is a no-op.
 func (m *Metrics) Subscribe(fn func(Sample)) {
 	if m == nil || fn == nil {
 		return
@@ -164,9 +157,6 @@ func (m *Metrics) sample(now sim.Cycles) {
 	m.samples = append(m.samples, s)
 	for _, fn := range m.subscribers {
 		fn(s)
-	}
-	if m.OnSample != nil {
-		m.OnSample(s)
 	}
 }
 

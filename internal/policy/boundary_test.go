@@ -38,7 +38,7 @@ func (f *fakeConns) EachConn(fn func(tcp.ConnStats)) {
 func TestReaperMinAgeBoundary(t *testing.T) {
 	const (
 		minAge   = 10 * sim.CyclesPerMillisecond
-		interval = 40 * sim.CyclesPerMillisecond // first scan fires here
+		interval = minAge / 4 // the derived scan period: first scan fires here
 	)
 	cases := []struct {
 		name    string
@@ -58,12 +58,11 @@ func TestReaperMinAgeBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := &fakeConns{now: k.Engine().Now, age: tc.age, path: module.PathRef(p)}
-			r := EnableSessionReaper(k, mgr, src, ReaperConfig{
-				MinAge: minAge, Interval: interval})
+			r := EnableSessionReaper(k, mgr, src, minAge)
 
-			// Run through the first scan only: the second (at 2×interval)
-			// would age every case past the boundary.
-			k.RunFor(interval + minAge)
+			// Run to just past the first scan: the second (at 2×interval)
+			// would escalate every demoted case to a kill.
+			k.RunFor(interval + interval/2)
 			if got := r.Demotions > 0; got != tc.demoted {
 				t.Fatalf("demotions = %d, want demoted=%v (age %d vs MinAge %d)",
 					r.Demotions, tc.demoted, tc.age, sim.Cycles(minAge))

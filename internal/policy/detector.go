@@ -28,15 +28,15 @@ import (
 // are part of the byte-reproducible output, so floats are banned from
 // every decision.
 const (
-	// DefaultDetectorWarmup is how long the detector observes before
-	// judging anyone: the population baseline must represent legitimate
-	// traffic before deviation from it means anything.
-	DefaultDetectorWarmup = 300 * sim.CyclesPerMillisecond
-	// DefaultDetectorK is the z-score multiplier: a feature is anomalous
-	// when it exceeds the baseline mean by more than K standard
-	// deviations (and an absolute floor, so a near-zero variance does
-	// not make noise significant).
-	DefaultDetectorK = 4
+	// detectorWarmup is how long the detector observes before judging
+	// anyone: the population baseline must represent legitimate traffic
+	// before deviation from it means anything.
+	detectorWarmup = 300 * sim.CyclesPerMillisecond
+	// detectorK is the z-score multiplier: a feature is anomalous when
+	// it exceeds the baseline mean by more than K standard deviations
+	// (and an absolute floor, so a near-zero variance does not make
+	// noise significant).
+	detectorK = 4
 
 	// fpShift is the fixed-point fraction width of the EWMA state;
 	// alphaShift sets the smoothing factor alpha = 1/2^alphaShift.
@@ -74,15 +74,6 @@ const (
 	strikeShed   = 2
 	strikeKill   = 3
 )
-
-// DetectorConfig tunes the adaptive detector.
-type DetectorConfig struct {
-	// Warmup is the observation period before any judgment (zero:
-	// DefaultDetectorWarmup).
-	Warmup sim.Cycles
-	// K is the z-score multiplier (zero: DefaultDetectorK).
-	K int64
-}
 
 // DemandSource is the per-source arrival view the detector's
 // rate feature reads; *tcp.Module implements it.
@@ -173,11 +164,8 @@ type connSnap struct {
 // can never set: zero false kills by construction.
 type Detector struct {
 	*Ladder
-	k      *kernel.Kernel
-	mgr    *path.Manager
 	conns  SessionSource
 	demand DemandSource
-	cfg    DetectorConfig
 	owner  *core.Owner
 
 	// OnOffender, when non-nil, receives sources the kill rung boxes
@@ -224,20 +212,11 @@ type Detector struct {
 // installs a sink-less obs.NewSampler when no metrics export is
 // configured, so arming the detector never changes sampling behavior.
 func EnableDetector(k *kernel.Kernel, mgr *path.Manager, conns SessionSource,
-	demand DemandSource, m *obs.Metrics, cfg DetectorConfig) *Detector {
-	if cfg.Warmup == 0 {
-		cfg.Warmup = DefaultDetectorWarmup
-	}
-	if cfg.K == 0 {
-		cfg.K = DefaultDetectorK
-	}
+	demand DemandSource, m *obs.Metrics) *Detector {
 	d := &Detector{
 		Ladder: NewLadder(k, mgr),
-		k:      k,
-		mgr:    mgr,
 		conns:  conns,
 		demand: demand,
-		cfg:    cfg,
 		srcs:   make(map[uint32]*srcState),
 		snaps:  make(map[module.PathRef]connSnap),
 		shed:   make(map[uint32]bool),
@@ -290,7 +269,7 @@ func (d *Detector) tick(s obs.Sample) {
 	now := s.At
 	if !d.started {
 		d.started = true
-		d.warmUntil = now + d.cfg.Warmup
+		d.warmUntil = now + detectorWarmup
 	}
 
 	feats := d.collect()
@@ -420,7 +399,7 @@ func (d *Detector) asymmetric(st *srcState) bool {
 // judge scores one source against the baselines and advances or decays
 // its position on the response ladder.
 func (d *Detector) judge(now sim.Cycles, st *srcState, f tickFeatures) {
-	k := d.cfg.K
+	const k = detectorK
 	zArr := f.arrivals > 0 &&
 		(d.popArr.above(f.arrivals, k, arrFloor) || st.selfArr.above(f.arrivals, k, arrFloor))
 	zCyc := f.cycles > 0 &&
@@ -441,6 +420,7 @@ func (d *Detector) judge(now sim.Cycles, st *srcState, f tickFeatures) {
 			if st.clean >= detectorForgiveTicks {
 				st.strikes = 0
 				st.clean = 0
+				st.killed = false
 				if d.shed[st.ip] {
 					delete(d.shed, st.ip)
 				}

@@ -9,7 +9,8 @@
 //     still in SYN_RECVD and drops excess SYNs during demultiplexing.
 //   - CGI containment: a thread exceeding its owner's CPU budget (2 ms
 //     without yielding) triggers pathKill, reclaiming every resource the
-//     path owns in every protection domain.
+//     path owns in every protection domain. Every policy's demotions and
+//     kills go through one response Ladder.
 //   - QoS reservation: paths accepted by a reserved listener get a
 //     proportional-share allocation large enough to sustain their rate.
 package policy
@@ -29,29 +30,25 @@ import (
 // without a yield.
 const DefaultCGILimit = 2 * sim.CyclesPerMillisecond
 
-// Containment wires runaway detection and protection faults to
-// pathKill and records the costs (the Table 2 measurement).
+// Containment wires runaway detection and protection faults to the
+// kill rung of the response Ladder. Kills counts containment events
+// (including non-path owners, which are destroyed outright) and
+// ReclaimedCycles totals the pathKill cost.
 type Containment struct {
-	K   *kernel.Kernel
-	Mgr *path.Manager
+	*Ladder
 
-	// Kills counts containment events; LastKillCycles and
-	// TotalKillCycles record reclamation cost.
-	Kills           uint64
-	LastKillCycles  sim.Cycles
-	TotalKillCycles sim.Cycles
+	// LastKillCycles is the most recent pathKill's reclamation cost
+	// (the Table 2 measurement).
+	LastKillCycles sim.Cycles
 }
 
 // EnableContainment installs the runaway and protection-fault handlers.
 func EnableContainment(k *kernel.Kernel, mgr *path.Manager) *Containment {
-	c := &Containment{K: k, Mgr: mgr}
+	c := &Containment{Ladder: NewLadder(k, mgr)}
 	contain := func(t *kernel.Thread) {
 		owner := t.Owner()
 		if p := mgr.PathByOwner(owner); p != nil {
-			cycles := mgr.Kill(p)
-			c.Kills++
-			c.LastKillCycles = cycles
-			c.TotalKillCycles += cycles
+			c.LastKillCycles = c.Kill(p, "containKill")
 			return
 		}
 		k.DestroyOwner(owner, true)
@@ -60,15 +57,6 @@ func EnableContainment(k *kernel.Kernel, mgr *path.Manager) *Containment {
 	k.OnRunaway = contain
 	k.OnProtFault = contain
 	return c
-}
-
-// SynDefense describes the trusted/untrusted split of §4.4.1.
-type SynDefense struct {
-	// TrustedMatch selects source addresses of the trusted subnet.
-	TrustedMatch func(uint32) bool
-	// TrustedCap and UntrustedCap bound each passive path's outstanding
-	// SYN_RECVD count; zero means unlimited.
-	TrustedCap, UntrustedCap int
 }
 
 // PassiveAttrs builds the attribute set for one passive SYN path.

@@ -66,8 +66,8 @@ func TestContainmentKillsRunawayPath(t *testing.T) {
 	if p.Alive() {
 		t.Fatal("runaway path survived")
 	}
-	if c.LastKillCycles == 0 || c.TotalKillCycles != c.LastKillCycles {
-		t.Fatalf("kill cost bookkeeping: last=%d total=%d", c.LastKillCycles, c.TotalKillCycles)
+	if c.LastKillCycles == 0 || c.ReclaimedCycles != c.LastKillCycles {
+		t.Fatalf("kill cost bookkeeping: last=%d reclaimed=%d", c.LastKillCycles, c.ReclaimedCycles)
 	}
 	// Detection happened at the 2ms budget, not later.
 	if got := p.PathOwner().Counters.Cycles; got > 3*sim.CyclesPerMillisecond {

@@ -26,18 +26,6 @@ const (
 	DefaultReaperCyclesPerByte = 2000
 )
 
-// ReaperConfig tunes the idle/slow-session reaper (see ROBUSTNESS.md).
-type ReaperConfig struct {
-	// MinAge is the minimum established age before a session is judged
-	// (zero: DefaultReaperMinAge).
-	MinAge sim.Cycles
-	// MaxCyclesPerByte is the trickle threshold (zero:
-	// DefaultReaperCyclesPerByte).
-	MaxCyclesPerByte sim.Cycles
-	// Interval is the scan period (zero: MinAge/4).
-	Interval sim.Cycles
-}
-
 // SessionSource is the connection-table view the reaper scans;
 // *tcp.Module implements it.
 type SessionSource interface {
@@ -54,31 +42,24 @@ type SessionSource interface {
 // the penalty box through the module's offender report.
 type SessionReaper struct {
 	*Ladder
-	k   *kernel.Kernel
-	mgr *path.Manager
-	src SessionSource
-	cfg ReaperConfig
+	src    SessionSource
+	minAge sim.Cycles
 
 	demoted map[module.PathRef]bool
 }
 
 // EnableSessionReaper arms the reaper on its own owner, so its scan
 // cost is a distinct ledger row like the watchdog's and the TCP master
-// event's.
-func EnableSessionReaper(k *kernel.Kernel, mgr *path.Manager, src SessionSource, cfg ReaperConfig) *SessionReaper {
-	if cfg.MinAge == 0 {
-		cfg.MinAge = DefaultReaperMinAge
+// event's. Sessions no older than minAge are not judged (zero:
+// DefaultReaperMinAge); the scan runs every minAge/4.
+func EnableSessionReaper(k *kernel.Kernel, mgr *path.Manager, src SessionSource, minAge sim.Cycles) *SessionReaper {
+	if minAge == 0 {
+		minAge = DefaultReaperMinAge
 	}
-	if cfg.MaxCyclesPerByte == 0 {
-		cfg.MaxCyclesPerByte = DefaultReaperCyclesPerByte
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = cfg.MinAge / 4
-	}
-	r := &SessionReaper{Ladder: NewLadder(k, mgr), k: k, mgr: mgr, src: src, cfg: cfg,
+	r := &SessionReaper{Ladder: NewLadder(k, mgr), src: src, minAge: minAge,
 		demoted: make(map[module.PathRef]bool)}
 	owner := k.NewOwner("Session Reaper", core.DomainOwner)
-	k.RegisterEvent(owner, "Session Reaper", cfg.Interval, cfg.Interval, r.scan)
+	k.RegisterEvent(owner, "Session Reaper", minAge/4, minAge/4, r.scan)
 	return r
 }
 
@@ -96,7 +77,7 @@ func (r *SessionReaper) scan(ctx *kernel.Ctx) {
 		}
 		// Strictly older than MinAge: a session at exactly MinAge has not
 		// yet had its grace period and must not be judged.
-		if now-cs.Since <= r.cfg.MinAge {
+		if now-cs.Since <= r.minAge {
 			return
 		}
 		owner := cs.Path.PathOwner()
@@ -104,7 +85,7 @@ func (r *SessionReaper) scan(ctx *kernel.Ctx) {
 			return
 		}
 		bytes := cs.BytesIn + cs.BytesOut
-		if bytes > 0 && owner.Counters.Cycles < r.cfg.MaxCyclesPerByte*sim.Cycles(bytes) {
+		if bytes > 0 && owner.Counters.Cycles < DefaultReaperCyclesPerByte*sim.Cycles(bytes) {
 			return // moving bytes at a sane cost: leave it alone
 		}
 		p, ok := cs.Path.(*path.Path)

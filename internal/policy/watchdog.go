@@ -11,18 +11,6 @@ import (
 // with queued work is considered stuck: 25 master-tick-sized quanta.
 const DefaultWatchdogStall = 50 * sim.CyclesPerMillisecond
 
-// WatchdogConfig tunes the hung-path watchdog (see ROBUSTNESS.md).
-type WatchdogConfig struct {
-	// Stall is the no-progress threshold: a path holding queued work
-	// that delivers nothing for Stall cycles is demoted; one that stays
-	// stuck for another Stall is killed. Zero means
-	// DefaultWatchdogStall.
-	Stall sim.Cycles
-	// Interval is the scan period. Zero means Stall/4 (so escalation
-	// latency is at most a quarter-threshold past exact).
-	Interval sim.Cycles
-}
-
 // Watchdog detects hung or starved paths and escalates through the
 // shared response Ladder: first demote the path's allocation, then
 // pathKill it. Fault injection (and real bugs) can wedge a path with
@@ -31,9 +19,7 @@ type WatchdogConfig struct {
 // reclamation a runaway triggers.
 type Watchdog struct {
 	*Ladder
-	k   *kernel.Kernel
-	mgr *path.Manager
-	cfg WatchdogConfig
+	stall sim.Cycles
 
 	seen map[*path.Path]watchState
 }
@@ -46,18 +32,19 @@ type watchState struct {
 }
 
 // EnableWatchdog arms the watchdog on its own owner (the scan cost
-// shows up as a distinct ledger row, like the TCP master event).
-func EnableWatchdog(k *kernel.Kernel, mgr *path.Manager, cfg WatchdogConfig) *Watchdog {
-	if cfg.Stall == 0 {
-		cfg.Stall = DefaultWatchdogStall
+// shows up as a distinct ledger row, like the TCP master event). A path
+// holding queued work that delivers nothing for stall cycles is
+// demoted; one that stays stuck for another stall is killed (zero:
+// DefaultWatchdogStall). The scan runs every stall/4, so escalation
+// latency is at most a quarter-threshold past exact.
+func EnableWatchdog(k *kernel.Kernel, mgr *path.Manager, stall sim.Cycles) *Watchdog {
+	if stall == 0 {
+		stall = DefaultWatchdogStall
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = cfg.Stall / 4
-	}
-	w := &Watchdog{Ladder: NewLadder(k, mgr), k: k, mgr: mgr, cfg: cfg,
+	w := &Watchdog{Ladder: NewLadder(k, mgr), stall: stall,
 		seen: make(map[*path.Path]watchState)}
 	owner := k.NewOwner("Path Watchdog", core.DomainOwner)
-	k.RegisterEvent(owner, "Path Watchdog", cfg.Interval, cfg.Interval, w.scan)
+	k.RegisterEvent(owner, "Path Watchdog", stall/4, stall/4, w.scan)
 	return w
 }
 
@@ -75,12 +62,12 @@ func (w *Watchdog) scan(ctx *kernel.Ctx) {
 		if !ok || st.progress != prog {
 			st = watchState{progress: prog, since: now, demoted: st.demoted}
 		}
-		if stuck := p.PendingWork() > 0 && now-st.since >= w.cfg.Stall; stuck {
+		if stuck := p.PendingWork() > 0 && now-st.since >= w.stall; stuck {
 			switch {
 			case !st.demoted:
 				w.Demote(p, "watchdogDemote")
 				st.demoted = true
-			case now-st.since >= 2*w.cfg.Stall:
+			case now-st.since >= 2*w.stall:
 				w.Kill(p, "watchdogKill")
 				continue // killed: no state to carry
 			}

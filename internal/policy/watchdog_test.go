@@ -57,7 +57,7 @@ func newWatchEnv(t *testing.T) (*kernel.Kernel, *path.Manager) {
 func TestWatchdogEscalatesHungPath(t *testing.T) {
 	k, mgr := newWatchEnv(t)
 	const stall = 2 * sim.CyclesPerMillisecond
-	w := EnableWatchdog(k, mgr, WatchdogConfig{Stall: stall})
+	w := EnableWatchdog(k, mgr, stall)
 
 	hung, err := mgr.Create(nil, "hung", "hang", lib.Attrs{})
 	if err != nil {
@@ -110,7 +110,7 @@ func TestWatchdogIgnoresIdlePaths(t *testing.T) {
 	// No pending work means no hang, however long progress stays flat:
 	// an idle path is not a stuck path.
 	k, mgr := newWatchEnv(t)
-	w := EnableWatchdog(k, mgr, WatchdogConfig{Stall: sim.CyclesPerMillisecond})
+	w := EnableWatchdog(k, mgr, sim.CyclesPerMillisecond)
 	idle, err := mgr.Create(nil, "idle", "hang", lib.Attrs{})
 	if err != nil {
 		t.Fatal(err)

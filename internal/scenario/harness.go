@@ -191,12 +191,13 @@ func runOnce(s *Scenario, hostile, adaptive bool) (runOutcome, error) {
 	var attackers []workload.Attacker
 	if hostile {
 		attackers = s.Attack(tb)
-		if detect != nil {
+		if m := tb.Escort.Obs.Metrics; m != nil && detect != nil {
 			// Detection rides the 10 ms per-owner metrics cadence: the
 			// first sample where the signal clears the threshold marks
-			// time-to-detect. (Detector escalations happen in a sampler
-			// subscriber, which runs before this hook on the same tick.)
-			tb.Escort.Obs.Metrics.OnSample = func(smp obs.Sample) {
+			// time-to-detect. (The detector subscribed when the server
+			// was built, so its escalations land before this subscriber
+			// runs on the same tick.)
+			m.Subscribe(func(smp obs.Sample) {
 				if out.detected {
 					return
 				}
@@ -204,7 +205,7 @@ func runOnce(s *Scenario, hostile, adaptive bool) (runOutcome, error) {
 					out.detected = true
 					out.timeToDetect = smp.At - attackStart
 				}
-			}
+			})
 		}
 	}
 
