@@ -26,10 +26,10 @@
 // (time-to-detect, false-kill rate, goodput retained). The adaptive
 // run must detect no later than the static one and must kill no
 // legitimate client. -report additionally writes all reports as one
-// {"scenarios":[...]} document — the committed baseline that
-// `benchjson -compare` gates detection quality against. See
-// ROBUSTNESS.md "Scenario catalog" and EXPERIMENTS.md for a worked
-// example.
+// {"scenarios":[...]} document — the committed SCENARIOS.json baseline
+// that TestScenariosBaseline (internal/scenario) gates detection
+// quality against. See ROBUSTNESS.md "Scenario catalog" and
+// EXPERIMENTS.md for a worked example.
 //
 // Figure sweeps fan their points across one worker per CPU by default;
 // every point is an independent simulation, so -parallel=false produces
@@ -80,7 +80,7 @@ func main() {
 	metricsBase := flag.String("metrics", "", "write per-run metrics CSV files derived from this base path")
 	faultSpec := flag.String("faults", "", "fault spec applied to figure runs, e.g. 'seed=7,drop=0.01,fp:kmem.alloc=p0.001,watchdog' (see ROBUSTNESS.md)")
 	scen := flag.String("scenario", "", "run one attack scenario from the library (or 'all') and print its detection-quality report")
-	report := flag.String("report", "", "with -scenario: also write the reports as one JSON document (the benchjson -compare baseline)")
+	report := flag.String("report", "", "with -scenario: also write the reports as one JSON document (the SCENARIOS.json baseline format)")
 	flag.Parse()
 
 	if *scen != "" {

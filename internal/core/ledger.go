@@ -94,6 +94,34 @@ func (d Delta) Unaccounted() int64 {
 	return int64(d.Measured) - int64(d.Accounted())
 }
 
+// CheckContainment asserts the two containment invariants a harness
+// checks after a run: every cycle between the snapshots was charged to
+// some owner (Unaccounted == 0), and no dead owner retains resources —
+// its counters and every tracking list are empty, so pathKill gave
+// everything back. It returns the first violation, nil when both hold.
+func (l *Ledger) CheckContainment(before, after Snapshot) error {
+	if d := after.Diff(before); d.Unaccounted() != 0 {
+		return fmt.Errorf("unaccounted = %d of %d measured cycles",
+			d.Unaccounted(), d.Measured)
+	}
+	for _, o := range l.owners {
+		if !o.Dead() {
+			continue
+		}
+		c := o.Counters
+		if c.Kmem != 0 || c.Pages != 0 || c.Stacks != 0 || c.Events != 0 || c.Semaphores != 0 {
+			return fmt.Errorf("dead owner %q leaks: kmem=%d pages=%d stacks=%d events=%d sems=%d",
+				o.Name, c.Kmem, c.Pages, c.Stacks, c.Events, c.Semaphores)
+		}
+		for cl := TrackClass(0); cl < numTrackClasses; cl++ {
+			if n := o.TrackedCount(cl); n != 0 {
+				return fmt.Errorf("dead owner %q still tracks %d %v", o.Name, n, cl)
+			}
+		}
+	}
+	return nil
+}
+
 // Format renders the delta in the style of Table 1: each owner's cycles
 // and percentage of the measured total, sorted by descending share.
 func (d Delta) Format() string {

@@ -104,6 +104,46 @@ func TestSnapshotSumsSameNamedOwners(t *testing.T) {
 	}
 }
 
+// CheckContainment reports an unbalanced window first, then the first
+// dead owner still holding a counter or a tracked object; live owners
+// may hold anything.
+func TestCheckContainment(t *testing.T) {
+	var l Ledger
+	live := NewOwner("live", PathOwner)
+	dead := NewOwner("dead", PathOwner)
+	l.Register(live)
+	l.Register(dead)
+	live.ChargePages(2)
+	before := l.Snapshot(0)
+	dead.ChargeCycles(100)
+	after := l.Snapshot(100)
+	if err := l.CheckContainment(before, after); err != nil {
+		t.Fatalf("balanced window, no dead owner: %v", err)
+	}
+	if err := l.CheckContainment(before, l.Snapshot(150)); err == nil ||
+		!strings.Contains(err.Error(), "unaccounted = 50 of 150") {
+		t.Fatalf("unbalanced window: got %v", err)
+	}
+
+	obj := newFakeObj()
+	dead.Track(TrackEvents, &obj.node)
+	dead.ChargeSemaphore()
+	dead.MarkDead()
+	if err := l.CheckContainment(before, after); err == nil ||
+		!strings.Contains(err.Error(), `dead owner "dead" leaks:`) {
+		t.Fatalf("dead owner with a semaphore: got %v", err)
+	}
+	dead.RefundSemaphore()
+	if err := l.CheckContainment(before, after); err == nil ||
+		!strings.Contains(err.Error(), `dead owner "dead" still tracks 1 events`) {
+		t.Fatalf("dead owner with a tracked event: got %v", err)
+	}
+	dead.Untrack(TrackEvents, &obj.node)
+	if err := l.CheckContainment(before, after); err != nil {
+		t.Fatalf("emptied dead owner: %v", err)
+	}
+}
+
 // Format always reports the measured total and the accounted percentage,
 // even for an empty window (no division by zero).
 func TestFormatEmptyDelta(t *testing.T) {
