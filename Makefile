@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check vet check bench-check scenarios
+.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check tidy-check vet check bench-check scenarios
 
 all: check
 
@@ -34,11 +34,18 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# tidy-check fails if go mod tidy would change either module's go.mod
+# (the root module and the bench/ module).
+tidy-check:
+	$(GO) mod tidy && git diff --exit-code -- go.mod
+	$(GO) -C bench mod tidy && git diff --exit-code -- bench/go.mod
+
 vet:
 	$(GO) vet ./...
 
-# check is what CI runs (minus the networked staticcheck/govulncheck job).
-check: fmt-check vet build lint test
+# check is what CI's test job runs, in the same order (the networked
+# staticcheck/govulncheck job and the SARIF upload aside).
+check: fmt-check tidy-check vet build lint race bench-check
 
 # bench-check builds and tests the host-cost benchmark module. bench/
 # is its own Go module, so the root build and test never compile it; a

@@ -130,7 +130,7 @@ func main() {
 		cs = append(cs, c)
 		c.Start()
 	}
-	var syn *workload.SynAttacker
+	var syn *workload.Flooder
 	if *synRate > 0 {
 		syn = workload.NewSynAttacker(eng, hub, "syn-attacker",
 			lib.IPv4(192, 168, 9, 9), netsim.MAC(0x0200_0000_9999),

@@ -70,12 +70,25 @@ var (
 	ServerMAC = netsim.MAC(0x0200_0000_0001)
 )
 
-// penaltySynCap bounds the penalty listener's SYN_RECVD backlog: boxed
-// offenders get a trickle of admissions, never a backlog.
-const penaltySynCap = 4
+const (
+	// penaltySynCap bounds the penalty listener's SYN_RECVD backlog:
+	// boxed offenders get a trickle of admissions, never a backlog.
+	penaltySynCap = 4
 
-// TrustedMatch is the default trust predicate: the 10/8 subnet.
-func TrustedMatch(ip uint32) bool { return ip>>24 == 10 }
+	// qosTickets is the stream reservation's proportional share.
+	qosTickets = 10_000
+
+	// totalPages sizes physical memory (32768 pages = 256 MB).
+	totalPages = 32768
+
+	// The trusted subnet, 10/8: the one definition behind both the
+	// module demux predicate and the PathFinder listener pattern.
+	trustedSubnet uint32 = 10 << 24
+	trustedMask   uint32 = 0xFF000000
+)
+
+// TrustedMatch is the trust predicate: the 10/8 subnet.
+func TrustedMatch(ip uint32) bool { return ip&trustedMask == trustedSubnet }
 
 // Options configures a server build.
 type Options struct {
@@ -85,21 +98,12 @@ type Options struct {
 	// Docs populates the file system (path -> content).
 	Docs map[string][]byte
 
-	// ServerIP/ServerMAC override the defaults.
-	ServerIP  uint32
-	ServerMAC netsim.MAC
-
-	// TrustedMatch classifies source addresses; SynCapTrusted and
-	// SynCapUntrusted bound each passive path's SYN_RECVD backlog (zero:
-	// unlimited).
-	TrustedMatch    func(uint32) bool
-	SynCapTrusted   int
+	// SynCapUntrusted bounds the untrusted passive path's SYN_RECVD
+	// backlog (zero: unlimited); the trusted path's is unlimited.
 	SynCapUntrusted int
 
-	// QoSRateBps enables the stream service on port 81 at this rate;
-	// QoSTickets is the reservation's proportional share.
+	// QoSRateBps enables the stream service on port 81 at this rate.
 	QoSRateBps int
-	QoSTickets uint64
 
 	// PathFinder enables pattern-based demultiplexing (the paper's
 	// PATHFINDER alternative): connection and listener patterns are
@@ -119,9 +123,6 @@ type Options struct {
 
 	// FSCacheBudget bounds the block cache (default 16 MB).
 	FSCacheBudget int
-
-	// TotalPages sizes physical memory (default 32768 pages = 256 MB).
-	TotalPages int
 
 	// Obs selects the observability sinks: event tracing (Chrome
 	// trace_event JSON / text), per-owner metrics sampling, and the
@@ -191,26 +192,11 @@ type Server struct {
 // NewServer builds a server of the given kind on the engine and
 // attaches its NIC to seg.
 func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Options) (*Server, error) {
-	if opt.ServerIP == 0 {
-		opt.ServerIP = ServerIP
-	}
-	if opt.ServerMAC == 0 {
-		opt.ServerMAC = ServerMAC
-	}
-	if opt.TrustedMatch == nil {
-		opt.TrustedMatch = TrustedMatch
-	}
 	if opt.FSCacheBudget == 0 {
 		opt.FSCacheBudget = 16 << 20
 	}
-	if opt.TotalPages == 0 {
-		opt.TotalPages = 32768
-	}
 	if opt.Scheduler == "" {
 		opt.Scheduler = "proportional-share"
-	}
-	if opt.QoSTickets == 0 {
-		opt.QoSTickets = 10_000
 	}
 	accounting := opt.Kind != KindScout
 
@@ -220,17 +206,12 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		// metrics sink is configured, install a sink-less sampler so
 		// arming the detector never changes whether sampling happens —
 		// only who consumes the samples.
-		var interval sim.Cycles
-		var group func(string) string
-		if opt.Obs != nil {
-			interval, group = opt.Obs.MetricsInterval, opt.Obs.OwnerGroup
-		}
-		o.Metrics = obs.NewSampler(interval, group)
+		o.Metrics = obs.NewSampler()
 	}
 	kcfg := kernel.Config{
 		Accounting:    accounting,
 		Scheduler:     opt.Scheduler,
-		TotalPages:    opt.TotalPages,
+		TotalPages:    totalPages,
 		Console:       o.Console,
 		Tracer:        o.Tracer,
 		Metrics:       o.Metrics,
@@ -252,7 +233,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		return name
 	}
 
-	nic := netsim.NewNIC("server-eth0", opt.ServerMAC)
+	nic := netsim.NewNIC("server-eth0", ServerMAC)
 	seg.Attach(nic)
 
 	s := &Server{Kind: opt.Kind, K: k, NIC: nic, Obs: o}
@@ -263,9 +244,9 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	s.SCSI = scsi.New("scsi", "fs")
 	s.FS = fs.New("fs", "http", opt.FSCacheBudget)
 	s.HTTP = httpmod.New("http", "tcp")
-	s.TCP = tcpmod.New("tcp", tcpDown, opt.ServerIP)
-	s.IP = ipmod.New("ip", ipUp, "eth", opt.ServerIP)
-	s.ARP = arpmod.New("arp", "eth", opt.ServerIP, opt.ServerMAC)
+	s.TCP = tcpmod.New("tcp", tcpDown, ServerIP)
+	s.IP = ipmod.New("ip", ipUp, "eth", ServerIP)
+	s.ARP = arpmod.New("arp", "eth", ServerIP, ServerMAC)
 	s.ETH = ethmod.New("eth", nic, "ip", "arp")
 	if opt.PortFilter {
 		allowPort := func(port uint16) bool {
@@ -394,17 +375,17 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 
 	// Passive SYN paths: trusted and untrusted subnets each get their
 	// own (§4.4.1); the policy's SYN_RECVD caps apply at demux time. The
-	// trust split is expressed twice: as a predicate for the module
-	// demux chain and as a masked prefix for pattern demultiplexing.
-	trustedAttrs := policy.PassiveAttrs(80, "trusted", opt.TrustedMatch,
-		opt.SynCapTrusted, "scsi", nil)
-	trustedAttrs[tcpmod.AttrTrustSubnet] = lib.IPv4(10, 0, 0, 0)
-	trustedAttrs[tcpmod.AttrTrustMask] = uint32(0xFF000000)
+	// trust split is expressed twice, from the same subnet constants: as
+	// a predicate for the module demux chain and as a masked prefix for
+	// pattern demultiplexing.
+	trustedAttrs := policy.PassiveAttrs(80, "trusted", TrustedMatch, 0, "scsi", nil)
+	trustedAttrs[tcpmod.AttrTrustSubnet] = trustedSubnet
+	trustedAttrs[tcpmod.AttrTrustMask] = trustedMask
 	if _, err := mgr.Create(nil, "Passive SYN Path (trusted)", "tcp", trustedAttrs); err != nil {
 		return nil, fmt.Errorf("escort: trusted passive path: %w", err)
 	}
 	untrustedAttrs := policy.PassiveAttrs(80, "untrusted",
-		func(ip uint32) bool { return !opt.TrustedMatch(ip) },
+		func(ip uint32) bool { return !TrustedMatch(ip) },
 		opt.SynCapUntrusted, "scsi", nil)
 	if _, err := mgr.Create(nil, "Passive SYN Path (untrusted)", "tcp", untrustedAttrs); err != nil {
 		return nil, fmt.Errorf("escort: untrusted passive path: %w", err)
@@ -416,8 +397,8 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 			tcpmod.AttrStream:      true,
 			httpmod.AttrStreamRate: opt.QoSRateBps,
 		}
-		qosAttrs := policy.PassiveAttrs(81, "qos", opt.TrustedMatch, 0, "scsi", qosExtra)
-		qosAttrs[tcpmod.AttrOnAccept] = policy.QoSOnAccept(opt.QoSTickets)
+		qosAttrs := policy.PassiveAttrs(81, "qos", TrustedMatch, 0, "scsi", qosExtra)
+		qosAttrs[tcpmod.AttrOnAccept] = policy.QoSOnAccept(qosTickets)
 		if _, err := mgr.Create(nil, "Passive QoS Path", "tcp", qosAttrs); err != nil {
 			return nil, fmt.Errorf("escort: QoS passive path: %w", err)
 		}

@@ -90,7 +90,7 @@ type Testbed struct {
 
 	Clients []*workload.Client
 	CGI     []*workload.CGIAttacker
-	Syn     *workload.SynAttacker
+	Syn     *workload.Flooder
 	QoS     *workload.QoSReceiver
 }
 

@@ -28,10 +28,8 @@ type Sample struct {
 // exports the per-owner time series. Like the Tracer, all methods are
 // nil-safe so instrumented code can hold a nil *Metrics when disabled.
 type Metrics struct {
-	csv      io.Writer
-	jsonW    io.Writer
-	interval sim.Cycles
-	group    func(owner string) string
+	csv   io.Writer
+	jsonW io.Writer
 
 	ledger      ledgerSource
 	faults      *FaultRegistry
@@ -40,25 +38,12 @@ type Metrics struct {
 	subscribers []func(Sample)
 }
 
-func newMetrics(csv, jsonW io.Writer, interval sim.Cycles, group func(string) string) *Metrics {
-	return &Metrics{csv: csv, jsonW: jsonW, interval: interval, group: group}
-}
-
 // NewSampler builds a sink-less Metrics: it samples the ledger on the
 // virtual-time tick and feeds subscribers, but writes no CSV/JSON.
 // The adaptive detector uses one when no metrics sink is configured,
 // so arming it never changes whether sampling happens — only who
-// consumes the samples. Zero interval means DefaultMetricsInterval;
-// nil group means DefaultOwnerGroup.
-func NewSampler(interval sim.Cycles, group func(string) string) *Metrics {
-	if interval <= 0 {
-		interval = DefaultMetricsInterval
-	}
-	if group == nil {
-		group = DefaultOwnerGroup
-	}
-	return newMetrics(nil, nil, interval, group)
-}
+// consumes the samples.
+func NewSampler() *Metrics { return &Metrics{} }
 
 // Subscribe registers a per-sample observer. Subscribers run on every
 // sample in registration order, so a later subscriber sees the effects
@@ -78,7 +63,9 @@ func (m *Metrics) Subscribe(fn func(Sample)) {
 
 // DefaultOwnerGroup collapses per-connection path owners into bounded
 // metrics columns: "Active Path trusted:7000#42" becomes "Active Paths
-// (trusted)". All other owner names pass through unchanged.
+// (trusted)" — the per-connection names are unique and would explode
+// the CSV. All other owner names pass through unchanged. The tracer
+// always uses full owner names.
 func DefaultOwnerGroup(owner string) string {
 	rest, ok := strings.CutPrefix(owner, "Active Path ")
 	if !ok {
@@ -119,7 +106,7 @@ func (m *Metrics) Poll(now sim.Cycles) {
 		return
 	}
 	m.sample(now)
-	m.next = (now/m.interval + 1) * m.interval
+	m.next = (now/DefaultMetricsInterval + 1) * DefaultMetricsInterval
 }
 
 // Final forces a last sample at the current time, so the series
@@ -142,7 +129,7 @@ func (m *Metrics) sample(now sim.Cycles) {
 		Pages:  map[string]uint64{},
 	}
 	for _, o := range m.ledger.Owners() {
-		g := m.group(o.Name)
+		g := DefaultOwnerGroup(o.Name)
 		c := o.Counters
 		s.Cycles[g] += c.Cycles
 		s.Kmem[g] += c.Kmem
@@ -151,7 +138,7 @@ func (m *Metrics) sample(now sim.Cycles) {
 	if m.faults != nil {
 		s.Faults = map[string]uint64{}
 		for _, name := range m.faults.Names() {
-			s.Faults[m.group(name)] += m.faults.Count(name)
+			s.Faults[DefaultOwnerGroup(name)] += m.faults.Count(name)
 		}
 	}
 	m.samples = append(m.samples, s)
@@ -284,7 +271,7 @@ func (m *Metrics) writeCSV() error {
 
 // csvField quotes a column name if it contains CSV metacharacters
 // (group names like "Active Paths (trusted)" contain none, but owner
-// groups are caller-supplied).
+// names are free-form).
 func csvField(s string) string {
 	if !strings.ContainsAny(s, ",\"\n") {
 		return s
@@ -301,7 +288,7 @@ func (m *Metrics) writeJSON() error {
 	w := bufio.NewWriterSize(m.jsonW, 1<<15)
 	var buf []byte
 	buf = append(buf, `{"interval_cycles":`...)
-	buf = strconv.AppendUint(buf, uint64(m.interval), 10)
+	buf = strconv.AppendUint(buf, uint64(DefaultMetricsInterval), 10)
 	buf = append(buf, `,"samples":[`...)
 	w.Write(buf)
 	gs := m.groups()

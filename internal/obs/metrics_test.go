@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // ownerList is a fixed ledger view for driving a sampler directly.
@@ -20,7 +21,8 @@ func (l ownerList) Owners() []*core.Owner { return l }
 // reaction on the same tick. A subscriber registered mid-run joins at
 // the end of the order from the next sample on.
 func TestSubscribeOrder(t *testing.T) {
-	m := obs.NewSampler(10, nil)
+	const tick = obs.DefaultMetricsInterval
+	m := obs.NewSampler()
 	m.Bind(ownerList{core.NewOwner("kernel", core.DomainOwner)})
 	var got []string
 	sub := func(name string) func(obs.Sample) {
@@ -29,17 +31,18 @@ func TestSubscribeOrder(t *testing.T) {
 	m.Subscribe(sub("a"))
 	m.Subscribe(sub("b"))
 	m.Poll(0)
-	m.Poll(5) // between ticks: no sample
-	m.Poll(10)
+	m.Poll(tick / 2) // between ticks: no sample
+	m.Poll(tick)
 	m.Subscribe(sub("c"))
-	m.Poll(20)
-	m.Final(25)
+	m.Poll(2 * tick)
+	m.Final(5 * tick / 2)
 
+	at := func(name string, c sim.Cycles) string { return fmt.Sprintf("%s@%d", name, c) }
 	want := []string{
-		"a@0", "b@0",
-		"a@10", "b@10",
-		"a@20", "b@20", "c@20",
-		"a@25", "b@25", "c@25",
+		at("a", 0), at("b", 0),
+		at("a", tick), at("b", tick),
+		at("a", 2*tick), at("b", 2*tick), at("c", 2*tick),
+		at("a", 5*tick/2), at("b", 5*tick/2), at("c", 5*tick/2),
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("subscriber calls = %v, want %v", got, want)

@@ -32,7 +32,8 @@ import (
 )
 
 // DefaultMetricsInterval is the metrics sampling tick: 10 ms of
-// simulated time.
+// simulated time. Samples are taken at the first scheduler boundary at
+// or after each nominal tick, so the recorded At is exact.
 const DefaultMetricsInterval = 10 * sim.CyclesPerMillisecond
 
 // Config selects which observability sinks are active. The zero value
@@ -53,24 +54,8 @@ type Config struct {
 	// MetricsJSON receives the same series as a JSON document.
 	MetricsJSON io.Writer
 
-	// MetricsInterval is the virtual-time sampling tick (default 10 ms
-	// simulated). Samples are taken at the first scheduler boundary at
-	// or after each nominal tick, so the recorded At is exact.
-	MetricsInterval sim.Cycles
-
-	// OwnerGroup maps owner names to metrics column names; it exists
-	// because per-connection path names ("Active Path trusted:7000#1")
-	// are unique and would explode the CSV. Defaults to
-	// DefaultOwnerGroup. The tracer always uses full owner names.
-	OwnerGroup func(owner string) string
-
 	// Console receives kernel console (Logf) output.
 	Console io.Writer
-
-	// FaultCounters forces a FaultRegistry even when no sink is
-	// configured (chaos tests read the counts directly). A registry is
-	// created automatically whenever any sink above is active.
-	FaultCounters bool
 }
 
 // Observer bundles the live sinks built from a Config. Fields are nil
@@ -97,17 +82,9 @@ func New(cfg *Config) *Observer {
 		o.Tracer = newTracer(cfg.TraceJSON, cfg.TraceText)
 	}
 	if cfg.MetricsCSV != nil || cfg.MetricsJSON != nil {
-		interval := cfg.MetricsInterval
-		if interval <= 0 {
-			interval = DefaultMetricsInterval
-		}
-		group := cfg.OwnerGroup
-		if group == nil {
-			group = DefaultOwnerGroup
-		}
-		o.Metrics = newMetrics(cfg.MetricsCSV, cfg.MetricsJSON, interval, group)
+		o.Metrics = &Metrics{csv: cfg.MetricsCSV, jsonW: cfg.MetricsJSON}
 	}
-	if o.Tracer != nil || o.Metrics != nil || cfg.FaultCounters {
+	if o.Tracer != nil || o.Metrics != nil {
 		o.Faults = NewFaultRegistry()
 		o.Metrics.BindFaults(o.Faults)
 	}

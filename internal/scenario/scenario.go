@@ -229,7 +229,6 @@ var All = []*Scenario{
 		Attack: func(tb *experiment.Testbed) []workload.Attacker {
 			a := workload.NewAckFlooder(tb.Eng, tb.HubAttach(), "ackfinflood",
 				floodIP, floodMAC, escort.ServerIP, 3000, 3401)
-			a.WithFin = true
 			a.Start()
 			return []workload.Attacker{a}
 		},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/netsim"
-	"repro/internal/proto/wire"
 	"repro/internal/sim"
 )
 
@@ -114,19 +113,96 @@ type Attacker interface {
 }
 
 var (
-	_ Attacker = (*SynAttacker)(nil)
+	_ Attacker = (*Flooder)(nil)
 	_ Attacker = (*CGIAttacker)(nil)
 	_ Attacker = (*SlowAttacker)(nil)
-	_ Attacker = (*PortScanner)(nil)
 	_ Attacker = (*BruteForcer)(nil)
-	_ Attacker = (*AckFlooder)(nil)
 	_ Attacker = (*MemThrasher)(nil)
 )
 
-// evCount counts the non-cancelled handles among evs. PendingEvents
-// implementations sum it over every timer the actor armed; the
-// discipline that makes the count honest is that each one-shot
-// callback zeroes its own handle field as its first action.
+// httpPort is the server's web service port, the target of every
+// attacker except the port scan.
+const httpPort = 80
+
+// attack is the control core every attacker embeds: the stop latch, the
+// rate tick, and the book of connections it holds, each paired with the
+// timer that will abandon or feed it.
+type attack struct {
+	*Station
+	stopped bool
+	tickEv  sim.Event
+	// book is kept in launch order — a slice, not a map, so teardown
+	// cancels in a deterministic order (event-pool reuse order is part of
+	// the byte-determinism contract).
+	book []*timedConn
+}
+
+// timedConn pairs a connection with the one-shot timer armed for it.
+// The discipline that keeps PendingEvents honest is that each callback
+// zeroes its own handle as its first action.
+type timedConn struct {
+	pc *peerConn
+	ev sim.Event
+}
+
+// start runs fn once the server's MAC is resolved, unless the attacker
+// was stopped while the ARP request was outstanding.
+func (a *attack) start(fn func()) {
+	a.Resolve(func() {
+		if !a.stopped {
+			fn()
+		}
+	})
+}
+
+// Stop ends the attack: it cancels the queued tick, then each booked
+// timer in launch order, and abandons the booked connections.
+func (a *attack) Stop() {
+	a.stopped = true
+	a.Eng.Cancel(a.tickEv)
+	a.tickEv = sim.Event{}
+	for _, tc := range a.book {
+		a.Eng.Cancel(tc.ev)
+		tc.ev = sim.Event{}
+		if tc.pc != nil {
+			tc.pc.abandon(false)
+		}
+	}
+	a.book = nil
+}
+
+// PendingEvents implements Attacker.
+func (a *attack) PendingEvents() int {
+	n := evCount(a.tickEv)
+	for _, tc := range a.book {
+		n += evCount(tc.ev)
+		if tc.pc != nil {
+			n += evCount(tc.pc.retryEv, tc.pc.delackEv)
+		}
+	}
+	return n
+}
+
+// again arms the next tick one jittered period from now.
+func (a *attack) again(period sim.Cycles, tick func()) {
+	a.tickEv = a.Eng.After(a.rng.Jitter(period, 0.05), tick)
+}
+
+// track books tc and drops the entries whose connection is finished
+// and whose timer has fired or been cancelled, preserving order.
+func (a *attack) track(tc *timedConn) {
+	a.book = append(a.book, tc)
+	live := a.book[:0]
+	for _, tc := range a.book {
+		done := tc.pc.state == pcDone || tc.pc.state == pcFailed
+		if !done || !tc.ev.IsZero() {
+			live = append(live, tc)
+		}
+	}
+	a.book = live
+}
+
+// evCount counts the non-cancelled handles among evs.
 func evCount(evs ...sim.Event) int {
 	n := 0
 	for _, ev := range evs {
@@ -135,158 +211,6 @@ func evCount(evs ...sim.Event) int {
 		}
 	}
 	return n
-}
-
-// SynAttacker floods the server with connection-initiation segments and
-// never completes a handshake (§4.1.2: 1000 SYN/s).
-type SynAttacker struct {
-	*Station
-	Rate uint64 // SYNs per second
-	Port uint16
-
-	Sent    uint64
-	stopped bool
-	tickEv  sim.Event
-	seq     uint32
-	srcPort uint16
-}
-
-// NewSynAttacker creates the attacker station.
-func NewSynAttacker(eng *sim.Engine, seg netsim.Attacher, name string, ip uint32, mac netsim.MAC, serverIP uint32, rate uint64, seed uint64) *SynAttacker {
-	return &SynAttacker{
-		Station: NewStation(eng, seg, name, ip, mac, serverIP, seed),
-		Rate:    rate,
-		Port:    80,
-		srcPort: 2000,
-	}
-}
-
-// Start begins the flood.
-func (a *SynAttacker) Start() {
-	a.Resolve(a.tick)
-}
-
-// Stop ends the flood and cancels the queued tick.
-func (a *SynAttacker) Stop() {
-	a.stopped = true
-	a.Eng.Cancel(a.tickEv)
-	a.tickEv = sim.Event{}
-}
-
-// PendingEvents implements Attacker.
-func (a *SynAttacker) PendingEvents() int { return evCount(a.tickEv) }
-
-func (a *SynAttacker) tick() {
-	a.tickEv = sim.Event{}
-	if a.stopped || a.Rate == 0 {
-		return
-	}
-	a.seq += 777
-	a.srcPort++
-	if a.srcPort < 1024 {
-		a.srcPort = 1024
-	}
-	a.sendTCP(a.srcPort, a.Port, wire.FlagSYN, a.seq, 0, nil)
-	a.Sent++
-	interval := sim.Cycles(uint64(sim.CyclesPerSecond) / a.Rate)
-	a.tickEv = a.Eng.After(a.rng.Jitter(interval, 0.05), a.tick)
-}
-
-// CGIAttacker issues one runaway-CGI request per second (§4.1.2); the
-// request never completes — the server kills the path after it burns
-// its CPU budget.
-type CGIAttacker struct {
-	*Station
-	Interval sim.Cycles
-	Port     uint16
-
-	Launched uint64
-	stopped  bool
-	tickEv   sim.Event
-	// pending tracks outstanding requests and their abandon timers in
-	// launch order — a slice, not a map, so teardown cancels in a
-	// deterministic order (event-pool reuse order is part of the
-	// byte-determinism contract).
-	pending []*timedConn
-}
-
-// timedConn pairs an open connection with the one-shot timer that will
-// abandon it; attackers that keep request books (CGI, brute-force,
-// memory-thrash) use it so Stop can cancel both halves.
-type timedConn struct {
-	pc *peerConn
-	ev sim.Event
-}
-
-// NewCGIAttacker creates the attacker station.
-func NewCGIAttacker(eng *sim.Engine, seg netsim.Attacher, name string, ip uint32, mac netsim.MAC, serverIP uint32, seed uint64) *CGIAttacker {
-	return &CGIAttacker{
-		Station:  NewStation(eng, seg, name, ip, mac, serverIP, seed),
-		Interval: sim.CyclesPerSecond,
-		Port:     80,
-	}
-}
-
-// Start begins the attack loop.
-func (a *CGIAttacker) Start() {
-	a.Resolve(a.tick)
-}
-
-// Stop ends the attack loop, cancels every queued timer, and abandons
-// the outstanding requests.
-func (a *CGIAttacker) Stop() {
-	a.stopped = true
-	a.Eng.Cancel(a.tickEv)
-	a.tickEv = sim.Event{}
-	for _, tc := range a.pending {
-		a.Eng.Cancel(tc.ev)
-		tc.ev = sim.Event{}
-		tc.pc.abandon(false)
-	}
-	a.pending = nil
-}
-
-// PendingEvents implements Attacker.
-func (a *CGIAttacker) PendingEvents() int {
-	n := evCount(a.tickEv)
-	for _, tc := range a.pending {
-		n += evCount(tc.ev, tc.pc.retryEv, tc.pc.delackEv)
-	}
-	return n
-}
-
-func (a *CGIAttacker) tick() {
-	a.tickEv = sim.Event{}
-	if a.stopped {
-		return
-	}
-	a.Launched++
-	req := []byte("GET /cgi-bin/spin HTTP/1.0\r\n\r\n")
-	conn := a.open(a.Port, req, nil, nil)
-	// The server never answers a runaway request. The attacker keeps
-	// normal TCP patience — on a heavily loaded server the request may
-	// take seconds to be accepted, and the attack must still land.
-	tc := &timedConn{pc: conn}
-	tc.ev = a.Eng.After(10*a.Interval, func() {
-		tc.ev = sim.Event{}
-		conn.abandon(false)
-	})
-	a.pending = pruneTimedConns(append(a.pending, tc))
-	a.tickEv = a.Eng.After(a.rng.Jitter(a.Interval, 0.05), a.tick)
-}
-
-// pruneTimedConns drops book entries whose connection is finished and
-// whose timer has fired or been cancelled, preserving order.
-func pruneTimedConns(book []*timedConn) []*timedConn {
-	live := book[:0]
-	for _, tc := range book {
-		done := tc.pc.state == pcDone || tc.pc.state == pcFailed
-		if done && tc.ev.IsZero() {
-			continue
-		}
-		live = append(live, tc)
-	}
-	return live
 }
 
 // QoSReceiver opens the guaranteed-bandwidth stream (§4.1.2) and

@@ -1,9 +1,9 @@
 // Package workload implements the load generators of §4.1.2 as
 // event-driven stations on the simulated network: regular clients
-// (serial requests for one document), the SYN attacker (1000 SYN/s, no
-// handshake completion), the CGI attacker (one runaway request per
-// second), and the QoS stream receiver. Stations deliberately have no
-// CPU model: the paper provisions one client per PentiumPro exactly so
+// (serial requests for one document), the QoS stream receiver, and the
+// attackers — the SYN flood (1000 SYN/s, no handshake completion) and
+// the runaway CGI (one request per second), plus the scenario library's
+// attack classes. Stations deliberately have no CPU model: the paper provisions one client per PentiumPro exactly so
 // the clients are never the bottleneck; only the server's cycles are
 // under test.
 package workload
