@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check tidy-check vet check bench-check scenarios
+.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check tidy-check vet check bench-check scenarios profile-allocs
 
 all: check
 
@@ -65,3 +65,13 @@ bench-check:
 # catalog".
 scenarios:
 	$(GO) run ./cmd/escort-bench -scenario all -report SCENARIOS.json
+
+# profile-allocs records the heap allocations of one Figure 8 best-effort
+# run (BenchmarkFig8Scout1B) and prints the allocation sites ranked by
+# object count (every allocation recorded): the profile that names what a host-cost change made
+# cheaper. The test binary and profile stay under .bench_build/.
+profile-allocs:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '^BenchmarkFig8Scout1B$$' -benchtime 3x -benchmem -memprofilerate 1 \
+		-o .bench_build/repro.test -memprofile .bench_build/allocs.prof .
+	$(GO) tool pprof -top -sample_index=alloc_objects .bench_build/repro.test .bench_build/allocs.prof

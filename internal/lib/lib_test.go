@@ -263,6 +263,71 @@ func TestQueueFlush(t *testing.T) {
 	q.Flush(nil) // empty + nil fn must be safe
 }
 
+// Growing the ring while its contents wrap past the end keeps FIFO
+// order: grow unwraps head..end before 0..head.
+func TestQueueGrowWhileWrapped(t *testing.T) {
+	q := NewQueue(64)
+	next, want := 0, 0
+	for i := 0; i < minQueueRing; i++ {
+		_ = q.Enqueue(next)
+		next++
+	}
+	for i := 0; i < 3; i++ { // head moves to 3; the ring is full again after 3 more
+		v, _ := q.Dequeue()
+		if v.(int) != want {
+			t.Fatalf("dequeue = %v, want %d", v, want)
+		}
+		want++
+	}
+	for i := 0; i < 3; i++ {
+		_ = q.Enqueue(next)
+		next++
+	}
+	if q.Slots() != minQueueRing || q.head == 0 {
+		t.Fatalf("set-up: slots=%d head=%d, want a full wrapped ring", q.Slots(), q.head)
+	}
+	for i := 0; i < 40; i++ { // forces growth from the wrapped ring, twice over
+		_ = q.Enqueue(next)
+		next++
+	}
+	for want < next {
+		v, ok := q.Dequeue()
+		if !ok || v.(int) != want {
+			t.Fatalf("dequeue = %v %v, want %d", v, ok, want)
+		}
+		want++
+	}
+}
+
+// The bound holds while the ring grows lazily, including a bound that
+// is not a power of two, and Cap reports it before any storage exists.
+func TestQueueLazyRingKeepsBound(t *testing.T) {
+	for _, bound := range []int{1, 3, 128} {
+		q := NewQueue(bound)
+		if q.Cap() != bound || q.Slots() != 0 {
+			t.Fatalf("bound %d: new queue cap=%d slots=%d", bound, q.Cap(), q.Slots())
+		}
+		for i := 0; i < bound; i++ {
+			if err := q.Enqueue(i); err != nil {
+				t.Fatalf("bound %d: enqueue %d: %v", bound, i, err)
+			}
+		}
+		if err := q.Enqueue(bound); err != ErrQueueFull {
+			t.Fatalf("bound %d: enqueue past the bound: %v", bound, err)
+		}
+		if q.Slots() != bound || q.Cap() != bound {
+			t.Fatalf("bound %d: full queue slots=%d cap=%d", bound, q.Slots(), q.Cap())
+		}
+		q.Flush(nil)
+		if q.Slots() != 0 || q.Cap() != bound {
+			t.Fatalf("bound %d: flushed queue slots=%d cap=%d", bound, q.Slots(), q.Cap())
+		}
+		if err := q.Enqueue(7); err != nil {
+			t.Fatalf("bound %d: enqueue after flush: %v", bound, err)
+		}
+	}
+}
+
 func TestAttrs(t *testing.T) {
 	a := Attrs{AttrLocalPort: 80, AttrTrustClass: "trusted", AttrPassive: true}
 	if v, ok := a.Int(AttrLocalPort); !ok || v != 80 {

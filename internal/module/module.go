@@ -203,12 +203,11 @@ func Reject(reason string) Verdict { return Verdict{Kind: VerdictReject, Reason:
 func Found(p PathRef) Verdict { return Verdict{Kind: VerdictFound, Path: p} }
 
 // DemuxCtx carries demultiplexing state. Demux runs in interrupt
-// context; its cost is accumulated here and charged to the identified
-// path (or to the entry module's domain on reject) by the driver.
+// context; the driver charges its cost to the identified path (or to
+// the entry module's domain on reject). Modules must not modify it:
+// the path manager passes the same one to every demux.
 type DemuxCtx struct {
 	Graph *Graph
-	// Steps lists the modules consulted, for cost accounting and tests.
-	Steps []string
 }
 
 // Node is a module instance placed in a protection domain.

@@ -12,6 +12,7 @@ package path
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -26,12 +27,11 @@ import (
 
 // Path kernel-memory footprints.
 const (
-	pathKmem    = 1024
-	inQueueCap  = 128
-	numQueues   = 4
-	qWork       = 0 // inbound + control work queue (network end)
-	workerCount = 1
-	maxPathLen  = 32 // bound on the incremental open walk
+	pathKmem     = 1024
+	inQueueCap   = 128
+	workerCount  = 1
+	maxPathLen   = 32 // bound on the incremental open walk
+	inlineStages = 8  // stages held in the Path itself; longer paths append
 )
 
 // Errors returned by path operations.
@@ -61,8 +61,13 @@ type StageRec struct {
 
 // Path is the path object (Figure 6): the Owner structure is its first
 // element, followed by the allowed protection-domain crossings, the
-// stage list, queues, thread pool, and the reference count that delays
-// pathDestroy (but never pathKill).
+// stage list, the work queue, thread pool, and the reference count that
+// delays pathDestroy (but never pathKill). Figure 6 draws four queues,
+// input and output at each end; this path has one inbound work queue,
+// since outbound messages run the stages on the sender's thread. The
+// stage, handle and domain lists live in inline arrays for paths of up
+// to inlineStages modules. The ledger keeps every dead owner, and with
+// it the whole Path, so teardown releases the queue's ring.
 type Path struct {
 	Owner core.Owner
 
@@ -70,16 +75,22 @@ type Path struct {
 	mgr     *Manager
 	allowed *lib.Hash
 	stages  []StageRec
-	handles []*stageHandle
-	q       [numQueues]*lib.Queue
+	handles []stageHandle
+	doms    []*domain.Domain // distinct domains crossed, in stage order
+	work    lib.Queue        // inbound messages and control items
 	workSem *kernel.Semaphore
 	refCnt  int
 
 	alive          bool
 	pendingDestroy bool
+	destroyAsked   bool   // RequestDestroy found the queue full
 	staticKmem     uint64 // path struct + crossings hash charge
 	domHooks       []domHook
 	killHooks      []func() // run by Kill before the owner dies
+
+	stageBuf  [inlineStages]StageRec
+	handleBuf [inlineStages]stageHandle
+	domBuf    [inlineStages]*domain.Domain
 
 	// Drops counts inbound messages rejected because the input queue was
 	// full — the flood backstop.
@@ -105,7 +116,7 @@ func (p *Path) Stages() []StageRec { return p.stages }
 func (p *Path) StageAt(i int) module.Stage { return p.stages[i].Stage }
 
 // Handle returns the stage handle at index i.
-func (p *Path) Handle(i int) module.StageHandle { return p.handles[i] }
+func (p *Path) Handle(i int) module.StageHandle { return &p.handles[i] }
 
 // FindStage implements module.PathRef.
 func (p *Path) FindStage(name string) (int, bool) {
@@ -130,7 +141,7 @@ func (p *Path) Spawn(name string, fn func(ctx *kernel.Ctx)) {
 // messages and control items accepted but not yet processed. The
 // watchdog uses it to distinguish a starved path (work pending, no
 // progress) from an idle one.
-func (p *Path) PendingWork() int { return p.q[qWork].Len() }
+func (p *Path) PendingWork() int { return p.work.Len() }
 
 // OnKill registers fn to run if the path is summarily killed, while
 // the path's owner can still receive refunds. Module-level per-path
@@ -159,18 +170,17 @@ func (p *Path) Unref(ctx *kernel.Ctx) {
 }
 
 // Domains returns the distinct protection domains the path crosses, in
-// stage order.
-func (p *Path) Domains() []*domain.Domain {
-	var out []*domain.Domain
-	seen := map[domain.ID]bool{}
+// stage order. The slice is the path's own; callers must not modify it.
+func (p *Path) Domains() []*domain.Domain { return p.doms }
+
+// findDomains lists the distinct domains of the stages, in stage order.
+func (p *Path) findDomains() {
+	p.doms = p.domBuf[:0]
 	for _, rec := range p.stages {
-		d := rec.Node.Domain()
-		if !seen[d.ID()] {
-			seen[d.ID()] = true
-			out = append(out, d)
+		if d := rec.Node.Domain(); !slices.Contains(p.doms, d) {
+			p.doms = append(p.doms, d)
 		}
 	}
-	return out
 }
 
 // EnqueueIn implements module.PathRef: hand an inbound message to the
@@ -184,7 +194,7 @@ func (p *Path) EnqueueIn(m *msg.Msg) error {
 	}
 	k := p.mgr.k
 	k.Burn(&p.Owner, k.Model().QueueOp)
-	if err := p.q[qWork].Enqueue(&workItem{m: m}); err != nil {
+	if err := p.work.Enqueue(&workItem{m: m}); err != nil {
 		p.Drops++
 		m.Free()
 		return ErrQueueFull
@@ -205,7 +215,7 @@ func (p *Path) EnqueueControl(idx int, fn func(ctx *kernel.Ctx, st module.Stage)
 	}
 	k := p.mgr.k
 	k.Burn(&p.Owner, k.Model().QueueOp)
-	if err := p.q[qWork].Enqueue(&workItem{ctlIdx: idx, ctl: fn}); err != nil {
+	if err := p.work.Enqueue(&workItem{ctlIdx: idx, ctl: fn}); err != nil {
 		p.Drops++
 		return ErrQueueFull
 	}
@@ -216,13 +226,17 @@ func (p *Path) EnqueueControl(idx int, fn func(ctx *kernel.Ctx, st module.Stage)
 // RequestDestroy schedules an orderly pathDestroy from the path's own
 // worker thread at top level (outside any domain crossing). Module code
 // (TCP connection teardown) uses this because it runs nested inside
-// crossings where a direct destroy would deadlock on itself.
+// crossings where a direct destroy would deadlock on itself. The
+// request queues behind the work already accepted; when the queue is
+// full it cannot be dropped like a message (the caller has already let
+// go of the connection), so the worker destroys the path once the
+// queue drains.
 func (p *Path) RequestDestroy() {
-	if !p.alive {
+	if !p.alive || p.destroyAsked {
 		return
 	}
-	if err := p.q[qWork].Enqueue(&workItem{destroy: true}); err != nil {
-		return
+	if err := p.work.Enqueue(&workItem{destroy: true}); err != nil {
+		p.destroyAsked = true
 	}
 	p.workSem.Signal(&p.Owner)
 }
@@ -234,8 +248,12 @@ func (p *Path) worker(ctx *kernel.Ctx) {
 		if err := p.workSem.P(ctx); err != nil {
 			return // semaphore destroyed with the path
 		}
-		v, ok := p.q[qWork].Dequeue()
+		v, ok := p.work.Dequeue()
 		if !ok {
+			if p.destroyAsked {
+				p.mgr.Destroy(ctx, p)
+				return
+			}
 			continue
 		}
 		item := v.(*workItem)
@@ -256,7 +274,7 @@ func (p *Path) worker(ctx *kernel.Ctx) {
 		// One work item per slice: a well-designed Escort thread yields
 		// between units of work, so a backlog (a busy passive path under
 		// heavy connection setup) never trips its own runaway limit.
-		if p.q[qWork].Len() > 0 {
+		if p.work.Len() > 0 {
 			ctx.Yield()
 		}
 	}
@@ -325,22 +343,25 @@ func (h *stageHandle) Above() module.Stage {
 }
 
 // builder implements module.PathBuilder during incremental creation.
+// One builder serves a whole create; node and handle move to each new
+// stage in turn.
 type builder struct {
-	p      *Path
-	node   *module.Node
-	handle *stageHandle
+	p        *Path
+	node     *module.Node
+	handle   *stageHandle
+	stages   []module.Stage // p's stages so far, append-only
+	stageBuf [inlineStages]module.Stage
 }
 
 func (b *builder) Kernel() *kernel.Kernel     { return b.p.mgr.k }
 func (b *builder) PathOwner() *core.Owner     { return &b.p.Owner }
 func (b *builder) Node() *module.Node         { return b.node }
 func (b *builder) Handle() module.StageHandle { return b.handle }
+
+// Stages returns the stages opened so far. The list only grows, and
+// the returned slice is capped at its length, so a caller may keep it.
 func (b *builder) Stages() []module.Stage {
-	out := make([]module.Stage, len(b.p.stages))
-	for i, rec := range b.p.stages {
-		out[i] = rec.Stage
-	}
-	return out
+	return b.stages[:len(b.stages):len(b.stages)]
 }
 
 func (b *builder) NodeAt(i int) *module.Node { return b.p.stages[i].Node }
@@ -357,6 +378,7 @@ type Manager struct {
 	failKmem *fault.Point // "kmem.alloc" failpoint, resolved once
 
 	classifier FrameClassifier
+	demuxCtx   module.DemuxCtx // shared by every demux; modules only read it
 
 	// DemuxRejects counts messages dropped during demultiplexing.
 	DemuxRejects uint64
@@ -376,6 +398,7 @@ func NewManager(g *module.Graph) *Manager {
 		byOwner:  make(map[*core.Owner]*Path),
 		tracer:   g.Kernel().Tracer(),
 		failKmem: g.Kernel().FaultSet().Point("kmem.alloc"),
+		demuxCtx: module.DemuxCtx{Graph: g},
 	}
 }
 
@@ -456,7 +479,10 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		Owner: core.Owner{Name: name, Type: core.PathOwner},
 		name:  name,
 		mgr:   mgr,
+		work:  lib.MakeQueue(inQueueCap),
 	}
+	p.stages = p.stageBuf[:0]
+	p.handles = p.handleBuf[:0]
 	k.AdoptOwner(&p.Owner)
 	p.Owner.ChargeKmem(pathKmem)
 	p.staticKmem = pathKmem
@@ -472,6 +498,8 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 
 	// Incremental open walk, bounded so a miswired graph (a cycle in the
 	// open chain) fails loudly instead of building an endless path.
+	b := &builder{p: p}
+	b.stages = b.stageBuf[:0]
 	cur := start
 	for {
 		if len(p.stages) >= maxPathLen {
@@ -484,8 +512,11 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 			p.Owner.MarkDead()
 			return nil, fmt.Errorf("path: unknown module %q", cur)
 		}
-		h := &stageHandle{p: p, idx: len(p.stages)}
-		b := &builder{p: p, node: node, handle: h}
+		// A handle stays valid when a path longer than inlineStages
+		// moves handles to the heap: it is immutable, so a module holding
+		// a pointer into the old array sees the same path and index.
+		p.handles = append(p.handles, stageHandle{p: p, idx: len(p.stages)})
+		b.node, b.handle = node, &p.handles[len(p.stages)]
 		charge(model.PathOpenPerModule)
 		st, next, err := node.Mod().CreateStage(b, attrs)
 		if err != nil {
@@ -493,7 +524,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 			return nil, fmt.Errorf("path: open %q: %w", cur, err)
 		}
 		p.stages = append(p.stages, StageRec{Node: node, Stage: st})
-		p.handles = append(p.handles, h)
+		b.stages = append(b.stages, st)
 		if next == "" {
 			break
 		}
@@ -503,6 +534,8 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		}
 		cur = next
 	}
+
+	p.findDomains()
 
 	// Allowed protection-domain crossings: adjacent stage pairs, both
 	// directions (the ICMP example crosses the same domain twice).
@@ -519,9 +552,6 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	p.Owner.ChargeKmem(hashKmem)
 	p.staticKmem += hashKmem
 
-	for i := range p.q {
-		p.q[i] = lib.NewQueue(inQueueCap)
-	}
 	p.workSem = k.NewSemaphore(&p.Owner, name+":work", 0)
 	for i := 0; i < workerCount; i++ {
 		if _, err := k.SpawnChecked(&p.Owner, name+":worker", p.worker, SpawnOptsForPath(p)); err != nil {
@@ -535,7 +565,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 
 	// A destroyed protection domain takes every path crossing it down
 	// with it (§2.4). Hooks are deregistered when the path dies first.
-	for _, d := range p.Domains() {
+	for _, d := range p.doms {
 		if d.Privileged() {
 			continue
 		}
@@ -574,6 +604,7 @@ func (mgr *Manager) abortCreate(p *Path) {
 		fn()
 	}
 	p.killHooks = nil
+	p.drainQueue()
 	p.Owner.RefundKmem(p.staticKmem)
 	mgr.k.DestroyOwner(&p.Owner, true)
 }
@@ -616,7 +647,7 @@ func (mgr *Manager) Destroy(ctx *kernel.Ctx, p *Path) {
 		}
 	}
 	p.dropDomainHooks()
-	p.drainQueues()
+	p.drainQueue()
 	p.releaseDomainCharges(false)
 	p.Owner.RefundKmem(p.staticKmem)
 	mgr.k.DestroyOwner(&p.Owner, false)
@@ -643,7 +674,7 @@ func (mgr *Manager) Kill(p *Path) sim.Cycles {
 	}
 	p.killHooks = nil
 	p.dropDomainHooks()
-	p.drainQueues()
+	p.drainQueue()
 	p.releaseDomainCharges(true)
 	p.Owner.RefundKmem(p.staticKmem)
 	mgr.k.DestroyOwner(&p.Owner, true)
@@ -665,17 +696,13 @@ func (p *Path) dropDomainHooks() {
 	p.domHooks = nil
 }
 
-func (p *Path) drainQueues() {
-	for _, q := range p.q {
-		if q == nil {
-			continue
+// drainQueue frees the queued messages and releases the queue's ring.
+func (p *Path) drainQueue() {
+	p.work.Flush(func(v any) {
+		if item, ok := v.(*workItem); ok && item.m != nil {
+			item.m.Free()
 		}
-		q.Flush(func(v any) {
-			if item, ok := v.(*workItem); ok && item.m != nil {
-				item.m.Free()
-			}
-		})
-	}
+	})
 }
 
 // releaseDomainCharges frees the path's heap objects in every crossed
@@ -686,7 +713,7 @@ func (p *Path) drainQueues() {
 func (p *Path) releaseDomainCharges(kill bool) {
 	k := p.mgr.k
 	model := k.Model()
-	for _, d := range p.Domains() {
+	for _, d := range p.doms {
 		freed := d.Heap().ReleaseFor(&p.Owner)
 		if kill && !d.Privileged() {
 			k.Burn(k.KernelOwner(), model.PathKillPerDomain)

@@ -24,7 +24,8 @@ type fakeMod struct {
 	reply     bool   // on Up delivery, send a reply back Down
 	openErr   error
 
-	delivered []string // "up:<payload>" etc, across all stages
+	opened    module.PathRef // path of the last CreateStage call
+	delivered []string       // "up:<payload>" etc, across all stages
 	destroyed int
 }
 
@@ -38,6 +39,7 @@ func (f *fakeMod) Name() string               { return f.name }
 func (f *fakeMod) Init(*module.InitCtx) error { return nil }
 
 func (f *fakeMod) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
+	f.opened = pb.Handle().Path()
 	if f.openErr != nil {
 		return nil, "", f.openErr
 	}
@@ -545,5 +547,114 @@ func TestLedgerConservationThroughPathActivity(t *testing.T) {
 	after := e.k.Ledger().Snapshot(e.k.Engine().Now())
 	if d := after.Diff(before); d.Unaccounted() != 0 {
 		t.Fatalf("unaccounted = %d of %d", d.Unaccounted(), d.Measured)
+	}
+}
+
+// RequestDestroy on a full work queue must not be lost: TCP has already
+// let go of the connection, so a dropped request would orphan the
+// path's worker, semaphore, kmem and crossings hash for good.
+func TestRequestDestroyOnFullQueue(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, false, app, mid, dev)
+	ledger := e.k.Ledger()
+	before := ledger.Snapshot(e.k.Engine().Now())
+	p := createPath(t, e)
+	ran := 0
+	for i := 0; i < inQueueCap; i++ {
+		if err := p.EnqueueControl(0, func(*kernel.Ctx, module.Stage) { ran++ }); err != nil {
+			t.Fatalf("control item %d: %v", i, err)
+		}
+	}
+	p.RequestDestroy()
+	e.k.RunFor(100_000_000)
+	if ran != inQueueCap {
+		t.Fatalf("ran %d control items, want %d", ran, inQueueCap)
+	}
+	if e.mgr.Live() != 0 || e.k.LiveThreads() != 0 {
+		t.Fatalf("live paths=%d threads=%d after destroy request", e.mgr.Live(), e.k.LiveThreads())
+	}
+	if err := ledger.CheckContainment(before, ledger.Snapshot(e.k.Engine().Now())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// With room in the queue, the destroy request keeps its FIFO place:
+// work queued before it runs, work queued after it is dropped.
+func TestRequestDestroyKeepsQueueOrder(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, false, app, mid, dev)
+	p := createPath(t, e)
+	var ran []int
+	for i := 0; i < 2; i++ {
+		_ = p.EnqueueControl(0, func(*kernel.Ctx, module.Stage) { ran = append(ran, i) })
+	}
+	p.RequestDestroy()
+	_ = p.EnqueueControl(0, func(*kernel.Ctx, module.Stage) { ran = append(ran, 2) })
+	e.k.RunFor(100_000_000)
+	if len(ran) != 2 || ran[0] != 0 || ran[1] != 1 {
+		t.Fatalf("ran %v, want [0 1]", ran)
+	}
+	if p.Alive() || e.k.LiveThreads() != 0 {
+		t.Fatal("path survived its destroy request")
+	}
+}
+
+// Teardown releases the work queue's ring: the ledger keeps every dead
+// owner, and with it the Path.
+func TestTeardownReleasesQueueStorage(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, false, app, mid, dev)
+	fill := func(p *Path) {
+		t.Helper()
+		for i := 0; i < 5; i++ {
+			_ = p.EnqueueIn(msg.FromBytes(e.k.KernelOwner(), []byte("x")))
+		}
+		if p.work.Slots() == 0 {
+			t.Fatal("queued work but the queue holds no storage")
+		}
+	}
+	destroyed := createPath(t, e)
+	fill(destroyed)
+	e.mgr.Destroy(nil, destroyed)
+	killed := createPath(t, e)
+	fill(killed)
+	e.mgr.Kill(killed)
+	for name, p := range map[string]*Path{"Destroy": destroyed, "Kill": killed} {
+		if n := p.work.Slots(); n != 0 || p.PendingWork() != 0 {
+			t.Errorf("after %s: queue slots=%d pending=%d", name, n, p.PendingWork())
+		}
+	}
+
+	dev.openErr = errors.New("device unavailable")
+	dev.opened = nil
+	if _, err := e.mgr.Create(nil, "p", "app", lib.Attrs{}); err == nil {
+		t.Fatal("create with failing open succeeded")
+	}
+	aborted := dev.opened.(*Path)
+	if aborted.Alive() || aborted.work.Slots() != 0 {
+		t.Errorf("after abortCreate: alive=%v queue slots=%d", aborted.Alive(), aborted.work.Slots())
+	}
+}
+
+// One create+destroy of the three-stage test path allocates a fixed
+// number of objects; a regression in path set-up shows here.
+func TestCreateDestroyAllocs(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, false, app, mid, dev)
+	const ceiling = 22
+	allocs := testing.AllocsPerRun(100, func() {
+		p, err := e.mgr.Create(nil, "p0", "app", lib.Attrs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.mgr.Destroy(nil, p)
+		e.k.RunFor(1_000_000)
+	})
+	if allocs > ceiling {
+		t.Fatalf("create+destroy allocates %v objects, ceiling %d", allocs, ceiling)
 	}
 }
