@@ -341,7 +341,9 @@ func (c *conn) sendSegment(ctx *kernel.Ctx, flags byte, seq uint32, payload *msg
 	if mm == nil {
 		mm = msg.New(c.path.PathOwner(), msg.DefaultHeadroom, 0)
 	}
-	body := append([]byte(nil), mm.Bytes()...)
+	// Push writes only headroom, and reallocates first when the backing
+	// is shared, so body keeps the payload bytes the checksum covers.
+	body := mm.Bytes()
 	c.bytesOut += uint64(len(body))
 	hdr := mm.Push(wire.TCPLen)
 	wire.PutTCP(hdr, wire.TCP{

@@ -7,6 +7,7 @@ package tcp_test
 // without a network.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cost"
@@ -182,5 +183,77 @@ func TestListenersVisible(t *testing.T) {
 	}
 	if e.srv.Trusted.Path() == nil {
 		t.Fatal("listener path missing")
+	}
+}
+
+// TestSharedPayloadSegmentsChecksum sniffs a multi-segment response off
+// the wire. Every data segment is a Slice of the connection's Dup'd send
+// buffer, so its backing is shared and pushing the TCP header moves the
+// segment to a fresh backing while the checksum is computed over the
+// payload still in the old one. Each emitted segment must pass
+// wire.ParseTCP, and the payloads must reassemble into the document.
+func TestSharedPayloadSegmentsChecksum(t *testing.T) {
+	doc := make([]byte, 8192)
+	for i := range doc {
+		doc[i] = byte(i*7 + i>>8)
+	}
+	e := newEnv(t, escort.Options{Docs: map[string][]byte{"/big": doc}})
+	var (
+		iss      uint32
+		stream   []byte
+		segments int
+	)
+	sniff := netsim.NewNIC("sniff", 0x0200_0000_eeee)
+	sniff.SetPromiscuous()
+	sniff.Rx = func(f netsim.Frame) {
+		if f.Src != escort.ServerMAC {
+			return
+		}
+		eth, err := wire.ParseEth(f.Data)
+		if err != nil || eth.EtherType != wire.EtherTypeIPv4 {
+			return
+		}
+		b := f.Data[wire.EthLen:]
+		ip, err := wire.ParseIPv4(b)
+		if err != nil {
+			t.Fatalf("server IP header: %v", err)
+		}
+		if ip.Proto != wire.ProtoTCP {
+			return
+		}
+		seg := b[wire.IPv4Len:ip.TotalLen]
+		h, dataOff, err := wire.ParseTCP(seg, ip.Src, ip.Dst)
+		if err != nil {
+			t.Fatalf("server segment seq %d flags %#x: %v", h.Seq, h.Flags, err)
+		}
+		if h.Flags&wire.FlagSYN != 0 {
+			iss = h.Seq
+			return
+		}
+		payload := seg[dataOff:]
+		if len(payload) == 0 {
+			return
+		}
+		segments++
+		off := int(h.Seq - iss - 1)
+		if end := off + len(payload); end > len(stream) {
+			stream = append(stream, make([]byte, end-len(stream))...)
+		}
+		copy(stream[off:], payload)
+	}
+	e.hub.Attach(sniff)
+	c := workload.NewClient(e.eng, e.hub, "c", lib.IPv4(10, 0, 1, 1),
+		netsim.MAC(0x0200_0000_1001), escort.ServerIP, "/big", 1)
+	c.MaxRequests = 1
+	c.Start()
+	e.srv.Run(2 * sim.CyclesPerSecond)
+	if c.Completed != 1 {
+		t.Fatalf("client completed %d requests, want 1", c.Completed)
+	}
+	if segments < 2 {
+		t.Fatalf("response went out in %d data segments, want several", segments)
+	}
+	if !bytes.HasSuffix(stream, doc) {
+		t.Fatalf("reassembled %d payload bytes do not end with the %d-byte document", len(stream), len(doc))
 	}
 }

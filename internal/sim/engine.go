@@ -13,10 +13,10 @@
 //
 // The scheduling core is allocation-free in steady state: event records
 // come from a per-engine freelist and are recycled after they fire or are
-// canceled, and the common short-delay schedule/cancel/fire operations go
-// through a hierarchical timer wheel in O(1); only events beyond the
-// wheel's horizon fall back to a binary heap. See DESIGN.md ("Performance")
-// for the layout and the exact-ordering argument.
+// canceled, and one binary min-heap ordered by (due cycle, schedule
+// sequence) holds every pending event, so equal-time events fire in the
+// order they were scheduled. See DESIGN.md ("Performance") for why a
+// single heap rather than a timer wheel.
 package sim
 
 import "fmt"
@@ -50,20 +50,9 @@ type event struct {
 	gen uint64 // incremented on every release; Event handles capture it
 	fn  func()
 
-	// Queue position. Exactly one of the following is meaningful,
-	// selected by where.
-	idx         int    // heap index while in the overflow heap
-	level, slot uint16 // wheel coordinates while in the wheel
-	prev, next  *event // wheel slot list links (next doubles as freelist link)
-
-	where int8 // evFree, evWheel or evHeap
+	idx  int    // heap index while pending, -1 otherwise
+	next *event // freelist link while free
 }
-
-const (
-	evFree int8 = iota
-	evWheel
-	evHeap
-)
 
 // Event is a cancelable handle to a scheduled callback, returned by After
 // and AtTime. It is a small value (safe to copy, compare and overwrite);
@@ -90,17 +79,11 @@ func (h Event) At() Cycles { return h.at }
 // own Engine).
 type Engine struct {
 	now    Cycles
-	wheel  wheel
-	queue  eventHeap // overflow: events beyond the wheel horizon
+	queue  eventHeap // every pending event, ordered by (at, seq)
 	free   *event    // freelist of recycled records, linked via next
 	seq    uint64
 	live   int // scheduled, not-yet-fired, not-canceled events
 	masked int // >0 while an event handler runs: interrupts are masked
-
-	// heapOnly disables the timer wheel so every event goes through the
-	// binary heap. It exists for the wheel/heap equivalence tests and as
-	// an ablation/debug escape hatch; see NewHeapOnly.
-	heapOnly bool
 
 	// IdleSink, when non-nil, receives the cycles spent idle in
 	// AdvanceToNextEvent and AdvanceTo. The kernel points this at the
@@ -122,15 +105,6 @@ type Engine struct {
 //escort:coldpath constructor, once per simulation
 func New() *Engine {
 	return &Engine{}
-}
-
-// NewHeapOnly returns an engine that schedules exclusively through the
-// binary heap, bypassing the timer wheel. Fire order is identical to New;
-// the equivalence property test runs the two side by side.
-//
-//escort:coldpath constructor, test-only equivalence configuration
-func NewHeapOnly() *Engine {
-	return &Engine{heapOnly: true}
 }
 
 // Now returns the current virtual time.
@@ -162,10 +136,7 @@ func (e *Engine) AtTime(at Cycles, fn func()) Event {
 	ev.fn = fn
 	e.seq++
 	e.live++
-	if e.heapOnly || !e.wheel.insert(ev, e.now) {
-		ev.where = evHeap
-		e.queue.push(ev)
-	}
+	e.queue.push(ev)
 	return Event{p: ev, gen: ev.gen, at: at}
 }
 
@@ -179,15 +150,8 @@ func (e *Engine) Cancel(h Event) bool {
 		return false
 	}
 	// Generation matches, so the record still belongs to this handle's
-	// incarnation and is queued in exactly one structure.
-	switch ev.where {
-	case evWheel:
-		e.wheel.remove(ev)
-	case evHeap:
-		e.queue.remove(ev)
-	default:
-		panic("sim: live event in no queue")
-	}
+	// incarnation and must be in the heap; remove panics if it is not.
+	e.queue.remove(ev)
 	e.live--
 	e.release(ev)
 	return true
@@ -209,28 +173,9 @@ func (e *Engine) alloc() *event {
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.prev = nil
-	ev.where = evFree
 	ev.idx = -1
 	ev.next = e.free
 	e.free = ev
-}
-
-// next returns the earliest pending event across wheel and overflow heap
-// without removing it, nil when none is pending.
-func (e *Engine) next() *event {
-	h := e.queue.peek()
-	if e.heapOnly {
-		return h
-	}
-	w := e.wheel.peek()
-	if w == nil {
-		return h
-	}
-	if h == nil || w.at < h.at || (w.at == h.at && w.seq < h.seq) {
-		return w
-	}
-	return h
 }
 
 // ConsumeCPU advances the clock by c cycles of CPU work. Events falling
@@ -250,7 +195,7 @@ func (e *Engine) ConsumeCPU(c Cycles) {
 	}
 	remaining := c
 	for remaining > 0 {
-		ev := e.next()
+		ev := e.queue.peek()
 		if ev == nil || ev.at >= e.now+remaining {
 			e.now += remaining
 			return
@@ -268,7 +213,7 @@ func (e *Engine) ConsumeCPU(c Cycles) {
 // the next pending event and fires it, reporting the idle cycles skipped.
 // ok is false when no events are pending.
 func (e *Engine) AdvanceToNextEvent() (idle Cycles, ok bool) {
-	ev := e.next()
+	ev := e.queue.peek()
 	if ev == nil {
 		return 0, false
 	}
@@ -287,7 +232,7 @@ func (e *Engine) AdvanceToNextEvent() (idle Cycles, ok bool) {
 // the way. Events exactly at t fire. Idle time is reported to IdleSink.
 func (e *Engine) AdvanceTo(t Cycles) {
 	for {
-		ev := e.next()
+		ev := e.queue.peek()
 		if ev == nil || ev.at > t {
 			break
 		}
@@ -314,7 +259,7 @@ func (e *Engine) AdvanceTo(t Cycles) {
 // traffic generators) that have no cycle-level CPU to model.
 func (e *Engine) Drain(limit Cycles) {
 	for {
-		ev := e.next()
+		ev := e.queue.peek()
 		if ev == nil || ev.at > limit {
 			return
 		}
@@ -327,30 +272,19 @@ func (e *Engine) Drain(limit Cycles) {
 
 // NextEventAt reports the time of the earliest pending event.
 func (e *Engine) NextEventAt() (Cycles, bool) {
-	ev := e.next()
+	ev := e.queue.peek()
 	if ev == nil {
 		return 0, false
 	}
 	return ev.at, true
 }
 
-// fire removes ev (the earliest pending event, as returned by next), runs
+// fire removes ev (the earliest pending event, as returned by peek), runs
 // its handler with interrupts masked, and recycles the record. The record
 // goes back to the freelist before the handler runs, so a handler that
 // re-arms immediately reuses it without allocating.
 func (e *Engine) fire(ev *event) {
-	at := ev.at
-	switch ev.where {
-	case evWheel:
-		e.wheel.remove(ev)
-	case evHeap:
-		e.queue.remove(ev)
-	}
-	if !e.heapOnly {
-		// ev was the global minimum, so the wheel floor may advance to
-		// its due time: future placements measure their horizon from it.
-		e.wheel.advance(at)
-	}
+	e.queue.remove(ev)
 	e.live--
 	fn := ev.fn
 	e.release(ev)
@@ -365,8 +299,7 @@ func (e *Engine) fire(ev *event) {
 
 // eventHeap is a binary min-heap ordered by (at, seq). A hand-rolled heap
 // (rather than container/heap) keeps event pointers stable and avoids
-// interface boxing on the hot path. It holds the events beyond the timer
-// wheel's horizon (and everything, in heap-only engines).
+// interface boxing on the hot path.
 type eventHeap []*event
 
 func (h *eventHeap) push(ev *event) {
@@ -375,6 +308,8 @@ func (h *eventHeap) push(ev *event) {
 	h.up(ev.idx)
 }
 
+// peek returns the earliest pending event without removing it, nil when
+// none is pending.
 func (h *eventHeap) peek() *event {
 	if len(*h) == 0 {
 		return nil
@@ -382,9 +317,13 @@ func (h *eventHeap) peek() *event {
 	return (*h)[0]
 }
 
+// remove takes a pending event out of the heap. An idx that does not
+// point back at ev means the record is live in no queue: a bookkeeping
+// bug that must not be papered over, since the caller would then count
+// the event gone and recycle a record the heap may still hold.
 func (h *eventHeap) remove(ev *event) {
 	if ev.idx < 0 || ev.idx >= len(*h) || (*h)[ev.idx] != ev {
-		return
+		panic(fmt.Sprintf("sim: live event at %d not in the heap (idx %d, heap size %d)", ev.at, ev.idx, len(*h)))
 	}
 	h.removeAt(ev.idx)
 }

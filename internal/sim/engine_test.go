@@ -251,6 +251,397 @@ func TestConsumeCPUConservesWork(t *testing.T) {
 	}
 }
 
+// refEvent is one pending event of refModel. Ids are issued in schedule
+// order, so the id doubles as the engine's sequence number.
+type refEvent struct {
+	at Cycles
+	id int
+}
+
+// firing records one handler run: which event, and the clock when it ran.
+type firing struct {
+	id int
+	at Cycles
+}
+
+// refModel is the reference the engine is checked against: a plain slice
+// of pending events, popped by the minimum (at, id) with a linear scan,
+// and the engine's clock rules written out without any queue structure.
+type refModel struct {
+	now     Cycles
+	nextID  int
+	pending []refEvent
+	fired   []firing
+}
+
+func (m *refModel) schedule(delay Cycles) {
+	m.pending = append(m.pending, refEvent{at: m.now + delay, id: m.nextID})
+	m.nextID++
+}
+
+func (m *refModel) cancel(id int) bool {
+	for i, ev := range m.pending {
+		if ev.id == id {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// min returns the index of the earliest pending event, -1 when none.
+func (m *refModel) min() int {
+	best := -1
+	for i, ev := range m.pending {
+		if best < 0 || ev.at < m.pending[best].at ||
+			(ev.at == m.pending[best].at && ev.id < m.pending[best].id) {
+			best = i
+		}
+	}
+	return best
+}
+
+// fire pops pending[i] and plays its handler: record the firing, burn the
+// handler's CPU with interrupts masked, then re-arm if the event does.
+func (m *refModel) fire(i int) {
+	ev := m.pending[i]
+	m.pending = append(m.pending[:i], m.pending[i+1:]...)
+	m.fired = append(m.fired, firing{ev.id, m.now})
+	rearm, cpu := handlerSpec(ev.id)
+	m.now += cpu
+	if rearm > 0 {
+		m.schedule(rearm)
+	}
+}
+
+func (m *refModel) consumeCPU(c Cycles) {
+	for remaining := c; ; {
+		i := m.min()
+		if i < 0 || m.pending[i].at >= m.now+remaining {
+			m.now += remaining
+			return
+		}
+		if at := m.pending[i].at; at > m.now {
+			remaining -= at - m.now
+			m.now = at
+		}
+		m.fire(i)
+	}
+}
+
+func (m *refModel) advanceToNextEvent() (Cycles, bool) {
+	i := m.min()
+	if i < 0 {
+		return 0, false
+	}
+	var idle Cycles
+	if at := m.pending[i].at; at > m.now {
+		idle = at - m.now
+		m.now = at
+	}
+	m.fire(i)
+	return idle, true
+}
+
+func (m *refModel) advanceTo(t Cycles) {
+	m.drain(t)
+	if t > m.now {
+		m.now = t
+	}
+}
+
+func (m *refModel) drain(limit Cycles) {
+	for {
+		i := m.min()
+		if i < 0 || m.pending[i].at > limit {
+			return
+		}
+		if at := m.pending[i].at; at > m.now {
+			m.now = at
+		}
+		m.fire(i)
+	}
+}
+
+// handlerSpec fixes what event id's handler does, identically for the
+// engine and the model: consume cpu cycles of masked CPU, then re-arm a
+// new event rearm cycles later (0: no re-arm). About one event in eight
+// re-arms, a third of those one cycle later.
+func handlerSpec(id int) (rearm, cpu Cycles) {
+	h := uint64(id+1) * 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	if h%8 == 0 {
+		rearm = 1
+		if (h>>4)%3 != 0 {
+			rearm += Cycles(h>>8) % (1 << 12)
+		}
+	}
+	if (h>>32)%4 == 0 {
+		cpu = Cycles(h>>40) % 3000
+	}
+	return rearm, cpu
+}
+
+// engineRun drives an Engine through the same operations as a refModel.
+type engineRun struct {
+	e       *Engine
+	nextID  int
+	handles []Event // by event id
+	fired   []firing
+}
+
+func (r *engineRun) schedule(delay Cycles) {
+	id := r.nextID
+	r.nextID++
+	r.handles = append(r.handles, r.e.After(delay, func() {
+		r.fired = append(r.fired, firing{id, r.e.Now()})
+		rearm, cpu := handlerSpec(id)
+		r.e.ConsumeCPU(cpu)
+		if rearm > 0 {
+			r.schedule(rearm)
+		}
+	}))
+}
+
+// TestEngineMatchesReferenceModel is the randomized ordering test: 1e5
+// random operations run on the engine and on refModel, and after every
+// operation the two must agree on every firing (event and clock), the
+// clock, the pending count and each Cancel's result. The operations
+// schedule at mixed delays (zero, and ties with a pending event's cycle,
+// included), cancel pending events, cancel through stale handles whose
+// records the engine has recycled, re-arm from inside handlers
+// (handlerSpec), and advance the clock by ConsumeCPU, AdvanceToNextEvent
+// and AdvanceTo while handlers burn masked CPU.
+func TestEngineMatchesReferenceModel(t *testing.T) {
+	rng := NewRand(20260805)
+	r := &engineRun{e: New()}
+	m := &refModel{}
+	var ties, cancels, staleCancels int
+	checked := 0 // firings already compared
+	check := func(op int) {
+		t.Helper()
+		if r.e.Now() != m.now {
+			t.Fatalf("op %d: clock %d, model %d", op, r.e.Now(), m.now)
+		}
+		if r.e.Pending() != len(m.pending) {
+			t.Fatalf("op %d: pending %d, model %d", op, r.e.Pending(), len(m.pending))
+		}
+		if r.nextID != m.nextID || len(r.fired) != len(m.fired) {
+			t.Fatalf("op %d: %d scheduled and %d fired, model %d and %d",
+				op, r.nextID, len(r.fired), m.nextID, len(m.fired))
+		}
+		for ; checked < len(r.fired); checked++ {
+			if r.fired[checked] != m.fired[checked] {
+				t.Fatalf("op %d: firing %d is %+v, model %+v", op, checked, r.fired[checked], m.fired[checked])
+			}
+		}
+	}
+	const ops = 100_000
+	for op := 0; op < ops; op++ {
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3: // schedule
+			var delay Cycles
+			switch rng.Intn(6) {
+			case 0:
+				delay = rng.Cycles(1 << 6)
+			case 1:
+				delay = rng.Cycles(1 << 14)
+			case 2:
+				delay = rng.Cycles(1 << 22)
+			case 3:
+				delay = rng.Cycles(1 << 26)
+			case 4:
+				delay = Cycles(rng.Intn(3)) // due now or nearly now
+			case 5: // same cycle as a pending event not yet overdue
+				if n := len(m.pending); n > 0 {
+					if at := m.pending[rng.Intn(n)].at; at >= m.now {
+						delay = at - m.now
+						ties++
+					}
+				}
+			}
+			r.schedule(delay)
+			m.schedule(delay)
+		case 4, 5, 6:
+			c := rng.Cycles(1 << 16)
+			r.e.ConsumeCPU(c)
+			m.consumeCPU(c)
+		case 7: // cancel a pending event, or any issued one (mostly stale)
+			if r.nextID > 0 {
+				id := rng.Intn(r.nextID)
+				if n := len(m.pending); n > 0 && rng.Intn(2) == 0 {
+					id = m.pending[rng.Intn(n)].id
+				}
+				got, want := r.e.Cancel(r.handles[id]), m.cancel(id)
+				if got != want {
+					t.Fatalf("op %d: Cancel(event %d) = %v, model %v", op, id, got, want)
+				}
+				cancels++
+				if !got {
+					staleCancels++
+				}
+			}
+		case 8:
+			idle, ok := r.e.AdvanceToNextEvent()
+			wantIdle, wantOK := m.advanceToNextEvent()
+			if idle != wantIdle || ok != wantOK {
+				t.Fatalf("op %d: AdvanceToNextEvent = %d, %v; model %d, %v", op, idle, ok, wantIdle, wantOK)
+			}
+		case 9:
+			target := m.now + rng.Cycles(1<<20)
+			r.e.AdvanceTo(target)
+			m.advanceTo(target)
+		}
+		check(op)
+	}
+	r.e.Drain(1 << 62)
+	m.drain(1 << 62)
+	check(ops)
+	rearms := 0
+	for _, f := range r.fired {
+		if rearm, _ := handlerSpec(f.id); rearm > 0 {
+			rearms++
+		}
+	}
+	t.Logf("%d fired, %d re-armed, %d ties, %d cancels (%d stale)",
+		len(r.fired), rearms, ties, cancels, staleCancels)
+	if ties == 0 || rearms == 0 || staleCancels == 0 || cancels == staleCancels {
+		t.Fatalf("run exercised too little: %d fired, %d re-armed, %d ties, %d cancels (%d stale)",
+			len(r.fired), rearms, ties, cancels, staleCancels)
+	}
+}
+
+// TestStaleHandleCannotCancelRecycledEvent is the generation-counter
+// regression test: once an event has fired, its record returns to the
+// pool and is reused by the next schedule; a handle kept from the fired
+// event must not be able to cancel the new one.
+func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
+	e := New()
+	h1 := e.After(10, func() {})
+	e.Drain(100) // h1 fires; its record is recycled
+	fired := false
+	h2 := e.After(10, func() { fired = true })
+	if e.Cancel(h1) {
+		t.Fatal("stale handle canceled something")
+	}
+	e.Drain(200)
+	if !fired {
+		t.Fatal("stale Cancel killed the recycled event")
+	}
+	if e.Cancel(h2) {
+		t.Fatal("Cancel after fire reported true")
+	}
+}
+
+// TestStaleHandleAfterCancelIsInert is the same hazard via the cancel
+// path: a canceled event's record recycles, and the old handle must stay
+// dead even though the record is live again.
+func TestStaleHandleAfterCancelIsInert(t *testing.T) {
+	e := New()
+	h1 := e.After(10, func() { t.Fatal("canceled event fired") })
+	if !e.Cancel(h1) {
+		t.Fatal("first Cancel failed")
+	}
+	fired := false
+	h2 := e.After(10, func() { fired = true }) // reuses h1's record
+	if e.Cancel(h1) {
+		t.Fatal("double Cancel through a stale handle succeeded")
+	}
+	e.Drain(100)
+	if !fired {
+		t.Fatal("recycled event did not fire")
+	}
+	_ = h2
+}
+
+// TestZeroEventHandle checks the zero handle is inert.
+func TestZeroEventHandle(t *testing.T) {
+	e := New()
+	var h Event
+	if !h.IsZero() {
+		t.Fatal("zero handle not IsZero")
+	}
+	if e.Cancel(h) {
+		t.Fatal("Cancel of zero handle returned true")
+	}
+	if got := e.After(5, func() {}); got.IsZero() {
+		t.Fatal("issued handle reports IsZero")
+	}
+}
+
+// TestPendingCounter checks Pending is maintained by schedule, cancel and
+// fire rather than scanned.
+func TestPendingCounter(t *testing.T) {
+	e := New()
+	var hs []Event
+	for i := 0; i < 10; i++ {
+		hs = append(hs, e.After(Cycles(100+i), func() {}))
+	}
+	e.After(1<<30, func() {}) // far beyond the rest
+	if got := e.Pending(); got != 11 {
+		t.Fatalf("Pending = %d, want 11", got)
+	}
+	e.Cancel(hs[3])
+	e.Cancel(hs[3]) // idempotent
+	if got := e.Pending(); got != 10 {
+		t.Fatalf("Pending after cancel = %d, want 10", got)
+	}
+	e.Drain(200)
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending after drain = %d, want 1", got)
+	}
+	e.Drain(1 << 31)
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending after full drain = %d, want 0", got)
+	}
+}
+
+// TestCancelPanicsOnEventNotInHeap pins the queue-membership guard: a
+// live handle whose record claims a heap slot it does not hold is a
+// bookkeeping bug, and Cancel must stop there rather than count the
+// event gone and recycle a record the heap may still reference.
+func TestCancelPanicsOnEventNotInHeap(t *testing.T) {
+	e := New()
+	h := e.After(10, func() {})
+	e.After(20, func() {})
+	h.p.idx = 1 // the slot of the other event
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Cancel of an event not in the heap did not panic")
+		}
+		if got := e.Pending(); got != 2 {
+			t.Fatalf("Pending = %d after the refused Cancel, want 2", got)
+		}
+	}()
+	e.Cancel(h)
+}
+
+// TestScheduleFireDoesNotAllocate pins the freelist claim: in steady
+// state, schedule+fire cycles allocate nothing.
+func TestScheduleFireDoesNotAllocate(t *testing.T) {
+	e := New()
+	fn := func() {}
+	// Warm the record pool and grow the heap's backing array.
+	for i := 0; i < 64; i++ {
+		e.After(Cycles(i%7), fn)
+	}
+	e.Drain(1 << 30)
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.After(13, fn)
+		e.Drain(e.Now() + 100)
+	})
+	if allocs > 0 {
+		t.Fatalf("schedule+fire allocates %.1f objects per op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		h := e.After(1000, fn)
+		e.Cancel(h)
+	})
+	if allocs > 0 {
+		t.Fatalf("schedule+cancel allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {
@@ -300,5 +691,35 @@ func TestJitter(t *testing.T) {
 	}
 	if r.Jitter(base, 0) != base {
 		t.Fatal("zero-fraction jitter should be identity")
+	}
+}
+
+// BenchmarkEngineScheduleFire measures the engine hot path: one
+// schedule+fire per op, steady state (pooled records).
+func BenchmarkEngineScheduleFire(b *testing.B) {
+	e := New()
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.After(97, fn)
+		e.Drain(e.Now() + 1000)
+	}
+}
+
+// BenchmarkEngineScheduleCancel measures the schedule+cancel pair with a
+// standing population of 256 timers, the TCP-timer-like pattern
+// (schedule a timeout, then cancel it when the ACK arrives).
+func BenchmarkEngineScheduleCancel(b *testing.B) {
+	e := New()
+	fn := func() {}
+	var standing [256]Event
+	for i := range standing {
+		standing[i] = e.After(Cycles(1000+i*31), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := e.After(Cycles(500+i%1024), fn)
+		e.Cancel(h)
 	}
 }
