@@ -15,13 +15,7 @@ import (
 
 func ablationRate(b *testing.B, cfg experiment.Config, opt experiment.Options, doc experiment.DocSpec) float64 {
 	b.Helper()
-	tb, err := experiment.NewTestbed(cfg, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tb.Close()
-	tb.AddClients(16, doc.Name)
-	return tb.MeasureRate(sim.CyclesPerSecond/2, sim.CyclesPerSecond)
+	return measure(b, benchScale().Window, opt, experiment.Row{Config: cfg, Doc: doc, Clients: 16}).ConnPS
 }
 
 // BenchmarkAblationTLBInvalidation isolates the OSF/1 PAL-code bug's
@@ -83,17 +77,8 @@ func BenchmarkAblationBlockCache(b *testing.B) {
 	var cached, uncached float64
 	for i := 0; i < b.N; i++ {
 		cached = ablationRate(b, experiment.ConfigAccounting, experiment.Options{}, experiment.Doc10K)
-		m := cost.Default()
-		m.DiskSeek *= 1 // model unchanged; the cache is disabled via budget below
-		tb, err := experiment.NewTestbed(experiment.ConfigAccounting, experiment.Options{Model: m})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Evict permanently by shrinking the cache through the FS module.
-		tb.Escort.FS.SetBudgetForTest(1)
-		tb.AddClients(16, experiment.Doc10K.Name)
-		uncached = tb.MeasureRate(sim.CyclesPerSecond/2, sim.CyclesPerSecond)
-		tb.Close()
+		uncached = ablationRate(b, experiment.ConfigAccounting,
+			experiment.Options{FSCacheBudget: 1}, experiment.Doc10K)
 	}
 	b.ReportMetric(cached, "cached-conn/s")
 	b.ReportMetric(uncached, "diskbound-conn/s")
@@ -103,26 +88,19 @@ func BenchmarkAblationBlockCache(b *testing.B) {
 // scheduler instead of proportional-share: without an enforced share
 // the stream must compete as an ordinary owner.
 func BenchmarkAblationScheduler(b *testing.B) {
-	measure := func(schedName string) float64 {
-		tb, err := experiment.NewTestbed(experiment.ConfigAccounting,
-			experiment.Options{QoSRateBps: experiment.QoSTarget, Scheduler: schedName})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tb.Close()
-		tb.AddClients(32, experiment.Doc1B.Name)
-		tb.AddQoSReceiver()
-		tb.RunFor(sim.CyclesPerSecond / 2)
-		tb.RunFor(2 * sim.CyclesPerSecond)
-		return tb.QoS.RateBps(2 * sim.CyclesPerSecond)
+	rateFrac := func(schedName string) float64 {
+		r := measure(b, 2*sim.CyclesPerSecond,
+			experiment.Options{QoSRateBps: experiment.QoSTarget, Scheduler: schedName},
+			experiment.Row{Config: experiment.ConfigAccounting, Doc: experiment.Doc1B, Clients: 32, Stream: true})
+		return r.QoSRate / experiment.QoSTarget
 	}
 	var stride, prio float64
 	for i := 0; i < b.N; i++ {
-		stride = measure("proportional-share")
-		prio = measure("priority")
+		stride = rateFrac("proportional-share")
+		prio = rateFrac("priority")
 	}
-	b.ReportMetric(stride/experiment.QoSTarget, "stride-rate-frac")
-	b.ReportMetric(prio/experiment.QoSTarget, "priority-rate-frac")
+	b.ReportMetric(stride, "stride-rate-frac")
+	b.ReportMetric(prio, "priority-rate-frac")
 }
 
 // BenchmarkAblationPathFinder compares module-chain demultiplexing with
@@ -130,21 +108,14 @@ func BenchmarkAblationScheduler(b *testing.B) {
 // paper's suggested alternative with "more liberal trust assumptions"
 // is also cheaper per datagram.
 func BenchmarkAblationPathFinder(b *testing.B) {
-	measure := func(pf bool) float64 {
-		tb, err := experiment.NewTestbed(experiment.ConfigAccounting,
-			experiment.Options{SynCapUntrusted: 64, PathFinder: pf})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tb.Close()
-		tb.AddClients(16, experiment.Doc1B.Name)
-		tb.AddSynAttacker(2000)
-		return tb.MeasureRate(sim.CyclesPerSecond/2, sim.CyclesPerSecond)
+	rate := func(pf bool) float64 {
+		return measure(b, benchScale().Window, experiment.Options{SynCapUntrusted: 64, PathFinder: pf},
+			experiment.Row{Config: experiment.ConfigAccounting, Doc: experiment.Doc1B, Clients: 16, SynRate: 2000}).ConnPS
 	}
 	var chain, pattern float64
 	for i := 0; i < b.N; i++ {
-		chain = measure(false)
-		pattern = measure(true)
+		chain = rate(false)
+		pattern = rate(true)
 	}
 	b.ReportMetric(chain, "module-chain-conn/s")
 	b.ReportMetric(pattern, "pathfinder-conn/s")

@@ -24,20 +24,25 @@ func benchScale() experiment.Scale {
 	}
 }
 
-// benchRate builds a testbed, applies load, and reports conn/s.
+// measure runs one figure point after benchScale's warm-up.
+func measure(b *testing.B, window sim.Cycles, opt experiment.Options, r experiment.Row) experiment.Row {
+	b.Helper()
+	r, err := experiment.Measure(benchScale().Warm, window, opt, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// benchRate measures clients alone and reports conn/s.
 func benchRate(b *testing.B, cfg experiment.Config, doc experiment.DocSpec, clients int) {
 	b.Helper()
-	var rate float64
+	var r experiment.Row
 	for i := 0; i < b.N; i++ {
-		tb, err := experiment.NewTestbed(cfg, experiment.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tb.AddClients(clients, doc.Name)
-		rate = tb.MeasureRate(benchScale().Warm, benchScale().Window)
-		tb.Close()
+		r = measure(b, benchScale().Window, experiment.Options{},
+			experiment.Row{Config: cfg, Doc: doc, Clients: clients})
 	}
-	b.ReportMetric(rate, "conn/s")
+	b.ReportMetric(r.ConnPS, "conn/s")
 }
 
 // Figure 8: one benchmark per configuration and document size.
@@ -179,23 +184,13 @@ func BenchmarkTable2Kill(b *testing.B) {
 func benchFig9(b *testing.B, cfg experiment.Config) {
 	b.Helper()
 	var slow float64
-	sc := benchScale()
+	opt := experiment.Options{SynCapUntrusted: 64}
 	for i := 0; i < b.N; i++ {
-		measure := func(attack bool) float64 {
-			tb, err := experiment.NewTestbed(cfg, experiment.Options{SynCapUntrusted: 64})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tb.Close()
-			tb.AddClients(16, experiment.Doc1B.Name)
-			if attack {
-				tb.AddSynAttacker(1000)
-			}
-			return tb.MeasureRate(sc.Warm, sc.Window)
-		}
-		base := measure(false)
-		loaded := measure(true)
-		slow = 100 * (base - loaded) / base
+		pt := experiment.Row{Config: cfg, Doc: experiment.Doc1B, Clients: 16}
+		base := measure(b, benchScale().Window, opt, pt)
+		pt.SynRate = 1000
+		loaded := measure(b, benchScale().Window, opt, pt)
+		slow = 100 * (base.ConnPS - loaded.ConnPS) / base.ConnPS
 	}
 	b.ReportMetric(slow, "slowdown-%")
 }
@@ -213,29 +208,14 @@ func BenchmarkFig9SynAttackAccountingPD(b *testing.B) {
 func benchFig10(b *testing.B, cfg experiment.Config) {
 	b.Helper()
 	var qosErr, slow float64
-	sc := benchScale()
-	window := 2 * sim.CyclesPerSecond
+	opt := experiment.Options{QoSRateBps: experiment.QoSTarget}
 	for i := 0; i < b.N; i++ {
-		measure := func(stream bool) (float64, float64) {
-			tb, err := experiment.NewTestbed(cfg, experiment.Options{QoSRateBps: experiment.QoSTarget})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tb.Close()
-			tb.AddClients(16, experiment.Doc1B.Name)
-			if stream {
-				tb.AddQoSReceiver()
-			}
-			rate := tb.MeasureRate(sc.Warm, window)
-			if !stream {
-				return rate, 0
-			}
-			return rate, tb.QoS.RateBps(window)
-		}
-		base, _ := measure(false)
-		loaded, qos := measure(true)
-		slow = 100 * (base - loaded) / base
-		qosErr = 100 * (qos - experiment.QoSTarget) / experiment.QoSTarget
+		pt := experiment.Row{Config: cfg, Doc: experiment.Doc1B, Clients: 16}
+		base := measure(b, 2*sim.CyclesPerSecond, opt, pt)
+		pt.Stream = true
+		loaded := measure(b, 2*sim.CyclesPerSecond, opt, pt)
+		slow = 100 * (base.ConnPS - loaded.ConnPS) / base.ConnPS
+		qosErr = 100 * (loaded.QoSRate - experiment.QoSTarget) / experiment.QoSTarget
 		if qosErr < 0 {
 			qosErr = -qosErr
 		}
@@ -257,25 +237,14 @@ func BenchmarkFig10QoSAccountingPD(b *testing.B) {
 func benchFig11(b *testing.B, cfg experiment.Config) {
 	b.Helper()
 	var slow, kills float64
-	sc := benchScale()
-	window := 3 * sim.CyclesPerSecond
+	opt := experiment.Options{QoSRateBps: experiment.QoSTarget}
 	for i := 0; i < b.N; i++ {
-		measure := func(attackers int) (float64, uint64) {
-			tb, err := experiment.NewTestbed(cfg, experiment.Options{QoSRateBps: experiment.QoSTarget})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tb.Close()
-			tb.AddClients(16, experiment.Doc1B.Name)
-			tb.AddQoSReceiver()
-			tb.AddCGIAttackers(attackers)
-			rate := tb.MeasureRate(sc.Warm, window)
-			return rate, tb.Escort.Contain.Kills
-		}
-		base, _ := measure(0)
-		loaded, k := measure(10)
-		slow = 100 * (base - loaded) / base
-		kills = float64(k)
+		pt := experiment.Row{Config: cfg, Doc: experiment.Doc1B, Clients: 16, Stream: true}
+		base := measure(b, 3*sim.CyclesPerSecond, opt, pt)
+		pt.CGI = 10
+		loaded := measure(b, 3*sim.CyclesPerSecond, opt, pt)
+		slow = 100 * (base.ConnPS - loaded.ConnPS) / base.ConnPS
+		kills = float64(loaded.Kills)
 	}
 	b.ReportMetric(slow, "slowdown-%")
 	b.ReportMetric(kills, "kills")

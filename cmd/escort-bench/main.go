@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -72,8 +73,16 @@ func sinkFor(base, label string) *os.File {
 	return f
 }
 
+// experiments are the -exp names, in the order "all" runs them.
+var experiments = []string{"fig8", "table1", "table2", "fig9", "fig10", "fig11"}
+
+// knownExp reports whether -exp names an experiment or "all".
+func knownExp(name string) bool {
+	return name == "all" || slices.Contains(experiments, name)
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig8, table1, table2, fig9, fig10, fig11, all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", ")+", all")
 	scaleName := flag.String("scale", "paper", "sweep scale: quick or paper")
 	parallel := flag.Bool("parallel", true, "fan sweep points across one worker per CPU (results are identical either way)")
 	traceBase := flag.String("trace", "", "write per-run Chrome trace JSON files derived from this base path")
@@ -88,6 +97,11 @@ func main() {
 		return
 	}
 
+	if !knownExp(*exp) {
+		fmt.Fprintf(os.Stderr, "escort-bench: unknown experiment %q (have: %s, all)\n",
+			*exp, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
 	var sc experiment.Scale
 	switch *scaleName {
 	case "paper":

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,10 +175,11 @@ func TestFig9SynAttackImpact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := fig9Rate(rows, ConfigAccounting, Doc1B, 4, false)
-	aa := fig9Rate(rows, ConfigAccounting, Doc1B, 4, true)
-	p := fig9Rate(rows, ConfigAccountingPD, Doc1B, 4, false)
-	pa := fig9Rate(rows, ConfigAccountingPD, Doc1B, 4, true)
+	rate := func(cfg Config, syn uint64) float64 {
+		return find(rows, Row{Config: cfg, Doc: Doc1B, Clients: 4, SynRate: syn}).ConnPS
+	}
+	a, aa := rate(ConfigAccounting, 0), rate(ConfigAccounting, synFlood)
+	p, pa := rate(ConfigAccountingPD, 0), rate(ConfigAccountingPD, synFlood)
 	if a == 0 || aa == 0 || p == 0 || pa == 0 {
 		t.Fatalf("missing rates: %v %v %v %v", a, aa, p, pa)
 	}
@@ -210,13 +213,13 @@ func TestFig10QoSHolds(t *testing.T) {
 		if !r.Stream {
 			continue
 		}
-		if e := r.QoSError; e < -0.02 || e > 0.05 {
+		if e := (r.QoSRate - QoSTarget) / QoSTarget; e < -0.02 || e > 0.05 {
 			t.Errorf("%s: QoS error %.3f outside band (rate %.0f)", r.Config, e, r.QoSRate)
 		}
 	}
 	// Best effort slows when the stream runs.
-	a := fig10Rate(rows, ConfigAccounting, Doc1B, 8, false)
-	aq := fig10Rate(rows, ConfigAccounting, Doc1B, 8, true)
+	a := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8}).ConnPS
+	aq := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true}).ConnPS
 	if aq >= a {
 		t.Errorf("QoS stream did not cost best-effort anything: %f vs %f", aq, a)
 	}
@@ -233,8 +236,8 @@ func TestFig11CGIAttackDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := fig11Row(rows, ConfigAccounting, Doc1B, 0)
-	loaded := fig11Row(rows, ConfigAccounting, Doc1B, 10)
+	base := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true})
+	loaded := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true, CGI: 10})
 	if base.ConnPS == 0 || loaded.ConnPS == 0 {
 		t.Fatalf("missing rates: %+v %+v", base, loaded)
 	}
@@ -250,6 +253,76 @@ func TestFig11CGIAttackDegradesGracefully(t *testing.T) {
 	}
 	if FormatFig11(rows, 8) == "" {
 		t.Fatal("empty format")
+	}
+}
+
+// TestFormatDeadStreamIs100PercentError: a receiver that measured
+// nothing is a dead stream, not a perfect one, in both QoS figures.
+func TestFormatDeadStreamIs100PercentError(t *testing.T) {
+	var rows []Row
+	for _, cfg := range defended {
+		rows = append(rows, Row{Config: cfg, Doc: Doc1B, Clients: 4, Stream: true, ConnPS: 100})
+	}
+	if out := FormatFig11(rows, 4); !strings.Contains(out, "100.00%") {
+		t.Errorf("Figure 11 shows a dead stream as:\n%s", out)
+	}
+	if out := FormatFig10(rows); !strings.Contains(out, "100.00%") {
+		t.Errorf("Figure 10 shows a dead stream as:\n%s", out)
+	}
+}
+
+// figuresDigest is the sha256 of the output TestFigureOutputDigest
+// formats, taken before the figures shared one Row and one Measure.
+const figuresDigest = "81d482ed904958414098a556d7c3fd65da677e32ad0b9e486d5eef9714e567cc"
+
+// TestFigureOutputDigest formats every figure and table at a small
+// scale and pins the output byte for byte: the quick check that a
+// change left simulated output alone.
+func TestFigureOutputDigest(t *testing.T) {
+	sc := Scale{
+		Warm:    sim.CyclesPerSecond / 10,
+		Window:  sim.CyclesPerSecond / 2,
+		Clients: []int{1, 4},
+		CGICnts: []int{0, 2},
+		Workers: 2,
+	}
+	var b strings.Builder
+	f8, err := Fig8(sc, []DocSpec{Doc1B, Doc1K, Doc10K}, AllConfigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatFig8(f8))
+	for _, cfg := range defended {
+		tab, err := RunTable1(cfg, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(tab.Format())
+	}
+	t2, err := RunTable2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatTable2(t2))
+	docs := []DocSpec{Doc1B, Doc10K}
+	f9, err := Fig9(sc, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatFig9(f9))
+	f10, err := Fig10(sc, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatFig10(f10))
+	f11, err := Fig11(sc, docs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(FormatFig11(f11, 4))
+	out := b.String()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != figuresDigest {
+		t.Fatalf("figure output digest = %s, want %s\n%s", got, figuresDigest, out)
 	}
 }
 

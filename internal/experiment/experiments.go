@@ -73,72 +73,140 @@ func QuickScale() Scale {
 	}
 }
 
-// Fig8Row is one point of Figure 8: connection rate by configuration,
-// document size and client count.
-type Fig8Row struct {
+// Row is one figure point. Config, Doc, Clients, SynRate, Stream and
+// CGI are the load; ConnPS, SynDrops, QoSRate and Kills are what
+// Measure read off the testbed afterwards.
+type Row struct {
 	Config  Config
 	Doc     DocSpec
 	Clients int
-	ConnPS  float64
+	SynRate uint64 // SYN/s from the untrusted flood; 0 attaches none
+	Stream  bool   // attach the QoS receiver
+	CGI     int    // CGI attackers
+
+	ConnPS   float64 // best-effort connections/second over the window
+	SynDrops uint64  // SYNs the untrusted listener dropped at demux
+	QoSRate  float64 // bytes/second delivered to the QoS receiver
+	Kills    uint64  // runaway paths contained
 }
 
-// Fig8 reproduces Figure 8: the basic performance of the four
-// configurations in connections/second for 1 B, 1 KB and 10 KB
-// documents across the client sweep. Points run on sc.Workers workers;
-// each builds its own testbed, so the rows are identical at any setting.
-func Fig8(sc Scale, docs []DocSpec, configs []Config) ([]Fig8Row, error) {
-	type point struct {
-		doc DocSpec
-		cfg Config
-		n   int
+// inputs is the row with its measurements cleared: the key a point is
+// looked up by.
+func (r Row) inputs() Row {
+	r.ConnPS, r.SynDrops, r.QoSRate, r.Kills = 0, 0, 0, 0
+	return r
+}
+
+// Measure runs one figure point: it builds the testbed, attaches the
+// load, averages the connection rate over window after warm, and reads
+// the counters before closing. Load attaches in a fixed order (clients,
+// SYN flood, QoS receiver, CGI attackers); a different order changes
+// the simulation's output.
+func Measure(warm, window sim.Cycles, opt Options, r Row) (Row, error) {
+	tb, err := NewTestbed(r.Config, opt)
+	if err != nil {
+		return r, err
 	}
-	var pts []point
+	defer tb.Close()
+	tb.AddClients(r.Clients, r.Doc.Name)
+	if r.SynRate > 0 {
+		tb.AddSynAttacker(r.SynRate)
+	}
+	if r.Stream {
+		tb.AddQoSReceiver()
+	}
+	tb.AddCGIAttackers(r.CGI)
+	r.ConnPS = tb.MeasureRate(warm, window)
+	if srv := tb.Escort; srv != nil {
+		if srv.Untrusted != nil {
+			r.SynDrops = srv.Untrusted.DroppedSyn
+		}
+		if srv.Contain != nil {
+			r.Kills = srv.Contain.Kills
+		}
+	}
+	if tb.QoS != nil {
+		r.QoSRate = tb.QoS.RateBps(window)
+	}
+	return r, nil
+}
+
+// sweep measures every point on sc.Workers workers under opt, naming
+// each run's observability sinks by label. Every point builds its own
+// testbed, so the rows are identical at any worker count.
+func sweep(sc Scale, opt Options, pts []Row, label func(Row) string) ([]Row, error) {
+	return runner.MapErr(len(pts), sc.Workers, func(i int) (Row, error) {
+		o := opt
+		o.Obs, o.Faults = sc.obsFor(label(pts[i])), sc.Faults
+		return Measure(sc.Warm, sc.Window, o, pts[i])
+	})
+}
+
+// cross sets every variant on every document and configuration, in
+// that nesting order.
+func cross(docs []DocSpec, configs []Config, variants []Row) []Row {
+	var pts []Row
 	for _, doc := range docs {
 		for _, cfg := range configs {
-			for _, n := range sc.Clients {
-				pts = append(pts, point{doc, cfg, n})
+			for _, v := range variants {
+				v.Doc, v.Config = doc, cfg
+				pts = append(pts, v)
 			}
 		}
 	}
-	return runner.MapErr(len(pts), sc.Workers, func(i int) (Fig8Row, error) {
-		p := pts[i]
-		label := fmt.Sprintf("fig8-%s-%s-c%d", strings.TrimPrefix(p.doc.Name, "/"), p.cfg, p.n)
-		tb, err := NewTestbed(p.cfg, Options{Obs: sc.obsFor(label), Faults: sc.Faults})
-		if err != nil {
-			return Fig8Row{}, err
+	return pts
+}
+
+// withAndWithout lists every client count without the extra load, then
+// every client count with it.
+func withAndWithout(clients []int, load func(*Row)) []Row {
+	var vs []Row
+	for _, on := range []bool{false, true} {
+		for _, n := range clients {
+			r := Row{Clients: n}
+			if on {
+				load(&r)
+			}
+			vs = append(vs, r)
 		}
-		tb.AddClients(p.n, p.doc.Name)
-		rate := tb.MeasureRate(sc.Warm, sc.Window)
-		tb.Close()
-		return Fig8Row{Config: p.cfg, Doc: p.doc, Clients: p.n, ConnPS: rate}, nil
+	}
+	return vs
+}
+
+// defended are the two configurations Figures 9–11 evaluate.
+var defended = []Config{ConfigAccounting, ConfigAccountingPD}
+
+// docTag is a row's document in run labels ("doc1").
+func docTag(r Row) string { return strings.TrimPrefix(r.Doc.Name, "/") }
+
+// Fig8 reproduces Figure 8: the basic performance of the four
+// configurations in connections/second for 1 B, 1 KB and 10 KB
+// documents across the client sweep.
+func Fig8(sc Scale, docs []DocSpec, configs []Config) ([]Row, error) {
+	var vs []Row
+	for _, n := range sc.Clients {
+		vs = append(vs, Row{Clients: n})
+	}
+	return sweep(sc, Options{}, cross(docs, configs, vs), func(r Row) string {
+		return fmt.Sprintf("fig8-%s-%s-c%d", docTag(r), r.Config, r.Clients)
 	})
 }
 
 // FormatFig8 renders the rows as one table per document.
-func FormatFig8(rows []Fig8Row) string {
+func FormatFig8(rows []Row) string {
 	var b strings.Builder
-	byDoc := map[string][]Fig8Row{}
-	var docOrder []string
-	for _, r := range rows {
-		if _, ok := byDoc[r.Doc.Label]; !ok {
-			docOrder = append(docOrder, r.Doc.Label)
-		}
-		byDoc[r.Doc.Label] = append(byDoc[r.Doc.Label], r)
-	}
-	for _, doc := range docOrder {
-		fmt.Fprintf(&b, "Figure 8: connections/second, %s document\n", doc)
-		sub := byDoc[doc]
-		configs := orderedConfigs(sub)
-		clients := orderedClients(sub)
+	for _, doc := range docsOf(rows) {
+		fmt.Fprintf(&b, "Figure 8: connections/second, %s document\n", doc.Label)
+		configs := distinct(rows, func(r Row) Config { return r.Config })
 		fmt.Fprintf(&b, "%8s", "#clients")
 		for _, c := range configs {
 			fmt.Fprintf(&b, " %14s", c)
 		}
 		b.WriteByte('\n')
-		for _, n := range clients {
+		for _, n := range clientsOf(rows) {
 			fmt.Fprintf(&b, "%8d", n)
 			for _, c := range configs {
-				fmt.Fprintf(&b, " %14.1f", lookupFig8(sub, c, n))
+				fmt.Fprintf(&b, " %14.1f", find(rows, Row{Config: c, Doc: doc, Clients: n}).ConnPS)
 			}
 			b.WriteByte('\n')
 		}
@@ -147,38 +215,37 @@ func FormatFig8(rows []Fig8Row) string {
 	return b.String()
 }
 
-func orderedConfigs(rows []Fig8Row) []Config {
-	seen := map[Config]bool{}
-	var out []Config
+// distinct returns key's values over rows in first-seen order.
+func distinct[K comparable](rows []Row, key func(Row) K) []K {
+	seen := map[K]bool{}
+	var out []K
 	for _, r := range rows {
-		if !seen[r.Config] {
-			seen[r.Config] = true
-			out = append(out, r.Config)
+		if k := key(r); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
 		}
 	}
 	return out
 }
 
-func orderedClients(rows []Fig8Row) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, r := range rows {
-		if !seen[r.Clients] {
-			seen[r.Clients] = true
-			out = append(out, r.Clients)
-		}
-	}
+// docsOf lists the rows' documents in first-seen order.
+func docsOf(rows []Row) []DocSpec { return distinct(rows, func(r Row) DocSpec { return r.Doc }) }
+
+// clientsOf lists the rows' client counts in ascending order.
+func clientsOf(rows []Row) []int {
+	out := distinct(rows, func(r Row) int { return r.Clients })
 	sort.Ints(out)
 	return out
 }
 
-func lookupFig8(rows []Fig8Row, cfg Config, clients int) float64 {
+// find returns the row whose inputs equal want, or the zero Row.
+func find(rows []Row, want Row) Row {
 	for _, r := range rows {
-		if r.Config == cfg && r.Clients == clients {
-			return r.ConnPS
+		if r.inputs() == want {
+			return r
 		}
 	}
-	return 0
+	return Row{}
 }
 
 // Table1 is the accounting-accuracy breakdown (§4.3.1): average cycles
@@ -327,82 +394,32 @@ func FormatTable2(rows []Table2Row) string {
 	return b.String()
 }
 
-// Fig9Row is one point of Figure 9: client rate with and without the
-// SYN attack.
-type Fig9Row struct {
-	Config   Config
-	Doc      DocSpec
-	Clients  int
-	Attack   bool
-	ConnPS   float64
-	SynDrops uint64
-}
+// synFlood is Figure 9's attack rate from the untrusted subnet.
+const synFlood = 1000
 
 // Fig9 reproduces Figure 9: best-effort performance under a 1000 SYN/s
 // attack from the untrusted subnet, with the §4.4.1 policy (separate
-// passive paths; drop over-budget SYNs at demux). Points fan out across
-// sc.Workers workers.
-func Fig9(sc Scale, docs []DocSpec) ([]Fig9Row, error) {
-	type point struct {
-		doc    DocSpec
-		cfg    Config
-		attack bool
-		n      int
-	}
-	var pts []point
-	for _, doc := range docs {
-		for _, cfg := range []Config{ConfigAccounting, ConfigAccountingPD} {
-			for _, attack := range []bool{false, true} {
-				for _, n := range sc.Clients {
-					pts = append(pts, point{doc, cfg, attack, n})
-				}
-			}
-		}
-	}
-	return runner.MapErr(len(pts), sc.Workers, func(i int) (Fig9Row, error) {
-		p := pts[i]
-		label := fmt.Sprintf("fig9-%s-%s-c%d-attack%v", strings.TrimPrefix(p.doc.Name, "/"), p.cfg, p.n, p.attack)
-		tb, err := NewTestbed(p.cfg, Options{SynCapUntrusted: 64, Obs: sc.obsFor(label), Faults: sc.Faults})
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		tb.AddClients(p.n, p.doc.Name)
-		if p.attack {
-			tb.AddSynAttacker(1000)
-		}
-		rate := tb.MeasureRate(sc.Warm, sc.Window)
-		var drops uint64
-		if tb.Escort.Untrusted != nil {
-			drops = tb.Escort.Untrusted.DroppedSyn
-		}
-		tb.Close()
-		return Fig9Row{Config: p.cfg, Doc: p.doc, Clients: p.n,
-			Attack: p.attack, ConnPS: rate, SynDrops: drops}, nil
+// passive paths; drop over-budget SYNs at demux).
+func Fig9(sc Scale, docs []DocSpec) ([]Row, error) {
+	vs := withAndWithout(sc.Clients, func(r *Row) { r.SynRate = synFlood })
+	return sweep(sc, Options{SynCapUntrusted: 64}, cross(docs, defended, vs), func(r Row) string {
+		return fmt.Sprintf("fig9-%s-%s-c%d-attack%v", docTag(r), r.Config, r.Clients, r.SynRate > 0)
 	})
 }
 
 // FormatFig9 renders the figure as tables with slowdown columns.
-func FormatFig9(rows []Fig9Row) string {
+func FormatFig9(rows []Row) string {
 	var b strings.Builder
-	for _, doc := range []DocSpec{Doc1B, Doc1K, Doc10K} {
-		any := false
-		for _, r := range rows {
-			if r.Doc.Name == doc.Name {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
+	for _, doc := range docsOf(rows) {
 		fmt.Fprintf(&b, "Figure 9: %s document, 1000 SYN/s untrusted attack\n", doc.Label)
 		fmt.Fprintf(&b, "%8s %16s %16s %9s %16s %16s %9s\n", "#clients",
 			"Acct", "Acct+SYN", "slow%", "Acct_PD", "Acct_PD+SYN", "slow%")
 		for _, n := range clientsOf(rows) {
-			a := fig9Rate(rows, ConfigAccounting, doc, n, false)
-			aa := fig9Rate(rows, ConfigAccounting, doc, n, true)
-			p := fig9Rate(rows, ConfigAccountingPD, doc, n, false)
-			pa := fig9Rate(rows, ConfigAccountingPD, doc, n, true)
+			rate := func(cfg Config, syn uint64) float64 {
+				return find(rows, Row{Config: cfg, Doc: doc, Clients: n, SynRate: syn}).ConnPS
+			}
+			a, aa := rate(ConfigAccounting, 0), rate(ConfigAccounting, synFlood)
+			p, pa := rate(ConfigAccountingPD, 0), rate(ConfigAccountingPD, synFlood)
 			fmt.Fprintf(&b, "%8d %16.1f %16.1f %8.1f%% %16.1f %16.1f %8.1f%%\n",
 				n, a, aa, slowdown(a, aa), p, pa, slowdown(p, pa))
 		}
@@ -411,26 +428,85 @@ func FormatFig9(rows []Fig9Row) string {
 	return b.String()
 }
 
-func clientsOf(rows []Fig9Row) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, r := range rows {
-		if !seen[r.Clients] {
-			seen[r.Clients] = true
-			out = append(out, r.Clients)
-		}
-	}
-	sort.Ints(out)
-	return out
+// QoSTarget is the paper's guaranteed stream rate: 1 MByte/second.
+const QoSTarget = 1 << 20
+
+// Fig10 reproduces Figure 10: the impact of one guaranteed 1 MBps
+// stream on best-effort traffic, and the stream's own fidelity (the
+// paper: always within 1% of target).
+func Fig10(sc Scale, docs []DocSpec) ([]Row, error) {
+	vs := withAndWithout(sc.Clients, func(r *Row) { r.Stream = true })
+	return sweep(sc, Options{QoSRateBps: QoSTarget}, cross(docs, defended, vs), func(r Row) string {
+		return fmt.Sprintf("fig10-%s-%s-c%d-stream%v", docTag(r), r.Config, r.Clients, r.Stream)
+	})
 }
 
-func fig9Rate(rows []Fig9Row, cfg Config, doc DocSpec, n int, attack bool) float64 {
-	for _, r := range rows {
-		if r.Config == cfg && r.Doc.Name == doc.Name && r.Clients == n && r.Attack == attack {
-			return r.ConnPS
+// FormatFig10 renders the figure; the error column is the worse of the
+// two configurations' streams.
+func FormatFig10(rows []Row) string {
+	var b strings.Builder
+	for _, doc := range docsOf(rows) {
+		fmt.Fprintf(&b, "Figure 10: %s document, 1 MBps QoS stream\n", doc.Label)
+		fmt.Fprintf(&b, "%8s %14s %14s %9s %14s %14s %9s %10s\n", "#clients",
+			"Acct", "Acct+QoS", "slow%", "Acct_PD", "Acct_PD+QoS", "slow%", "QoS err%")
+		for _, n := range clientsOf(rows) {
+			a := find(rows, Row{Config: ConfigAccounting, Doc: doc, Clients: n})
+			aq := find(rows, Row{Config: ConfigAccounting, Doc: doc, Clients: n, Stream: true})
+			p := find(rows, Row{Config: ConfigAccountingPD, Doc: doc, Clients: n})
+			pq := find(rows, Row{Config: ConfigAccountingPD, Doc: doc, Clients: n, Stream: true})
+			worst := max(qosErrPct(aq.QoSRate), qosErrPct(pq.QoSRate))
+			fmt.Fprintf(&b, "%8d %14.1f %14.1f %8.1f%% %14.1f %14.1f %8.1f%% %9.2f%%\n",
+				n, a.ConnPS, aq.ConnPS, slowdown(a.ConnPS, aq.ConnPS),
+				p.ConnPS, pq.ConnPS, slowdown(p.ConnPS, pq.ConnPS), worst)
 		}
+		b.WriteByte('\n')
 	}
-	return 0
+	return b.String()
+}
+
+// Fig11 reproduces Figure 11: a fixed client count, the 1 MBps stream,
+// and 1-50 CGI attackers launching one runaway per second. Each runaway
+// burns 2 ms of CPU before detection; pathKill then reclaims
+// everything. The QoS stream must stay within 1% throughout.
+func Fig11(sc Scale, docs []DocSpec, clients int) ([]Row, error) {
+	var vs []Row
+	for _, atk := range sc.CGICnts {
+		vs = append(vs, Row{Clients: clients, Stream: true, CGI: atk})
+	}
+	return sweep(sc, Options{QoSRateBps: QoSTarget}, cross(docs, defended, vs), func(r Row) string {
+		return fmt.Sprintf("fig11-%s-%s-cgi%d", docTag(r), r.Config, r.CGI)
+	})
+}
+
+// FormatFig11 renders the figure.
+func FormatFig11(rows []Row, clients int) string {
+	var b strings.Builder
+	for _, doc := range docsOf(rows) {
+		fmt.Fprintf(&b, "Figure 11: %s document, %d clients, 1 MBps stream, CGI attackers\n", doc.Label, clients)
+		fmt.Fprintf(&b, "%10s %14s %10s %10s %14s %10s %10s\n", "#attackers",
+			"Acct c/s", "QoS err%", "kills", "Acct_PD c/s", "QoS err%", "kills")
+		atks := distinct(rows, func(r Row) int { return r.CGI })
+		sort.Ints(atks)
+		for _, atk := range atks {
+			a := find(rows, Row{Config: ConfigAccounting, Doc: doc, Clients: clients, Stream: true, CGI: atk})
+			p := find(rows, Row{Config: ConfigAccountingPD, Doc: doc, Clients: clients, Stream: true, CGI: atk})
+			fmt.Fprintf(&b, "%10d %14.1f %9.2f%% %10d %14.1f %9.2f%% %10d\n",
+				atk, a.ConnPS, qosErrPct(a.QoSRate), a.Kills,
+				p.ConnPS, qosErrPct(p.QoSRate), p.Kills)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// qosErrPct is a stream's deviation from QoSTarget in percent. A rate
+// of 0 is a dead stream: 100%.
+func qosErrPct(rate float64) float64 {
+	e := (rate - QoSTarget) / QoSTarget * 100
+	if e < 0 {
+		return -e
+	}
+	return e
 }
 
 func slowdown(base, loaded float64) float64 {

@@ -48,7 +48,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	docs := []DocSpec{Doc1B}
 	configs := []Config{ConfigScout, ConfigAccounting}
 
-	run := func(workers int) ([]Fig8Row, map[string]*bytes.Buffer) {
+	run := func(workers int) ([]Row, map[string]*bytes.Buffer) {
 		sinks := newMemSinks()
 		sc := detScale()
 		sc.Workers = workers

@@ -38,9 +38,6 @@ const (
 	ConfigLinux        Config = "Linux"
 )
 
-// ScoutConfigs are the three Escort-based configurations.
-var ScoutConfigs = []Config{ConfigScout, ConfigAccounting, ConfigAccountingPD}
-
 // AllConfigs includes the Linux baseline.
 var AllConfigs = []Config{ConfigLinux, ConfigScout, ConfigAccounting, ConfigAccountingPD}
 
@@ -193,15 +190,6 @@ func (tb *Testbed) Close() {
 		tb.Escort.Stop()
 		tb.Escort.Obs.Close()
 	}
-}
-
-// MetricsSamples returns the per-owner metrics series recorded so far,
-// or nil when metrics are disabled (or on the Linux baseline).
-func (tb *Testbed) MetricsSamples() []obs.Sample {
-	if tb.Escort == nil {
-		return nil
-	}
-	return tb.Escort.Obs.Metrics.Samples()
 }
 
 // HubAttach returns the hub-side attach point (injector-wrapped when

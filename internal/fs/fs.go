@@ -8,7 +8,6 @@ package fs
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/domain"
 	"repro/internal/iobuf"
@@ -251,25 +250,6 @@ func (m *Module) dropBuf(ctx *kernel.Ctx, name string) {
 
 // Cached reports whether a file is in the block cache (tests).
 func (m *Module) Cached(name string) bool { return m.cached[name] }
-
-// SetBudgetForTest shrinks the cache budget and flushes the cache — the
-// disk-bound ablation configuration.
-func (m *Module) SetBudgetForTest(budget int) {
-	m.budget = budget
-	m.cached = make(map[string]bool)
-	m.lru = nil
-	m.used = 0
-	names := make([]string, 0, len(m.bufs))
-	for name := range m.bufs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		hold := m.bufs[name]
-		delete(m.bufs, name)
-		m.iom.Unlock(nil, hold)
-	}
-}
 
 // Deliver implements module.Stage (no message flow through FS in this
 // configuration; file access uses the Reader interface).

@@ -199,9 +199,6 @@ func (k *Kernel) Scheduler() sched.Scheduler { return k.sch }
 // ACL returns the role-based access control list.
 func (k *Kernel) ACL() *ACL { return k.acl }
 
-// AccountingEnabled reports whether resource accounting is on.
-func (k *Kernel) AccountingEnabled() bool { return k.cfg.Accounting }
-
 // Tracer returns the configured event tracer; nil (which every obs
 // method accepts) when tracing is disabled. Subsystems resolve this
 // once at construction so the disabled path is a single pointer test.

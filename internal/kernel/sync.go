@@ -163,7 +163,6 @@ type KEvent struct {
 	repeat    sim.Cycles
 	nextAt    sim.Cycles
 	canceled  bool
-	firings   uint64
 }
 
 // RegisterEvent arms an event owned by owner: after delay cycles a new
@@ -192,7 +191,6 @@ func (e *KEvent) fire() {
 	if e.canceled || e.owner.Dead() {
 		return
 	}
-	e.firings++
 	// Re-arm BEFORE doing the work: firing spawns a thread, whose cost
 	// advances the clock and can reach the next period inside this very
 	// call (nested interrupt). Arming afterwards would let the nested
@@ -212,9 +210,6 @@ func (e *KEvent) fire() {
 		e.retire()
 	}
 }
-
-// Firings returns how many times the event has fired.
-func (e *KEvent) Firings() uint64 { return e.firings }
 
 // Cancel disarms the event. Idempotent.
 func (e *KEvent) Cancel() {

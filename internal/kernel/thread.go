@@ -461,11 +461,3 @@ func (c *Ctx) crossingAllowed(from, to domain.ID) bool {
 	_, ok := c.t.allowed.Get(lib.PairKey(uint32(from), uint32(to)))
 	return ok
 }
-
-// TouchDomain models memory access in the current domain outside a
-// crossing (e.g. demux after a flush); it charges the TLB reload if cold.
-func (c *Ctx) TouchDomain(id domain.ID) {
-	if c.k.tlb.Touch(id) {
-		c.Use(c.k.model.TLBMissPenalty)
-	}
-}

@@ -54,9 +54,6 @@ func New(name, tcpName, ethName string, myIP uint32) *Module {
 // Name implements module.Module.
 func (m *Module) Name() string { return m.name }
 
-// MyIP returns the interface address.
-func (m *Module) MyIP() uint32 { return m.myIP }
-
 // Init implements module.Module: build the routing table in the
 // domain's heap.
 func (m *Module) Init(ic *module.InitCtx) error {

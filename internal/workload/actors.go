@@ -221,8 +221,6 @@ type QoSReceiver struct {
 
 	BytesReceived uint64
 	samples       []rateSample
-	conn          *peerConn
-	started       bool
 }
 
 type rateSample struct {
@@ -246,10 +244,9 @@ func NewQoSReceiver(eng *sim.Engine, seg netsim.Attacher, name string, ip uint32
 func (r *QoSReceiver) Start() {
 	r.Resolve(func() {
 		req := []byte("GET /stream HTTP/1.0\r\n\r\n")
-		r.conn = r.open(r.Port, req, func(n int) {
+		r.open(r.Port, req, func(n int) {
 			r.BytesReceived += uint64(n)
 		}, nil)
-		r.started = true
 		r.sample()
 	})
 }

@@ -235,7 +235,6 @@ type peerConn struct {
 	rcvNxt uint32
 
 	request []byte
-	started sim.Cycles
 
 	bytesIn    int
 	pendingAck int
@@ -263,7 +262,6 @@ func (s *Station) open(remotePort uint16, request []byte, onData func(int), onCl
 		state:      pcSynSent,
 		iss:        iss,
 		request:    request,
-		started:    s.Eng.Now(),
 		onData:     onData,
 		onClose:    onClose,
 	}
@@ -399,9 +397,6 @@ func (c *peerConn) ackNow() {
 	c.cancelDelack()
 	c.st.sendTCP(c.localPort, c.remotePort, wire.FlagACK, c.sndNxt, c.rcvNxt, nil)
 }
-
-// Latency returns the connection's elapsed time so far.
-func (c *peerConn) Latency(now sim.Cycles) sim.Cycles { return now - c.started }
 
 func (s *Station) String() string {
 	return fmt.Sprintf("station(%s %s)", s.Name, s.NIC.Mac)
