@@ -6,8 +6,7 @@
 // Usage:
 //
 //	escort-bench -exp fig8|table1|table2|fig9|fig10|fig11|all [-scale quick|paper]
-//	             [-parallel=false] [-trace base.json] [-metrics base.csv]
-//	             [-faults spec]
+//	             [-trace base.json] [-metrics base.csv] [-faults spec]
 //	escort-bench -scenario slowloris|portscan|bruteforce|ackfinflood|memthrash|all
 //	             [-report SCENARIOS.json]
 //
@@ -31,9 +30,9 @@
 // quality against. See ROBUSTNESS.md "Scenario catalog" and
 // EXPERIMENTS.md for a worked example.
 //
-// Figure sweeps fan their points across one worker per CPU by default;
-// every point is an independent simulation, so -parallel=false produces
-// byte-identical output (only slower).
+// Figure sweeps fan their points across one worker per CPU; every
+// point is an independent simulation, so the output is byte-identical
+// to a serial run (TestParallelSweepDeterminism).
 //
 // -trace and -metrics enable per-run observability on the figure
 // sweeps: each testbed run writes its own file, derived from the base
@@ -84,7 +83,6 @@ func knownExp(name string) bool {
 func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", ")+", all")
 	scaleName := flag.String("scale", "paper", "sweep scale: quick or paper")
-	parallel := flag.Bool("parallel", true, "fan sweep points across one worker per CPU (results are identical either way)")
 	traceBase := flag.String("trace", "", "write per-run Chrome trace JSON files derived from this base path")
 	metricsBase := flag.String("metrics", "", "write per-run metrics CSV files derived from this base path")
 	faultSpec := flag.String("faults", "", "fault spec applied to figure runs, e.g. 'seed=7,drop=0.01,fp:kmem.alloc=p0.001,watchdog' (see ROBUSTNESS.md)")
@@ -112,9 +110,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
 		os.Exit(2)
 	}
-	if *parallel {
-		sc.Workers = runner.DefaultWorkers()
-	}
+	sc.Workers = runner.DefaultWorkers()
 	if *faultSpec != "" {
 		spec, err := fault.ParseSpec(*faultSpec)
 		if err != nil {

@@ -42,8 +42,8 @@ func detScale() Scale {
 // TestParallelSweepDeterminism runs the Figure 8 sweep serially and with
 // the parallel runner and asserts the per-point connection rates and the
 // per-run metrics CSV files are identical down to the byte. This is the
-// contract that makes -parallel safe to default on: fanning points out
-// across workers must be unobservable in the results.
+// contract that lets escort-bench always sweep in parallel: fanning
+// points out across workers must be unobservable in the results.
 func TestParallelSweepDeterminism(t *testing.T) {
 	docs := []DocSpec{Doc1B}
 	configs := []Config{ConfigScout, ConfigAccounting}

@@ -23,8 +23,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers is the worker count the binaries use for their
-// -parallel flags: one worker per schedulable CPU.
+// DefaultWorkers is the worker count escort-bench sweeps with: one
+// worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Map runs fn(i) for every i in [0, n) on up to workers concurrent

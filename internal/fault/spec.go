@@ -214,7 +214,7 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 		if err != nil {
 			return err
 		}
-		if f <= 0 || f > 1 {
+		if !(f > 0 && f <= 1) {
 			return fmt.Errorf("shed fraction %v outside (0, 1]", f)
 		}
 		s.Shed = f
@@ -271,7 +271,7 @@ func parseProb(val string, dst *float64) error {
 	if err != nil {
 		return err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // NaN fails both tests
 		return fmt.Errorf("probability %v outside [0, 1]", f)
 	}
 	*dst = f

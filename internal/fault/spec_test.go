@@ -48,6 +48,7 @@ func TestParseSpecMalformed(t *testing.T) {
 	}{
 		{"drop", "drop"},
 		{"drop=2", "drop=2"},
+		{"drop=NaN", "drop=NaN"},
 		{"seed=1,drop=nope", "drop=nope"},
 		{"jitter=0.5", "jitter=0.5"},
 		{"flap=5ms:5ms", "flap=5ms:5ms"},
@@ -55,6 +56,7 @@ func TestParseSpecMalformed(t *testing.T) {
 		{"watchdog=fast", "watchdog=fast"},
 		{"shed=0", "shed=0"},
 		{"shed=1.01", "shed=1.01"},
+		{"shed=nan", "shed=nan"},
 		{"reaper=soon", "reaper=soon"},
 		{"puzzle=0", "puzzle=0"},
 		{"puzzle=25", "puzzle=25"},
@@ -62,6 +64,7 @@ func TestParseSpecMalformed(t *testing.T) {
 		{"fp:kmem.alloc=x1", "fp:kmem.alloc=x1"},
 		{"fp:kmem.alloc=n0", "fp:kmem.alloc=n0"},
 		{"fp:kmem.alloc=p2", "fp:kmem.alloc=p2"},
+		{"fp:kmem.alloc=pNaN", "fp:kmem.alloc=pNaN"},
 		{"fp:kmem.aloc=n1", "fp:kmem.aloc=n1"},
 		{"fp:=n1", "fp:=n1"},
 		{"drop=0.1,fp:page.alloc=p0.5,dup=0.1", "fp:page.alloc=p0.5"},

@@ -133,14 +133,11 @@ func (t *Thread) refundCharges() {
 	}
 }
 
-// SpawnOpts tunes thread creation.
+// SpawnOpts tunes thread creation. Every thread starts executing in
+// the kernel domain.
 type SpawnOpts struct {
-	// StartDomain is where the thread begins executing (default kernel).
-	StartDomain domain.ID
 	// Allowed is the path's allowed-crossings table for path threads.
 	Allowed *lib.Hash
-	// NoCharge skips the spawn cycle charge (used at boot).
-	NoCharge bool
 }
 
 // ErrDeadOwner is returned by SpawnChecked for a dead owner (the
@@ -187,7 +184,7 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 		resume:     make(chan struct{}),  //escort:coldpath spawn construction, as above
 		yielded:    make(chan yieldKind), //escort:coldpath spawn construction, as above
 		state:      threadNew,
-		curDomain:  opts.StartDomain,
+		curDomain:  domain.KernelID,
 		stacks:     make(map[domain.ID]bool), //escort:coldpath spawn construction, as above
 		allowed:    opts.Allowed,
 		schedState: sched.NewState(OwnerShare(owner)),
@@ -197,9 +194,7 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 	owner.ChargeStacks(1) // home stack
 	owner.Track(core.TrackThreads, &t.node)
 	k.threads = append(k.threads, t) //escort:coldpath live-thread list grows once per spawn; removeThread shrinks it in place
-	if !opts.NoCharge {
-		k.Burn(owner, k.model.ThreadSpawn+k.AccountingTax())
-	}
+	k.Burn(owner, k.model.ThreadSpawn+k.AccountingTax())
 	if tr := k.tracer; tr != nil {
 		tr.ThreadSpawn(uint32(t.curDomain), owner.Name, name, k.eng.Now())
 	}

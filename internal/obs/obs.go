@@ -40,7 +40,8 @@ const DefaultMetricsInterval = 10 * sim.CyclesPerMillisecond
 // (or a nil *Config) disables everything.
 type Config struct {
 	// TraceJSON receives the Chrome trace_event JSON document, written
-	// on Close. Load it at https://ui.perfetto.dev or chrome://tracing.
+	// through a 64 KiB buffer as events happen and completed on Close.
+	// Load it at https://ui.perfetto.dev or chrome://tracing.
 	TraceJSON io.Writer
 
 	// TraceText receives a human-readable event stream, one line per
@@ -91,10 +92,11 @@ func New(cfg *Config) *Observer {
 	return o
 }
 
-// Close flushes the buffered trace JSON and metrics exports to their
-// writers, then closes any sink that implements io.Closer (the
-// Console is never closed). Safe on a nil or all-disabled Observer,
-// and idempotent.
+// Close completes the streamed trace JSON document, writes the
+// metrics exports, then closes any sink that implements io.Closer (the
+// Console is never closed). It returns the first error, including a
+// trace write that failed during the run. Safe on a nil or
+// all-disabled Observer, and idempotent.
 func (o *Observer) Close() error {
 	if o == nil || o.closed {
 		return nil

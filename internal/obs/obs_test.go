@@ -19,11 +19,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// runObserved boots an Accounting server with the given sinks, drives
-// one client against it for 50 simulated ms, and returns the closed
-// Observer. The run is fully deterministic: virtual clock, seeded
+// serveObserved boots an Accounting server with the given sinks and
+// drives one client against it for d simulated cycles, leaving the
+// Observer open. The run is fully deterministic: virtual clock, seeded
 // workload, no wall-clock input.
-func runObserved(t *testing.T, cfg *obs.Config) *obs.Observer {
+func serveObserved(t *testing.T, cfg *obs.Config, d sim.Cycles) *escort.Server {
 	t.Helper()
 	eng := sim.New()
 	hub := netsim.NewHub(eng, 100_000_000, 3000)
@@ -39,8 +39,16 @@ func runObserved(t *testing.T, cfg *obs.Config) *obs.Observer {
 		lib.IPv4(10, 0, 1, 1), netsim.MAC(0x0200_0000_1001),
 		escort.ServerIP, "/doc1k", 1)
 	c.Start()
-	srv.Run(50 * sim.CyclesPerMillisecond)
+	srv.Run(d)
 	srv.Stop()
+	return srv
+}
+
+// runObserved runs serveObserved for 50 simulated ms and returns the
+// closed Observer.
+func runObserved(t *testing.T, cfg *obs.Config) *obs.Observer {
+	t.Helper()
+	srv := serveObserved(t, cfg, 50*sim.CyclesPerMillisecond)
 	if err := srv.Obs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +93,8 @@ func TestTraceGolden(t *testing.T) {
 
 // TestTraceDocument checks the structural contract of the JSON: a
 // valid trace_event document with per-domain process metadata and
-// per-owner thread tracks, so Perfetto can lay it out.
+// per-owner thread tracks, each named before its first event, so
+// Perfetto can lay it out.
 func TestTraceDocument(t *testing.T) {
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -104,13 +113,19 @@ func TestTraceDocument(t *testing.T) {
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayTimeUnit)
 	}
+	type track struct{ pid, tid uint32 }
+	named := map[track]bool{}
 	var procs, tracks, spans, instants int
-	for _, e := range doc.TraceEvents {
+	for i, e := range doc.TraceEvents {
 		switch e.Name {
 		case "process_name":
 			procs++
 		case "thread_name":
 			tracks++
+			named[track{e.Pid, e.Tid}] = true
+		}
+		if e.Ph != "M" && !named[track{e.Pid, e.Tid}] {
+			t.Errorf("record %d (%s) on pid=%d tid=%d precedes its thread_name", i, e.Name, e.Pid, e.Tid)
 		}
 		switch e.Ph {
 		case "X":
@@ -127,6 +142,24 @@ func TestTraceDocument(t *testing.T) {
 	}
 	if spans == 0 || instants == 0 {
 		t.Errorf("spans=%d instants=%d, want both > 0", spans, instants)
+	}
+}
+
+// TestTraceStreams checks that the JSON trace is written as the run
+// goes rather than held until Close: a run long enough to outgrow the
+// tracer's write buffer has already reached the sink before Close,
+// and Close completes it into a valid document.
+func TestTraceStreams(t *testing.T) {
+	var buf bytes.Buffer
+	srv := serveObserved(t, &obs.Config{TraceJSON: &buf}, 200*sim.CyclesPerMillisecond)
+	if buf.Len() == 0 {
+		t.Fatal("no trace bytes reached the sink before Close")
+	}
+	if err := srv.Obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("closed trace (%d bytes) is not valid JSON", buf.Len())
 	}
 }
 

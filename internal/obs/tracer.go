@@ -4,29 +4,34 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"repro/internal/sim"
 )
 
 // Tracer records typed lifecycle events with virtual-cycle timestamps.
-// Events are buffered and rendered as one Chrome trace_event JSON
-// document on Close; the optional text sink streams as events happen.
+// Each record is rendered as Chrome trace_event JSON and written to
+// the JSON sink as it happens, through one buffered writer, so a
+// traced run holds no per-event state; the optional text sink streams
+// the same events as lines.
 //
 // Every method is safe (and allocation-free) on a nil receiver, so
 // instrumented subsystems can hold a nil *Tracer when tracing is off.
 // In the trace, the "process" (pid) is the protection domain and the
 // "thread" (tid) is a per-owner track, assigned in first-seen order.
+// Metadata records land just before their first use: a process_name
+// when the domain is registered, a thread_name just before the first
+// event on its (pid, tid) track.
 type Tracer struct {
 	json io.Writer
 	text io.Writer
+	w    *bufio.Writer // buffers json; nil when only the text sink is set
 
-	events  []event
+	buf     []byte // scratch for one rendered record
+	events  int
 	tids    map[string]uint32
 	nextTid uint32
-	named   map[uint64]bool   // pid<<32|tid pairs with thread_name metadata emitted
-	procs   map[uint32]string // pid -> process (domain) name
+	named   map[uint64]bool // pid<<32|tid pairs with thread_name metadata written
 }
 
 type kvArg struct{ k, v string }
@@ -47,37 +52,50 @@ type event struct {
 // fires); owner tracks start at 1.
 const engineTid uint32 = 0
 
+// newTracer writes the JSON document header and the engine track's
+// thread_name record, so every later record follows a separator.
 func newTracer(json, text io.Writer) *Tracer {
-	return &Tracer{
+	t := &Tracer{
 		json:    json,
 		text:    text,
 		tids:    map[string]uint32{},
 		nextTid: engineTid + 1,
 		named:   map[uint64]bool{},
-		procs:   map[uint32]string{},
 	}
+	if json != nil {
+		t.w = bufio.NewWriterSize(json, 1<<16)
+		t.w.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+		t.w.Write(appendThreadName(t.buf[:0], 0, engineTid, "engine"))
+	}
+	return t
 }
 
-// Events reports the number of buffered events (0 on a nil tracer).
+// Events reports the number of events recorded (0 on a nil tracer).
 func (t *Tracer) Events() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.events
 }
 
-// Process registers a protection domain's name for the trace's
-// process metadata (shown as the track group title in Perfetto).
+// Process writes a protection domain's process_name record (shown as
+// the track group title in Perfetto).
 func (t *Tracer) Process(pid uint32, name string) {
-	if t == nil {
+	if t == nil || t.w == nil {
 		return
 	}
-	t.procs[pid] = name
+	t.buf = append(t.buf[:0], ",\n"...)
+	t.buf = append(t.buf, `{"name":"process_name","ph":"M","pid":`...)
+	t.buf = strconv.AppendUint(t.buf, uint64(pid), 10)
+	t.buf = append(t.buf, `,"args":{"name":`...)
+	t.buf = strconv.AppendQuote(t.buf, name)
+	t.buf = append(t.buf, "}}"...)
+	t.w.Write(t.buf)
 }
 
-// track returns the tid for an owner name, assigning one (and noting
-// that thread_name metadata is needed for this pid/tid pair) on first
-// sight.
+// track returns the tid for an owner name, assigning one on first
+// sight, and writes the thread_name record the first time this
+// pid/tid pair appears.
 func (t *Tracer) track(pid uint32, owner string) uint32 {
 	tid, ok := t.tids[owner]
 	if !ok {
@@ -88,12 +106,30 @@ func (t *Tracer) track(pid uint32, owner string) uint32 {
 	key := uint64(pid)<<32 | uint64(tid)
 	if !t.named[key] {
 		t.named[key] = true
+		if t.w != nil {
+			t.buf = appendThreadName(append(t.buf[:0], ",\n"...), pid, tid, owner)
+			t.w.Write(t.buf)
+		}
 	}
 	return tid
 }
 
+func appendThreadName(buf []byte, pid, tid uint32, name string) []byte {
+	buf = append(buf, `{"name":"thread_name","ph":"M","pid":`...)
+	buf = strconv.AppendUint(buf, uint64(pid), 10)
+	buf = append(buf, `,"tid":`...)
+	buf = strconv.AppendUint(buf, uint64(tid), 10)
+	buf = append(buf, `,"args":{"name":`...)
+	buf = strconv.AppendQuote(buf, name)
+	return append(buf, "}}"...)
+}
+
 func (t *Tracer) emit(ev event) {
-	t.events = append(t.events, ev)
+	t.events++
+	if t.w != nil {
+		t.buf = appendEvent(append(t.buf[:0], ",\n"...), &ev)
+		t.w.Write(t.buf)
+	}
 	if t.text != nil {
 		t.textLine(ev)
 	}
@@ -337,120 +373,54 @@ func (t *Tracer) Policy(kind, owner, detail string, at sim.Cycles) {
 	t.emit(ev)
 }
 
-// flush renders the buffered events as one Chrome trace_event JSON
-// document. Timestamps are microseconds of virtual time (cycles /
-// 300 at the simulated 300 MHz clock), formatted with fixed precision
-// so identical runs produce identical bytes.
+// flush closes the JSON document and flushes it to the sink. The
+// bufio.Writer keeps the first write error, so a failed write during
+// the run is reported here.
 func (t *Tracer) flush() error {
-	if t.json == nil {
+	if t.w == nil {
 		return nil
 	}
-	w := bufio.NewWriterSize(t.json, 1<<16)
-	if _, err := w.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	sep := func() {
-		if !first {
-			w.WriteString(",\n")
-		}
-		first = false
-	}
-	var buf []byte
+	t.w.WriteString("\n]}\n")
+	return t.w.Flush()
+}
 
-	// Metadata: process names (domains) sorted by pid, then owner
-	// track names in first-seen (deterministic) order.
-	pids := make([]uint32, 0, len(t.procs))
-	for pid := range t.procs {
-		pids = append(pids, pid)
+// appendEvent renders one event as a trace_event JSON object.
+// Timestamps are microseconds of virtual time (cycles / 300 at the
+// simulated 300 MHz clock), formatted with fixed precision so
+// identical runs produce identical bytes.
+func appendEvent(buf []byte, ev *event) []byte {
+	buf = append(buf, `{"name":`...)
+	buf = strconv.AppendQuote(buf, ev.name)
+	buf = append(buf, `,"cat":`...)
+	buf = strconv.AppendQuote(buf, ev.cat)
+	buf = append(buf, `,"ph":"`...)
+	buf = append(buf, ev.ph)
+	buf = append(buf, `","ts":`...)
+	buf = appendMicros(buf, ev.ts)
+	if ev.ph == 'X' {
+		buf = append(buf, `,"dur":`...)
+		buf = appendMicros(buf, ev.dur)
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
-		sep()
-		buf = buf[:0]
-		buf = append(buf, `{"name":"process_name","ph":"M","pid":`...)
-		buf = strconv.AppendUint(buf, uint64(pid), 10)
-		buf = append(buf, `,"args":{"name":`...)
-		buf = strconv.AppendQuote(buf, t.procs[pid])
-		buf = append(buf, "}}"...)
-		w.Write(buf)
+	if ev.ph == 'i' {
+		buf = append(buf, `,"s":"t"`...)
 	}
-	type namedTrack struct {
-		pid, tid uint32
-		name     string
-	}
-	var tracks []namedTrack
-	for owner, tid := range t.tids {
-		for key := range t.named {
-			if uint32(key) == tid {
-				tracks = append(tracks, namedTrack{pid: uint32(key >> 32), tid: tid, name: owner})
+	buf = append(buf, `,"pid":`...)
+	buf = strconv.AppendUint(buf, uint64(ev.pid), 10)
+	buf = append(buf, `,"tid":`...)
+	buf = strconv.AppendUint(buf, uint64(ev.tid), 10)
+	if ev.nargs > 0 {
+		buf = append(buf, `,"args":{`...)
+		for a := 0; a < ev.nargs; a++ {
+			if a > 0 {
+				buf = append(buf, ',')
 			}
-		}
-	}
-	tracks = append(tracks, namedTrack{pid: 0, tid: engineTid, name: "engine"})
-	sort.Slice(tracks, func(i, j int) bool {
-		if tracks[i].pid != tracks[j].pid {
-			return tracks[i].pid < tracks[j].pid
-		}
-		return tracks[i].tid < tracks[j].tid
-	})
-	for _, tr := range tracks {
-		sep()
-		buf = buf[:0]
-		buf = append(buf, `{"name":"thread_name","ph":"M","pid":`...)
-		buf = strconv.AppendUint(buf, uint64(tr.pid), 10)
-		buf = append(buf, `,"tid":`...)
-		buf = strconv.AppendUint(buf, uint64(tr.tid), 10)
-		buf = append(buf, `,"args":{"name":`...)
-		buf = strconv.AppendQuote(buf, tr.name)
-		buf = append(buf, "}}"...)
-		w.Write(buf)
-	}
-
-	for i := range t.events {
-		ev := &t.events[i]
-		sep()
-		buf = buf[:0]
-		buf = append(buf, `{"name":`...)
-		buf = strconv.AppendQuote(buf, ev.name)
-		buf = append(buf, `,"cat":`...)
-		buf = strconv.AppendQuote(buf, ev.cat)
-		buf = append(buf, `,"ph":"`...)
-		buf = append(buf, ev.ph)
-		buf = append(buf, `","ts":`...)
-		buf = appendMicros(buf, ev.ts)
-		if ev.ph == 'X' {
-			buf = append(buf, `,"dur":`...)
-			buf = appendMicros(buf, ev.dur)
-		}
-		if ev.ph == 'i' {
-			buf = append(buf, `,"s":"t"`...)
-		}
-		buf = append(buf, `,"pid":`...)
-		buf = strconv.AppendUint(buf, uint64(ev.pid), 10)
-		buf = append(buf, `,"tid":`...)
-		buf = strconv.AppendUint(buf, uint64(ev.tid), 10)
-		if ev.nargs > 0 {
-			buf = append(buf, `,"args":{`...)
-			for a := 0; a < ev.nargs; a++ {
-				if a > 0 {
-					buf = append(buf, ',')
-				}
-				buf = strconv.AppendQuote(buf, ev.args[a].k)
-				buf = append(buf, ':')
-				buf = strconv.AppendQuote(buf, ev.args[a].v)
-			}
-			buf = append(buf, '}')
+			buf = strconv.AppendQuote(buf, ev.args[a].k)
+			buf = append(buf, ':')
+			buf = strconv.AppendQuote(buf, ev.args[a].v)
 		}
 		buf = append(buf, '}')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
 	}
-	if _, err := w.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return w.Flush()
+	return append(buf, '}')
 }
 
 // appendMicros formats a cycle count as microseconds of virtual time

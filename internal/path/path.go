@@ -370,7 +370,6 @@ func (b *builder) NodeAt(i int) *module.Node { return b.p.stages[i].Node }
 type Manager struct {
 	k       *kernel.Kernel
 	graph   *module.Graph
-	paths   map[*Path]struct{}
 	order   []*Path // live paths in creation order (deterministic iteration)
 	byOwner map[*core.Owner]*Path
 	tracer  *obs.Tracer // resolved once from the kernel; nil when disabled
@@ -394,7 +393,6 @@ func NewManager(g *module.Graph) *Manager {
 	return &Manager{
 		k:        g.Kernel(),
 		graph:    g,
-		paths:    make(map[*Path]struct{}),
 		byOwner:  make(map[*core.Owner]*Path),
 		tracer:   g.Kernel().Tracer(),
 		failKmem: g.Kernel().FaultSet().Point("kmem.alloc"),
@@ -410,7 +408,6 @@ func (mgr *Manager) Paths() []*Path {
 
 // dropPath removes p from the live-path bookkeeping.
 func (mgr *Manager) dropPath(p *Path) {
-	delete(mgr.paths, p)
 	delete(mgr.byOwner, &p.Owner)
 	for i, q := range mgr.order {
 		if q == p {
@@ -433,7 +430,7 @@ func (mgr *Manager) Kernel() *kernel.Kernel { return mgr.k }
 func (mgr *Manager) Graph() *module.Graph { return mgr.graph }
 
 // Live returns the number of live paths.
-func (mgr *Manager) Live() int { return len(mgr.paths) }
+func (mgr *Manager) Live() int { return len(mgr.byOwner) }
 
 var _ module.PathFactory = (*Manager)(nil)
 
@@ -578,7 +575,6 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	}
 
 	p.alive = true
-	mgr.paths[p] = struct{}{}
 	mgr.order = append(mgr.order, p)
 	mgr.byOwner[&p.Owner] = p
 	if tr != nil {

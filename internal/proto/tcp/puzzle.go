@@ -24,22 +24,11 @@ const DefaultPuzzleVerifyCost = 120
 type PuzzleGate struct {
 	// Bits is the puzzle difficulty (trailing zero bits required).
 	Bits uint
-	// VerifyCost is the per-check charge (default
-	// DefaultPuzzleVerifyCost when zero).
-	VerifyCost sim.Cycles
 
 	// Checked, Passed and Rejected count gate outcomes.
 	Checked  uint64
 	Passed   uint64
 	Rejected uint64
-}
-
-// verifyCost returns the per-check charge.
-func (g *PuzzleGate) verifyCost() sim.Cycles {
-	if g.VerifyCost == 0 {
-		return DefaultPuzzleVerifyCost
-	}
-	return g.VerifyCost
 }
 
 // ConnStats is the read-only per-connection view the session-reaper

@@ -570,7 +570,7 @@ func (s *passiveStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Ms
 		// only SYNs proving client-side work get an active path.
 		if g := m.Puzzle; g != nil {
 			g.Checked++
-			ctx.Use(g.verifyCost())
+			ctx.Use(DefaultPuzzleVerifyCost)
 			if !wire.PuzzleSolved(mm.Net.SrcIP, h.Seq, g.Bits) {
 				g.Rejected++
 				if tr := m.tracer; tr != nil {
