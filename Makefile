@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check tidy-check vet check bench-check scenarios profile-allocs
+.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check tidy-check vet check bench-check bench-smoke scenarios profile-allocs
 
 all: check
 
@@ -45,7 +45,13 @@ vet:
 
 # check is what CI's test job runs, in the same order (the networked
 # staticcheck/govulncheck job and the SARIF upload aside).
-check: fmt-check tidy-check vet build lint race bench-check
+check: fmt-check tidy-check vet build lint race bench-smoke bench-check
+
+# bench-smoke runs every benchmark of the root module once, so a
+# benchmark broken by an API change (a panic, a failed setup) fails the
+# build instead of surfacing at the next measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-check builds and tests the host-cost benchmark module. bench/
 # is its own Go module, so the root build and test never compile it; a

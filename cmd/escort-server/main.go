@@ -24,8 +24,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/escort"
 	"repro/internal/lib"
@@ -185,23 +185,14 @@ func main() {
 	}
 
 	fmt.Println("\nfinal accounting ledger (top owners by cycles):")
-	snap := srv.K.Ledger().Snapshot(eng.Now())
-	type row struct {
-		name string
-		c    sim.Cycles
-	}
-	var rows []row
-	var total sim.Cycles
-	for name, c := range snap.Cycles {
-		rows = append(rows, row{name, c})
-		total += c
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].c > rows[j].c })
-	for i, r := range rows {
-		if i >= 12 || r.c == 0 {
+	// The whole run is one delta from an empty snapshot.
+	run := srv.K.Ledger().Snapshot(eng.Now()).Diff(core.Snapshot{})
+	total := run.Accounted()
+	for i, r := range run.Sorted() {
+		if i >= 12 {
 			break
 		}
-		fmt.Printf("  %-36s %14d (%.1f%%)\n", r.name, r.c, 100*float64(r.c)/float64(total))
+		fmt.Printf("  %-36s %14d (%.1f%%)\n", r.Name, r.Cycles, 100*float64(r.Cycles)/float64(total))
 	}
 	fmt.Printf("  %-36s %14d\n", "TOTAL (== virtual clock)", total)
 

@@ -55,8 +55,9 @@ func main() {
 	fmt.Printf("client kept being served:  %d requests\n", client.Completed)
 
 	// Each attack cost the server ~2 ms of CPU before detection — the
-	// budget the policy allows — plus the reclamation. Both are visible
-	// per-owner in the ledger as dead "Active Path" owners.
+	// budget the policy allows — plus the reclamation. Both stay in the
+	// ledger: each killed path's cycles fold into its "Active Paths"
+	// group total when it dies.
 	fmt.Printf("\neach runaway consumed its 2 ms budget (%d cycles) before detection\n",
 		2*sim.CyclesPerMillisecond)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/escort"
 	"repro/internal/lib"
@@ -63,13 +64,12 @@ func main() {
 	fmt.Printf("\nbest-effort clients completed %d requests alongside the stream\n", served)
 	fmt.Printf("stream delivered %d bytes total\n", recv.BytesReceived)
 
-	// The reservation is visible in the ledger: the stream path owns a
-	// large share of the charged cycles.
-	snap := srv.K.Ledger().Snapshot(eng.Now())
-	for name, cyc := range snap.Cycles {
-		if len(name) >= 11 && name[:11] == "Active Path" && cyc > sim.CyclesPerSecond/2 {
+	// The reservation is visible in the ledger: the stream path, live for
+	// the whole run, owns a large share of the charged cycles.
+	for _, o := range srv.K.Ledger().Live() {
+		if o.Type == core.PathOwner && o.Counters.Cycles > sim.CyclesPerSecond/2 {
 			fmt.Printf("stream path %q consumed %.1f%% of all cycles\n",
-				name, 100*float64(cyc)/float64(eng.Now()))
+				o.Name, 100*float64(o.Counters.Cycles)/float64(eng.Now()))
 		}
 	}
 }

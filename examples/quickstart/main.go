@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/escort"
 	"repro/internal/lib"
@@ -45,15 +46,11 @@ func main() {
 	fmt.Printf("server: %d connections established, %d completed, %d disk reads, %d cache hits\n\n",
 		srv.TCP.Established, srv.TCP.Completed, srv.SCSI.Reads, srv.FS.Hits)
 
-	fmt.Println("accounting ledger (cycles per owner):")
-	snap := srv.K.Ledger().Snapshot(eng.Now())
-	var total sim.Cycles
-	for name, cycles := range snap.Cycles {
-		if cycles > 0 {
-			fmt.Printf("  %-32s %12d\n", name, cycles)
-		}
-		total += cycles
+	fmt.Println("accounting ledger (cycles per owner group):")
+	run := srv.K.Ledger().Snapshot(eng.Now()).Diff(core.Snapshot{})
+	for _, r := range run.Sorted() {
+		fmt.Printf("  %-32s %12d\n", r.Name, r.Cycles)
 	}
-	fmt.Printf("  %-32s %12d\n", "TOTAL (== wall clock)", total)
+	fmt.Printf("  %-32s %12d\n", "TOTAL (== wall clock)", run.Accounted())
 	fmt.Printf("  wall clock: %d cycles — every cycle is attributed to an owner\n", eng.Now())
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Dead owners stay registered (their history remains visible), so a delta
-// spanning an owner's death must still account its cycles — including a
-// final teardown charge landing after MarkDead.
+// A dead owner's cycles fold into its group's record, so a delta spanning
+// an owner's death must still account them — including a final teardown
+// charge landing after MarkDead.
 func TestDiffAccountsDeadOwners(t *testing.T) {
 	var l Ledger
 	path := NewOwner("Path A", PathOwner)
@@ -99,8 +99,8 @@ func TestSnapshotSumsSameNamedOwners(t *testing.T) {
 	if got := s.Cycles["conn"]; got != 30 {
 		t.Errorf("summed cycles = %d, want 30", got)
 	}
-	if l.Find("conn") != c2 {
-		t.Errorf("Find should skip the dead instance and return the live one")
+	if live := l.Live(); len(live) != 1 || live[0] != c2 {
+		t.Errorf("Live() = %v, want only the live instance", live)
 	}
 }
 
@@ -151,5 +151,27 @@ func TestFormatEmptyDelta(t *testing.T) {
 	out := d.Format()
 	if !strings.Contains(out, "Total Measured") || !strings.Contains(out, "Total Accounted") {
 		t.Errorf("Format() missing totals:\n%s", out)
+	}
+}
+
+// Owners tied on cycles straddle a listing's cut: Sorted breaks the tie
+// by name, so the first rows are the same on every call even though
+// ByOwner is a map.
+func TestSortedTiesStraddlingCut(t *testing.T) {
+	d := Delta{ByOwner: map[string]sim.Cycles{"big": 900, "mid": 500}}
+	for _, name := range []string{"tie-e", "tie-a", "tie-d", "tie-b", "tie-c"} {
+		d.ByOwner[name] = 100
+	}
+	want := []string{"big", "mid", "tie-a", "tie-b"} // a listing cut at 4 rows
+	for i := 0; i < 50; i++ {
+		rows := d.Sorted()
+		if len(rows) != len(d.ByOwner) {
+			t.Fatalf("Sorted() has %d rows, want %d", len(rows), len(d.ByOwner))
+		}
+		for j, w := range want {
+			if rows[j].Name != w {
+				t.Fatalf("Sorted()[:%d] = %v, want names %v", len(want), rows[:len(want)], want)
+			}
+		}
 	}
 }

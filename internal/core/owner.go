@@ -128,6 +128,11 @@ type Owner struct {
 	Limits Limits
 
 	dead bool
+	slot int32 // index in the ledger's live list while alive
+
+	// group is the ledger's fold record for this owner's metrics group,
+	// set by Ledger.Register; nil for an unregistered owner.
+	group *Group
 
 	// OnOveruse, when non-nil, is invoked by charge helpers that detect a
 	// limit violation; the kernel points this at its containment routine.
@@ -150,8 +155,27 @@ func NewOwner(name string, t OwnerType) *Owner {
 func (o *Owner) Dead() bool { return o.dead }
 
 // MarkDead flags the owner destroyed. Further charges panic, which turns
-// use-after-destroy accounting bugs into loud failures in tests.
-func (o *Owner) MarkDead() { o.dead = true }
+// use-after-destroy accounting bugs into loud failures in tests. A
+// registered owner leaves the ledger's live list and its counters fold
+// into its group; the cycles and refunds that still reach it afterwards
+// are folded as they land.
+func (o *Owner) MarkDead() {
+	if o.dead {
+		return
+	}
+	o.dead = true
+	if o.group != nil {
+		o.group.ledger.retire(o)
+	}
+}
+
+// Group returns the owner's metrics group, nil if it was never
+// registered with a ledger.
+func (o *Owner) Group() *Group { return o.group }
+
+// folds reports whether charges to o must also update its group's fold
+// record: the owner is dead and was registered.
+func (o *Owner) folds() bool { return o.dead && o.group != nil }
 
 func (o *Owner) checkLive(op string) {
 	if o.dead {
@@ -164,8 +188,12 @@ func (o *Owner) checkLive(op string) {
 func (o *Owner) ChargeCycles(c sim.Cycles) {
 	// Cycle charges are permitted on dead owners: the teardown of an owner
 	// consumes cycles that are charged to the kernel, but the final
-	// charge for the thread being destroyed can land after MarkDead.
+	// charge for the thread being destroyed can land after MarkDead, and
+	// an orderly DestroyOwner bills its teardown to the owner after it.
 	o.Counters.Cycles += c
+	if o.folds() {
+		o.group.Cycles += c
+	}
 }
 
 // ChargeKmem charges n bytes of kernel memory and enforces the budget.
@@ -183,6 +211,9 @@ func (o *Owner) RefundKmem(n uint64) {
 		panic(fmt.Sprintf("core: kmem refund %d exceeds balance %d on %q", n, o.Counters.Kmem, o.Name))
 	}
 	o.Counters.Kmem -= n
+	if o.folds() {
+		o.group.Kmem -= n
+	}
 }
 
 // ChargePages charges memory pages and enforces the budget.
@@ -200,6 +231,9 @@ func (o *Owner) RefundPages(n uint64) {
 		panic(fmt.Sprintf("core: page refund %d exceeds balance %d on %q", n, o.Counters.Pages, o.Name))
 	}
 	o.Counters.Pages -= n
+	if o.folds() {
+		o.group.Pages -= n
+	}
 }
 
 // ChargeStacks/RefundStacks account thread stacks.
@@ -277,6 +311,22 @@ func (o *Owner) ReleaseAll(kill bool) int {
 		}
 	}
 	return released
+}
+
+// leak describes the first counted resource or tracked object the owner
+// still holds, nil if none.
+func (o *Owner) leak() error {
+	c := o.Counters
+	if c.Kmem != 0 || c.Pages != 0 || c.Stacks != 0 || c.Events != 0 || c.Semaphores != 0 {
+		return fmt.Errorf("dead owner %q leaks: kmem=%d pages=%d stacks=%d events=%d sems=%d",
+			o.Name, c.Kmem, c.Pages, c.Stacks, c.Events, c.Semaphores)
+	}
+	for cl := TrackClass(0); cl < numTrackClasses; cl++ {
+		if n := o.TrackedCount(cl); n != 0 {
+			return fmt.Errorf("dead owner %q still tracks %d %v", o.Name, n, cl)
+		}
+	}
+	return nil
 }
 
 // String renders the owner for logs.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -263,18 +264,22 @@ func TestLedgerSumsSameNamedOwners(t *testing.T) {
 	}
 }
 
-func TestLedgerFindSkipsDead(t *testing.T) {
+func TestLedgerLiveSkipsDead(t *testing.T) {
 	var l Ledger
 	o1 := NewOwner("x", PathOwner)
-	o1.MarkDead()
 	o2 := NewOwner("x", PathOwner)
+	o3 := NewOwner("y", PathOwner)
 	l.Register(o1)
 	l.Register(o2)
-	if l.Find("x") != o2 {
-		t.Fatal("Find returned dead owner")
+	l.Register(o3)
+	o1.MarkDead()
+	if live := l.Live(); len(live) != 2 || !slices.Contains(live, o2) || !slices.Contains(live, o3) {
+		t.Fatalf("Live() = %v, want x and y", live)
 	}
-	if l.Find("missing") != nil {
-		t.Fatal("Find invented an owner")
+	o3.MarkDead()
+	o2.MarkDead()
+	if n := len(l.Live()); n != 0 {
+		t.Fatalf("Live() holds %d owners after every death", n)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestRegistryKernelDomain(t *testing.T) {
 	if r.Count() != 1 {
 		t.Fatalf("count = %d", r.Count())
 	}
-	if len(ledger.Owners()) != 1 {
+	if len(ledger.Live()) != 1 {
 		t.Fatal("kernel domain owner not registered in ledger")
 	}
 }

@@ -358,8 +358,8 @@ func TestDeterminism(t *testing.T) {
 		tb.AddQoSReceiver()
 		tb.RunFor(3 * sim.CyclesPerSecond)
 		var cycles sim.Cycles
-		for _, o := range tb.Escort.K.Ledger().Owners() {
-			cycles += o.Counters.Cycles
+		for _, c := range tb.Escort.K.Ledger().Snapshot(tb.Eng.Now()).Cycles {
+			cycles += c
 		}
 		return tb.TotalCompleted(), tb.Escort.Contain.Kills, cycles
 	}

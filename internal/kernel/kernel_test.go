@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/domain"
 	"repro/internal/lib"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -262,6 +263,52 @@ func TestDestroyOwnerReclaimsEverything(t *testing.T) {
 	}
 	if k.DestroyOwner(owner, true) != 0 {
 		t.Fatal("second destroy released objects")
+	}
+}
+
+// TestOrderlyTeardownCyclesFold: an orderly DestroyOwner bills the
+// teardown to the dying owner after MarkDead has folded it into its
+// group. Those cycles must still reach the next ledger snapshot and the
+// next metrics sample, so neither loses a cycle of the clock.
+func TestOrderlyTeardownCyclesFold(t *testing.T) {
+	m := obs.NewSampler()
+	k := newKernel(t, Config{Accounting: true, Metrics: m})
+	owner := k.NewOwner("p", core.PathOwner)
+	k.NewSemaphore(owner, "s", 0)
+	k.RegisterEvent(owner, "ev", 1<<40, 0, func(ctx *Ctx) {})
+	k.Spawn(owner, "w", func(ctx *Ctx) { ctx.Use(5_000) }, SpawnOpts{})
+	k.RunFor(100_000)
+
+	before := k.Ledger().Snapshot(k.Engine().Now())
+	charged := owner.Counters.Cycles
+	n := k.DestroyOwner(owner, false)
+	teardown := sim.Cycles(n) * k.Model().PathKillPerObject / 2
+	if n == 0 || teardown == 0 {
+		t.Fatalf("orderly teardown released %d objects for %d cycles", n, teardown)
+	}
+	if got := owner.Counters.Cycles; got != charged+teardown {
+		t.Fatalf("owner cycles = %d, want %d + %d of teardown", got, charged, teardown)
+	}
+
+	now := k.Engine().Now()
+	d := k.Ledger().Snapshot(now).Diff(before)
+	if got := d.ByOwner["p"]; got != teardown {
+		t.Errorf("snapshot delta for the dead owner = %d, want %d", got, teardown)
+	}
+	if d.Unaccounted() != 0 {
+		t.Errorf("unaccounted = %d of %d", d.Unaccounted(), d.Measured)
+	}
+	m.Final(now)
+	s := m.Samples()[m.Len()-1]
+	if got := s.Cycles["p"]; got != charged+teardown {
+		t.Errorf("sampled cycles for the dead owner = %d, want %d", got, charged+teardown)
+	}
+	var total sim.Cycles
+	for _, c := range s.Cycles {
+		total += c
+	}
+	if total != now {
+		t.Errorf("sampled cycles sum to %d, clock is %d", total, now)
 	}
 }
 

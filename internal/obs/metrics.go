@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -31,7 +32,7 @@ type Metrics struct {
 	csv   io.Writer
 	jsonW io.Writer
 
-	ledger      ledgerSource
+	ledger      *core.Ledger
 	faults      *FaultRegistry
 	next        sim.Cycles
 	samples     []Sample
@@ -61,24 +62,8 @@ func (m *Metrics) Subscribe(fn func(Sample)) {
 	m.subscribers = append(m.subscribers, fn)
 }
 
-// DefaultOwnerGroup collapses per-connection path owners into bounded
-// metrics columns: "Active Path trusted:7000#42" becomes "Active Paths
-// (trusted)" — the per-connection names are unique and would explode
-// the CSV. All other owner names pass through unchanged. The tracer
-// always uses full owner names.
-func DefaultOwnerGroup(owner string) string {
-	rest, ok := strings.CutPrefix(owner, "Active Path ")
-	if !ok {
-		return owner
-	}
-	if i := strings.IndexByte(rest, ':'); i >= 0 {
-		rest = rest[:i]
-	}
-	return "Active Paths (" + rest + ")"
-}
-
 // Bind attaches the Ledger the sampler reads. Nil-safe.
-func (m *Metrics) Bind(l ledgerSource) {
+func (m *Metrics) Bind(l *core.Ledger) {
 	if m == nil {
 		return
 	}
@@ -128,8 +113,15 @@ func (m *Metrics) sample(now sim.Cycles) {
 		Kmem:   map[string]uint64{},
 		Pages:  map[string]uint64{},
 	}
-	for _, o := range m.ledger.Owners() {
-		g := DefaultOwnerGroup(o.Name)
+	// Dead owners are folded into their group's record, so this walks
+	// the groups and the live owners only.
+	for _, g := range m.ledger.Groups() {
+		s.Cycles[g.Name] += g.Cycles
+		s.Kmem[g.Name] += g.Kmem
+		s.Pages[g.Name] += g.Pages
+	}
+	for _, o := range m.ledger.Live() {
+		g := o.Group().Name
 		c := o.Counters
 		s.Cycles[g] += c.Cycles
 		s.Kmem[g] += c.Kmem
@@ -138,7 +130,7 @@ func (m *Metrics) sample(now sim.Cycles) {
 	if m.faults != nil {
 		s.Faults = map[string]uint64{}
 		for _, name := range m.faults.Names() {
-			s.Faults[DefaultOwnerGroup(name)] += m.faults.Count(name)
+			s.Faults[core.OwnerGroup(name)] += m.faults.Count(name)
 		}
 	}
 	m.samples = append(m.samples, s)
@@ -166,8 +158,8 @@ func (m *Metrics) Len() int {
 
 // groups returns the union of group names across all samples, sorted,
 // so the CSV has a stable column set even though owners appear over
-// time (dead owners stay in the Ledger, so later samples carry every
-// group seen earlier).
+// time (a group outlives its owners in the Ledger, so later samples
+// carry every group seen earlier).
 func (m *Metrics) groups() []string {
 	set := map[string]bool{}
 	for i := range m.samples {

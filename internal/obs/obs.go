@@ -27,7 +27,6 @@ package obs
 import (
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -126,9 +125,4 @@ func closeWriter(w io.Writer) error {
 		return c.Close()
 	}
 	return nil
-}
-
-// ledgerSource is the slice of core.Ledger the metrics sampler needs.
-type ledgerSource interface {
-	Owners() []*core.Owner
 }
