@@ -15,7 +15,7 @@ import (
 
 func ablationRate(b *testing.B, cfg experiment.Config, opt experiment.Options, doc experiment.DocSpec) float64 {
 	b.Helper()
-	return measure(b, benchScale().Window, opt, experiment.Row{Config: cfg, Doc: doc, Clients: 16}).ConnPS
+	return measure(b, benchScale().Window, opt, experiment.Load{Config: cfg, Doc: doc, Clients: 16}).ConnPS
 }
 
 // BenchmarkAblationTLBInvalidation isolates the OSF/1 PAL-code bug's
@@ -91,7 +91,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	rateFrac := func(schedName string) float64 {
 		r := measure(b, 2*sim.CyclesPerSecond,
 			experiment.Options{QoSRateBps: experiment.QoSTarget, Scheduler: schedName},
-			experiment.Row{Config: experiment.ConfigAccounting, Doc: experiment.Doc1B, Clients: 32, Stream: true})
+			experiment.Load{Config: experiment.ConfigAccounting, Doc: experiment.Doc1B, Clients: 32, Stream: true})
 		return r.QoSRate / experiment.QoSTarget
 	}
 	var stride, prio float64
@@ -110,7 +110,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 func BenchmarkAblationPathFinder(b *testing.B) {
 	rate := func(pf bool) float64 {
 		return measure(b, benchScale().Window, experiment.Options{SynCapUntrusted: 64, PathFinder: pf},
-			experiment.Row{Config: experiment.ConfigAccounting, Doc: experiment.Doc1B, Clients: 16, SynRate: 2000}).ConnPS
+			experiment.Load{Config: experiment.ConfigAccounting, Doc: experiment.Doc1B, Clients: 16, SynRate: 2000}).ConnPS
 	}
 	var chain, pattern float64
 	for i := 0; i < b.N; i++ {

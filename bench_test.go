@@ -25,9 +25,9 @@ func benchScale() experiment.Scale {
 }
 
 // measure runs one figure point after benchScale's warm-up.
-func measure(b *testing.B, window sim.Cycles, opt experiment.Options, r experiment.Row) experiment.Row {
+func measure(b *testing.B, window sim.Cycles, opt experiment.Options, l experiment.Load) experiment.Row {
 	b.Helper()
-	r, err := experiment.Measure(benchScale().Warm, window, opt, r)
+	r, _, err := experiment.Measure(experiment.Run{Load: l, Options: opt, Warm: benchScale().Warm, Window: window})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func benchRate(b *testing.B, cfg experiment.Config, doc experiment.DocSpec, clie
 	var r experiment.Row
 	for i := 0; i < b.N; i++ {
 		r = measure(b, benchScale().Window, experiment.Options{},
-			experiment.Row{Config: cfg, Doc: doc, Clients: clients})
+			experiment.Load{Config: cfg, Doc: doc, Clients: clients})
 	}
 	b.ReportMetric(r.ConnPS, "conn/s")
 }
@@ -186,7 +186,7 @@ func benchFig9(b *testing.B, cfg experiment.Config) {
 	var slow float64
 	opt := experiment.Options{SynCapUntrusted: 64}
 	for i := 0; i < b.N; i++ {
-		pt := experiment.Row{Config: cfg, Doc: experiment.Doc1B, Clients: 16}
+		pt := experiment.Load{Config: cfg, Doc: experiment.Doc1B, Clients: 16}
 		base := measure(b, benchScale().Window, opt, pt)
 		pt.SynRate = 1000
 		loaded := measure(b, benchScale().Window, opt, pt)
@@ -210,7 +210,7 @@ func benchFig10(b *testing.B, cfg experiment.Config) {
 	var qosErr, slow float64
 	opt := experiment.Options{QoSRateBps: experiment.QoSTarget}
 	for i := 0; i < b.N; i++ {
-		pt := experiment.Row{Config: cfg, Doc: experiment.Doc1B, Clients: 16}
+		pt := experiment.Load{Config: cfg, Doc: experiment.Doc1B, Clients: 16}
 		base := measure(b, 2*sim.CyclesPerSecond, opt, pt)
 		pt.Stream = true
 		loaded := measure(b, 2*sim.CyclesPerSecond, opt, pt)
@@ -239,7 +239,7 @@ func benchFig11(b *testing.B, cfg experiment.Config) {
 	var slow, kills float64
 	opt := experiment.Options{QoSRateBps: experiment.QoSTarget}
 	for i := 0; i < b.N; i++ {
-		pt := experiment.Row{Config: cfg, Doc: experiment.Doc1B, Clients: 16, Stream: true}
+		pt := experiment.Load{Config: cfg, Doc: experiment.Doc1B, Clients: 16, Stream: true}
 		base := measure(b, 3*sim.CyclesPerSecond, opt, pt)
 		pt.CGI = 10
 		loaded := measure(b, 3*sim.CyclesPerSecond, opt, pt)

@@ -39,7 +39,7 @@ var ObsPath = "repro/internal/obs"
 // queryMethods are nil-safe accessors, not emits: calling them
 // unguarded costs nothing when disabled.
 var queryMethods = map[string]bool{
-	"Events": true, "Samples": true, "Len": true, "Bind": true,
+	"Samples": true, "Bind": true,
 }
 
 // Analyzer is the obsguard analyzer.

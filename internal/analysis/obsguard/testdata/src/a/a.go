@@ -11,8 +11,9 @@ import (
 )
 
 type kernel struct {
-	tracer *obs.Tracer
-	name   string
+	tracer  *obs.Tracer
+	metrics *obs.Metrics
+	name    string
 }
 
 func (k *kernel) tr() *obs.Tracer { return k.tracer }
@@ -33,7 +34,7 @@ func (k *kernel) goodEarlyOut(began, ended sim.Cycles) {
 }
 
 func (k *kernel) goodQuery() int {
-	return k.tracer.Events() // queries are exempt: they run offline
+	return len(k.metrics.Samples()) // queries are exempt: they run offline
 }
 
 func (k *kernel) badUnguarded(began, ended sim.Cycles) {

@@ -28,7 +28,7 @@ func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
 		"held":     4,
 		"ignore":   0,
-		"coldpath": 42,
+		"coldpath": 39,
 	}
 	got := map[string]int{}
 

@@ -20,7 +20,7 @@ import (
 type Ledger struct {
 	live   []*Owner
 	groups []*Group
-	byKey  map[string]*Group // groupKey(owner name) -> group
+	byKey  map[string]*Group // GroupKey(owner name) -> group
 
 	// suspects are the owners that died still holding a counter or a
 	// tracked object: the only dead owners CheckContainment re-checks.
@@ -59,10 +59,10 @@ func OwnerGroup(owner string) string {
 	return "Active Paths (" + rest + ")"
 }
 
-// groupKey is the prefix of an owner name that decides its group: the
+// GroupKey is the prefix of an owner name that decides its group: the
 // name up to the trust class for an active path, else the whole name.
 // It is a substring of the name, so looking a group up allocates nothing.
-func groupKey(owner string) string {
+func GroupKey(owner string) string {
 	if rest, ok := strings.CutPrefix(owner, activePathPrefix); ok {
 		if i := strings.IndexByte(rest, ':'); i >= 0 {
 			return owner[:len(activePathPrefix)+i]
@@ -74,7 +74,7 @@ func groupKey(owner string) string {
 // Register adds a live owner to the ledger and resolves its group.
 func (l *Ledger) Register(o *Owner) {
 	o.checkLive("Register")
-	key := groupKey(o.Name)
+	key := GroupKey(o.Name)
 	g := l.byKey[key]
 	if g == nil {
 		if l.byKey == nil {

@@ -102,7 +102,6 @@ type Model struct {
 	TCPMasterEvent       sim.Cycles
 	SchedulerDispatch    sim.Cycles
 	QueueOp              sim.Cycles
-	ConsoleWritePerByte  sim.Cycles
 	DiskSeek             sim.Cycles // SCSI average seek+rotational, in cycles
 	DiskPerByte          sim.Cycles // SCSI transfer cost per byte
 	LinuxConnCost        sim.Cycles // Apache/Linux per-connection CPU (whole request)
@@ -166,8 +165,6 @@ func Default() *Model {
 
 		SchedulerDispatch: 600,
 		QueueOp:           250,
-
-		ConsoleWritePerByte: 30,
 
 		DiskSeek:    8 * 300_000, // 8 ms seek+rotate on the 300 MHz clock
 		DiskPerByte: 30,          // ~10 MB/s sustained transfer

@@ -125,9 +125,7 @@ type Options struct {
 	FSCacheBudget int
 
 	// Obs selects the observability sinks: event tracing (Chrome
-	// trace_event JSON / text), per-owner metrics sampling, and the
-	// kernel console. It replaces the former Trace io.Writer field —
-	// console output now goes through Obs.Console. Nil (the zero
+	// trace_event JSON) and per-owner metrics sampling. Nil (the zero
 	// value) disables everything at zero cost.
 	Obs *obs.Config
 
@@ -212,7 +210,6 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		Accounting:    accounting,
 		Scheduler:     opt.Scheduler,
 		TotalPages:    totalPages,
-		Console:       o.Console,
 		Tracer:        o.Tracer,
 		Metrics:       o.Metrics,
 		Faults:        opt.Faults.NewSet(),

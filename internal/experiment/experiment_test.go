@@ -176,7 +176,7 @@ func TestFig9SynAttackImpact(t *testing.T) {
 		t.Fatal(err)
 	}
 	rate := func(cfg Config, syn uint64) float64 {
-		return find(rows, Row{Config: cfg, Doc: Doc1B, Clients: 4, SynRate: syn}).ConnPS
+		return find(rows, Load{Config: cfg, Doc: Doc1B, Clients: 4, SynRate: syn}).ConnPS
 	}
 	a, aa := rate(ConfigAccounting, 0), rate(ConfigAccounting, synFlood)
 	p, pa := rate(ConfigAccountingPD, 0), rate(ConfigAccountingPD, synFlood)
@@ -218,8 +218,8 @@ func TestFig10QoSHolds(t *testing.T) {
 		}
 	}
 	// Best effort slows when the stream runs.
-	a := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8}).ConnPS
-	aq := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true}).ConnPS
+	a := find(rows, Load{Config: ConfigAccounting, Doc: Doc1B, Clients: 8}).ConnPS
+	aq := find(rows, Load{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true}).ConnPS
 	if aq >= a {
 		t.Errorf("QoS stream did not cost best-effort anything: %f vs %f", aq, a)
 	}
@@ -236,8 +236,8 @@ func TestFig11CGIAttackDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true})
-	loaded := find(rows, Row{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true, CGI: 10})
+	base := find(rows, Load{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true})
+	loaded := find(rows, Load{Config: ConfigAccounting, Doc: Doc1B, Clients: 8, Stream: true, CGI: 10})
 	if base.ConnPS == 0 || loaded.ConnPS == 0 {
 		t.Fatalf("missing rates: %+v %+v", base, loaded)
 	}
@@ -261,7 +261,7 @@ func TestFig11CGIAttackDegradesGracefully(t *testing.T) {
 func TestFormatDeadStreamIs100PercentError(t *testing.T) {
 	var rows []Row
 	for _, cfg := range defended {
-		rows = append(rows, Row{Config: cfg, Doc: Doc1B, Clients: 4, Stream: true, ConnPS: 100})
+		rows = append(rows, Row{Load: Load{Config: cfg, Doc: Doc1B, Clients: 4, Stream: true}, ConnPS: 100})
 	}
 	if out := FormatFig11(rows, 4); !strings.Contains(out, "100.00%") {
 		t.Errorf("Figure 11 shows a dead stream as:\n%s", out)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/experiment/runner"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -44,15 +43,6 @@ type Scale struct {
 	Faults *fault.Spec
 }
 
-// obsFor resolves the per-run observability config, nil when no
-// factory is installed.
-func (sc Scale) obsFor(label string) *obs.Config {
-	if sc.Obs == nil {
-		return nil
-	}
-	return sc.Obs(label)
-}
-
 // PaperScale approximates the paper's sweep.
 func PaperScale() Scale {
 	return Scale{
@@ -73,79 +63,35 @@ func QuickScale() Scale {
 	}
 }
 
-// Row is one figure point. Config, Doc, Clients, SynRate, Stream and
-// CGI are the load; ConnPS, SynDrops, QoSRate and Kills are what
-// Measure read off the testbed afterwards.
-type Row struct {
-	Config  Config
-	Doc     DocSpec
-	Clients int
-	SynRate uint64 // SYN/s from the untrusted flood; 0 attaches none
-	Stream  bool   // attach the QoS receiver
-	CGI     int    // CGI attackers
-
-	ConnPS   float64 // best-effort connections/second over the window
-	SynDrops uint64  // SYNs the untrusted listener dropped at demux
-	QoSRate  float64 // bytes/second delivered to the QoS receiver
-	Kills    uint64  // runaway paths contained
+// runs gives every load sc's warm-up and window, its fault spec, and
+// opt.
+func (sc Scale) runs(opt Options, loads []Load) []Run {
+	opt.Faults = sc.Faults
+	out := make([]Run, len(loads))
+	for i, l := range loads {
+		out[i] = Run{Load: l, Options: opt, Warm: sc.Warm, Window: sc.Window}
+	}
+	return out
 }
 
-// inputs is the row with its measurements cleared: the key a point is
-// looked up by.
-func (r Row) inputs() Row {
-	r.ConnPS, r.SynDrops, r.QoSRate, r.Kills = 0, 0, 0, 0
-	return r
-}
-
-// Measure runs one figure point: it builds the testbed, attaches the
-// load, averages the connection rate over window after warm, and reads
-// the counters before closing. Load attaches in a fixed order (clients,
-// SYN flood, QoS receiver, CGI attackers); a different order changes
-// the simulation's output.
-func Measure(warm, window sim.Cycles, opt Options, r Row) (Row, error) {
-	tb, err := NewTestbed(r.Config, opt)
-	if err != nil {
-		return r, err
-	}
-	defer tb.Close()
-	tb.AddClients(r.Clients, r.Doc.Name)
-	if r.SynRate > 0 {
-		tb.AddSynAttacker(r.SynRate)
-	}
-	if r.Stream {
-		tb.AddQoSReceiver()
-	}
-	tb.AddCGIAttackers(r.CGI)
-	r.ConnPS = tb.MeasureRate(warm, window)
-	if srv := tb.Escort; srv != nil {
-		if srv.Untrusted != nil {
-			r.SynDrops = srv.Untrusted.DroppedSyn
+// sweep measures every run on sc.Workers workers, naming each run's
+// observability sinks by label. Every run builds its own testbed, so
+// the rows are identical at any worker count.
+func sweep(sc Scale, runs []Run, label func(Load) string) ([]Row, error) {
+	return runner.MapErr(len(runs), sc.Workers, func(i int) (Row, error) {
+		r := runs[i]
+		if sc.Obs != nil {
+			r.Obs = sc.Obs(label(r.Load))
 		}
-		if srv.Contain != nil {
-			r.Kills = srv.Contain.Kills
-		}
-	}
-	if tb.QoS != nil {
-		r.QoSRate = tb.QoS.RateBps(window)
-	}
-	return r, nil
-}
-
-// sweep measures every point on sc.Workers workers under opt, naming
-// each run's observability sinks by label. Every point builds its own
-// testbed, so the rows are identical at any worker count.
-func sweep(sc Scale, opt Options, pts []Row, label func(Row) string) ([]Row, error) {
-	return runner.MapErr(len(pts), sc.Workers, func(i int) (Row, error) {
-		o := opt
-		o.Obs, o.Faults = sc.obsFor(label(pts[i])), sc.Faults
-		return Measure(sc.Warm, sc.Window, o, pts[i])
+		row, _, err := Measure(r)
+		return row, err
 	})
 }
 
 // cross sets every variant on every document and configuration, in
 // that nesting order.
-func cross(docs []DocSpec, configs []Config, variants []Row) []Row {
-	var pts []Row
+func cross(docs []DocSpec, configs []Config, variants []Load) []Load {
+	var pts []Load
 	for _, doc := range docs {
 		for _, cfg := range configs {
 			for _, v := range variants {
@@ -159,11 +105,11 @@ func cross(docs []DocSpec, configs []Config, variants []Row) []Row {
 
 // withAndWithout lists every client count without the extra load, then
 // every client count with it.
-func withAndWithout(clients []int, load func(*Row)) []Row {
-	var vs []Row
+func withAndWithout(clients []int, load func(*Load)) []Load {
+	var vs []Load
 	for _, on := range []bool{false, true} {
 		for _, n := range clients {
-			r := Row{Clients: n}
+			r := Load{Clients: n}
 			if on {
 				load(&r)
 			}
@@ -176,20 +122,24 @@ func withAndWithout(clients []int, load func(*Row)) []Row {
 // defended are the two configurations Figures 9–11 evaluate.
 var defended = []Config{ConfigAccounting, ConfigAccountingPD}
 
-// docTag is a row's document in run labels ("doc1").
-func docTag(r Row) string { return strings.TrimPrefix(r.Doc.Name, "/") }
+// docTag is a point's document in run labels ("doc1").
+func docTag(l Load) string { return strings.TrimPrefix(l.Doc.Name, "/") }
 
 // Fig8 reproduces Figure 8: the basic performance of the four
 // configurations in connections/second for 1 B, 1 KB and 10 KB
 // documents across the client sweep.
 func Fig8(sc Scale, docs []DocSpec, configs []Config) ([]Row, error) {
-	var vs []Row
-	for _, n := range sc.Clients {
-		vs = append(vs, Row{Clients: n})
-	}
-	return sweep(sc, Options{}, cross(docs, configs, vs), func(r Row) string {
-		return fmt.Sprintf("fig8-%s-%s-c%d", docTag(r), r.Config, r.Clients)
+	return sweep(sc, fig8Runs(sc, docs, configs), func(l Load) string {
+		return fmt.Sprintf("fig8-%s-%s-c%d", docTag(l), l.Config, l.Clients)
 	})
+}
+
+func fig8Runs(sc Scale, docs []DocSpec, configs []Config) []Run {
+	var vs []Load
+	for _, n := range sc.Clients {
+		vs = append(vs, Load{Clients: n})
+	}
+	return sc.runs(Options{}, cross(docs, configs, vs))
 }
 
 // FormatFig8 renders the rows as one table per document.
@@ -206,7 +156,7 @@ func FormatFig8(rows []Row) string {
 		for _, n := range clientsOf(rows) {
 			fmt.Fprintf(&b, "%8d", n)
 			for _, c := range configs {
-				fmt.Fprintf(&b, " %14.1f", find(rows, Row{Config: c, Doc: doc, Clients: n}).ConnPS)
+				fmt.Fprintf(&b, " %14.1f", find(rows, Load{Config: c, Doc: doc, Clients: n}).ConnPS)
 			}
 			b.WriteByte('\n')
 		}
@@ -238,10 +188,10 @@ func clientsOf(rows []Row) []int {
 	return out
 }
 
-// find returns the row whose inputs equal want, or the zero Row.
-func find(rows []Row, want Row) Row {
+// find returns the row whose load equals want, or the zero Row.
+func find(rows []Row, want Load) Row {
 	for _, r := range rows {
-		if r.inputs() == want {
+		if r.Load == want {
 			return r
 		}
 	}
@@ -317,19 +267,14 @@ func RunTable1(cfg Config, n uint64) (*Table1, error) {
 
 func table1Group(owner string) string {
 	switch {
-	case owner == "Idle":
-		return "Idle"
-	case owner == "Softclock":
-		return "Softclock"
-	case owner == "TCP Master Event":
-		return "TCP Master Event"
+	case owner == "Idle", owner == "Softclock", owner == "TCP Master Event":
+		return owner
 	case strings.HasPrefix(owner, "Passive SYN Path"):
 		return "Passive SYN Path"
 	case strings.HasPrefix(owner, "Active Path"):
 		return "Main Active Path"
-	default:
-		return "Other"
 	}
+	return "Other"
 }
 
 // Format renders the table in the paper's layout.
@@ -401,10 +346,14 @@ const synFlood = 1000
 // attack from the untrusted subnet, with the §4.4.1 policy (separate
 // passive paths; drop over-budget SYNs at demux).
 func Fig9(sc Scale, docs []DocSpec) ([]Row, error) {
-	vs := withAndWithout(sc.Clients, func(r *Row) { r.SynRate = synFlood })
-	return sweep(sc, Options{SynCapUntrusted: 64}, cross(docs, defended, vs), func(r Row) string {
-		return fmt.Sprintf("fig9-%s-%s-c%d-attack%v", docTag(r), r.Config, r.Clients, r.SynRate > 0)
+	return sweep(sc, fig9Runs(sc, docs), func(l Load) string {
+		return fmt.Sprintf("fig9-%s-%s-c%d-attack%v", docTag(l), l.Config, l.Clients, l.SynRate > 0)
 	})
+}
+
+func fig9Runs(sc Scale, docs []DocSpec) []Run {
+	vs := withAndWithout(sc.Clients, func(l *Load) { l.SynRate = synFlood })
+	return sc.runs(Options{SynCapUntrusted: 64}, cross(docs, defended, vs))
 }
 
 // FormatFig9 renders the figure as tables with slowdown columns.
@@ -416,7 +365,7 @@ func FormatFig9(rows []Row) string {
 			"Acct", "Acct+SYN", "slow%", "Acct_PD", "Acct_PD+SYN", "slow%")
 		for _, n := range clientsOf(rows) {
 			rate := func(cfg Config, syn uint64) float64 {
-				return find(rows, Row{Config: cfg, Doc: doc, Clients: n, SynRate: syn}).ConnPS
+				return find(rows, Load{Config: cfg, Doc: doc, Clients: n, SynRate: syn}).ConnPS
 			}
 			a, aa := rate(ConfigAccounting, 0), rate(ConfigAccounting, synFlood)
 			p, pa := rate(ConfigAccountingPD, 0), rate(ConfigAccountingPD, synFlood)
@@ -435,10 +384,14 @@ const QoSTarget = 1 << 20
 // stream on best-effort traffic, and the stream's own fidelity (the
 // paper: always within 1% of target).
 func Fig10(sc Scale, docs []DocSpec) ([]Row, error) {
-	vs := withAndWithout(sc.Clients, func(r *Row) { r.Stream = true })
-	return sweep(sc, Options{QoSRateBps: QoSTarget}, cross(docs, defended, vs), func(r Row) string {
-		return fmt.Sprintf("fig10-%s-%s-c%d-stream%v", docTag(r), r.Config, r.Clients, r.Stream)
+	return sweep(sc, fig10Runs(sc, docs), func(l Load) string {
+		return fmt.Sprintf("fig10-%s-%s-c%d-stream%v", docTag(l), l.Config, l.Clients, l.Stream)
 	})
+}
+
+func fig10Runs(sc Scale, docs []DocSpec) []Run {
+	vs := withAndWithout(sc.Clients, func(l *Load) { l.Stream = true })
+	return sc.runs(Options{QoSRateBps: QoSTarget}, cross(docs, defended, vs))
 }
 
 // FormatFig10 renders the figure; the error column is the worse of the
@@ -450,10 +403,10 @@ func FormatFig10(rows []Row) string {
 		fmt.Fprintf(&b, "%8s %14s %14s %9s %14s %14s %9s %10s\n", "#clients",
 			"Acct", "Acct+QoS", "slow%", "Acct_PD", "Acct_PD+QoS", "slow%", "QoS err%")
 		for _, n := range clientsOf(rows) {
-			a := find(rows, Row{Config: ConfigAccounting, Doc: doc, Clients: n})
-			aq := find(rows, Row{Config: ConfigAccounting, Doc: doc, Clients: n, Stream: true})
-			p := find(rows, Row{Config: ConfigAccountingPD, Doc: doc, Clients: n})
-			pq := find(rows, Row{Config: ConfigAccountingPD, Doc: doc, Clients: n, Stream: true})
+			a := find(rows, Load{Config: ConfigAccounting, Doc: doc, Clients: n})
+			aq := find(rows, Load{Config: ConfigAccounting, Doc: doc, Clients: n, Stream: true})
+			p := find(rows, Load{Config: ConfigAccountingPD, Doc: doc, Clients: n})
+			pq := find(rows, Load{Config: ConfigAccountingPD, Doc: doc, Clients: n, Stream: true})
 			worst := max(qosErrPct(aq.QoSRate), qosErrPct(pq.QoSRate))
 			fmt.Fprintf(&b, "%8d %14.1f %14.1f %8.1f%% %14.1f %14.1f %8.1f%% %9.2f%%\n",
 				n, a.ConnPS, aq.ConnPS, slowdown(a.ConnPS, aq.ConnPS),
@@ -469,13 +422,17 @@ func FormatFig10(rows []Row) string {
 // burns 2 ms of CPU before detection; pathKill then reclaims
 // everything. The QoS stream must stay within 1% throughout.
 func Fig11(sc Scale, docs []DocSpec, clients int) ([]Row, error) {
-	var vs []Row
-	for _, atk := range sc.CGICnts {
-		vs = append(vs, Row{Clients: clients, Stream: true, CGI: atk})
-	}
-	return sweep(sc, Options{QoSRateBps: QoSTarget}, cross(docs, defended, vs), func(r Row) string {
-		return fmt.Sprintf("fig11-%s-%s-cgi%d", docTag(r), r.Config, r.CGI)
+	return sweep(sc, fig11Runs(sc, docs, clients), func(l Load) string {
+		return fmt.Sprintf("fig11-%s-%s-cgi%d", docTag(l), l.Config, l.CGI)
 	})
+}
+
+func fig11Runs(sc Scale, docs []DocSpec, clients int) []Run {
+	var vs []Load
+	for _, atk := range sc.CGICnts {
+		vs = append(vs, Load{Clients: clients, Stream: true, CGI: atk})
+	}
+	return sc.runs(Options{QoSRateBps: QoSTarget}, cross(docs, defended, vs))
 }
 
 // FormatFig11 renders the figure.
@@ -488,8 +445,8 @@ func FormatFig11(rows []Row, clients int) string {
 		atks := distinct(rows, func(r Row) int { return r.CGI })
 		sort.Ints(atks)
 		for _, atk := range atks {
-			a := find(rows, Row{Config: ConfigAccounting, Doc: doc, Clients: clients, Stream: true, CGI: atk})
-			p := find(rows, Row{Config: ConfigAccountingPD, Doc: doc, Clients: clients, Stream: true, CGI: atk})
+			a := find(rows, Load{Config: ConfigAccounting, Doc: doc, Clients: clients, Stream: true, CGI: atk})
+			p := find(rows, Load{Config: ConfigAccountingPD, Doc: doc, Clients: clients, Stream: true, CGI: atk})
 			fmt.Fprintf(&b, "%10d %14.1f %9.2f%% %10d %14.1f %9.2f%% %10d\n",
 				atk, a.ConnPS, qosErrPct(a.QoSRate), a.Kills,
 				p.ConnPS, qosErrPct(p.QoSRate), p.Kills)

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/escort"
 	"repro/internal/fault"
@@ -55,13 +56,16 @@ type DocSpec struct {
 	Label string
 }
 
+// AllDocs is the §4.1.2 document set, smallest first.
+var AllDocs = []DocSpec{Doc1B, Doc1K, Doc10K}
+
 // Docs builds the document set.
 func Docs() map[string][]byte {
-	return map[string][]byte{
-		Doc1B.Name:  bytes.Repeat([]byte("x"), Doc1B.Size),
-		Doc1K.Name:  bytes.Repeat([]byte("x"), Doc1K.Size),
-		Doc10K.Name: bytes.Repeat([]byte("x"), Doc10K.Size),
+	docs := map[string][]byte{}
+	for _, d := range AllDocs {
+		docs[d.Name] = bytes.Repeat([]byte("x"), d.Size)
 	}
+	return docs
 }
 
 const mbps100 = 100_000_000
@@ -207,13 +211,36 @@ func (tb *Testbed) SwitchAttach() netsim.Attacher { return tb.swAt }
 // count instead of a single client saturating the server.
 const ClientThink = 8 * sim.CyclesPerMillisecond
 
+// The station addressing plan. Client i is 10.0.(1+i/250).(i%250+1)
+// with MAC clientMAC+i; CGI attacker i is 10.0.(200+i/250).(i%250+1)
+// with MAC cgiMAC+i. maxClients and maxCGI are the counts the plan
+// holds: one station more and its MAC is the next block's first (CGI
+// attacker #0's, the SYN attacker's), long before the IPs run out.
+const (
+	clientMAC = 0x0200_0000_1000
+	cgiMAC    = 0x0200_0000_8000
+	synMAC    = 0x0200_0000_9999
+
+	maxClients = cgiMAC - clientMAC
+	maxCGI     = synMAC - cgiMAC
+)
+
+// clientAddr is client idx's IP and MAC.
+func clientAddr(idx int) (uint32, netsim.MAC) {
+	return lib.IPv4(10, 0, 1+byte(idx/250), byte(idx%250)+1), netsim.MAC(clientMAC + uint64(idx))
+}
+
+// cgiAddr is CGI attacker idx's IP and MAC.
+func cgiAddr(idx int) (uint32, netsim.MAC) {
+	return lib.IPv4(10, 0, 200+byte(idx/250), byte(idx%250)+1), netsim.MAC(cgiMAC + uint64(idx))
+}
+
 // AddClients attaches n best-effort clients (trusted subnet, on the
 // switch) requesting doc.
 func (tb *Testbed) AddClients(n int, doc string) {
 	for i := 0; i < n; i++ {
 		idx := len(tb.Clients)
-		ip := lib.IPv4(10, 0, 1+byte(idx/250), byte(idx%250)+1)
-		mac := netsim.MAC(0x0200_0000_1000 + uint64(idx))
+		ip, mac := clientAddr(idx)
 		c := workload.NewClient(tb.Eng, tb.swAt, fmt.Sprintf("client%d", idx),
 			ip, mac, escort.ServerIP, doc, uint64(idx)+1)
 		c.Think = ClientThink
@@ -226,7 +253,7 @@ func (tb *Testbed) AddClients(n int, doc string) {
 // the hub) at the given rate.
 func (tb *Testbed) AddSynAttacker(rate uint64) {
 	tb.Syn = workload.NewSynAttacker(tb.Eng, tb.hubAt, "syn-attacker",
-		lib.IPv4(192, 168, 9, 9), netsim.MAC(0x0200_0000_9999),
+		lib.IPv4(192, 168, 9, 9), netsim.MAC(synMAC),
 		escort.ServerIP, rate, 4242)
 	tb.Syn.Start()
 }
@@ -236,8 +263,7 @@ func (tb *Testbed) AddSynAttacker(rate uint64) {
 func (tb *Testbed) AddCGIAttackers(n int) {
 	for i := 0; i < n; i++ {
 		idx := len(tb.CGI)
-		ip := lib.IPv4(10, 0, 200+byte(idx/250), byte(idx%250)+1)
-		mac := netsim.MAC(0x0200_0000_8000 + uint64(idx))
+		ip, mac := cgiAddr(idx)
 		a := workload.NewCGIAttacker(tb.Eng, tb.swAt, fmt.Sprintf("cgi%d", idx),
 			ip, mac, escort.ServerIP, 7000+uint64(idx))
 		tb.CGI = append(tb.CGI, a)
@@ -268,6 +294,15 @@ func (tb *Testbed) TotalCompleted() uint64 {
 		total += c.Completed
 	}
 	return total
+}
+
+// snapshot is the ledger's snapshot now; zero for Linux, which has no
+// ledger.
+func (tb *Testbed) snapshot() core.Snapshot {
+	if tb.Escort == nil {
+		return core.Snapshot{}
+	}
+	return tb.Escort.K.Ledger().Snapshot(tb.Eng.Now())
 }
 
 // MeasureRate runs a warm-up then a measurement window and returns the

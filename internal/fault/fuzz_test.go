@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,9 @@ import (
 // ParseSpec must never panic, and any spec it accepts must describe a
 // sane fault mix — every probability in [0, 1], every duration
 // non-negative (the unit multiply must not wrap), shed inside (0, 1],
-// puzzle bits inside the wire clamp, flap down time under its period.
+// puzzle bits inside the wire clamp, flap down time under its period —
+// and must survive its own text form: ParseSpec(s.String()) deep-equals
+// s, and String is a fixed point.
 // The seed corpus (testdata/fuzz/FuzzParseSpec) covers every grammar
 // production, plus the detector values the grammar no longer accepts
 // (detector=WARMUP[:K]), which must be rejected without panicking.
@@ -22,6 +25,12 @@ func FuzzParseSpec(f *testing.F) {
 		"jitter=0.1:500us",
 		"flap=100ms:10ms",
 		"partition=1s:250ms",
+		"partition=5s:0",
+		"reorder=0.5:0",
+		"reorder=0:5ms",
+		"jitter=0.5:0",
+		"drop=-0,fp:iobuf.grant=p-0",
+		"fp:kmem.alloc=n3,fp:kmem.alloc=p0.25,drop=1e-7",
 		"fp:kmem.alloc=p0.001",
 		"fp:kmem.alloc=n3",
 		"watchdog",
@@ -96,6 +105,17 @@ func FuzzParseSpec(f *testing.F) {
 				t.Fatalf("accepted failpoint %s with probability %v outside [0, 1]",
 					p.Name, p.Trig.P)
 			}
+		}
+		text := s.String()
+		again, err := ParseSpec(text)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) (the String of %q): %v", text, spec, err)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("round trip of %q through %q:\n got %+v\nwant %+v", spec, text, again, s)
+		}
+		if again.String() != text {
+			t.Fatalf("String is not a fixed point: %q then %q", text, again.String())
 		}
 	})
 }

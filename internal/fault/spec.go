@@ -118,6 +118,64 @@ func ParseSpec(spec string) (*Spec, error) {
 	return s, nil
 }
 
+// String renders the spec in ParseSpec's grammar, one entry per set
+// field in a fixed order, durations as exact cycle counts and floats in
+// their shortest exact form, so ParseSpec(s.String()) equals s. The
+// seed is always written, so a spec that arms nothing still renders
+// non-empty; a nil spec renders as "".
+func (s *Spec) String() string {
+	if s == nil {
+		return ""
+	}
+	e := []string{"seed=" + strconv.FormatUint(s.Seed, 10)}
+	add := func(key string, set bool, vals ...string) {
+		if set {
+			e = append(e, key+"="+strings.Join(vals, ":"))
+		}
+	}
+	n := s.Net
+	add("drop", n.Drop != 0, fmtFloat(n.Drop))
+	add("corrupt", n.Corrupt != 0, fmtFloat(n.Corrupt))
+	add("dup", n.Dup != 0, fmtFloat(n.Dup))
+	if n.ReorderDelay != 0 {
+		add("reorder", true, fmtFloat(n.Reorder), fmtCycles(n.ReorderDelay))
+	} else {
+		add("reorder", n.Reorder != 0, fmtFloat(n.Reorder))
+	}
+	add("jitter", n.Jitter != 0 || n.JitterMax != 0, fmtFloat(n.Jitter), fmtCycles(n.JitterMax))
+	add("flap", n.FlapPeriod != 0 || n.FlapDown != 0, fmtCycles(n.FlapPeriod), fmtCycles(n.FlapDown))
+	add("partition", n.PartitionAt != 0 || n.PartitionFor != 0, fmtCycles(n.PartitionAt), fmtCycles(n.PartitionFor))
+	for _, p := range s.Points {
+		trig := "p" + fmtFloat(p.Trig.P)
+		if p.Trig.Nth != 0 {
+			trig = "n" + strconv.FormatUint(p.Trig.Nth, 10)
+		}
+		add("fp:"+p.Name, true, trig)
+	}
+	// watchdog and reaper write their threshold only when it overrides
+	// the policy default.
+	toggle := func(key string, on bool, d sim.Cycles) {
+		switch {
+		case d != 0:
+			add(key, true, fmtCycles(d))
+		case on:
+			e = append(e, key)
+		}
+	}
+	toggle("watchdog", s.Watchdog, s.WatchdogStall)
+	add("shed", s.Shed != 0, fmtFloat(s.Shed))
+	toggle("reaper", s.Reaper, s.ReaperMinAge)
+	add("puzzle", s.PuzzleBits != 0, strconv.FormatUint(uint64(s.PuzzleBits), 10))
+	if s.Detector {
+		e = append(e, "detector")
+	}
+	return strings.Join(e, ",")
+}
+
+func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+
+func fmtCycles(c sim.Cycles) string { return strconv.FormatInt(int64(c), 10) }
+
 func (s *Spec) apply(key, val string, hasVal bool) error {
 	if name, ok := strings.CutPrefix(key, "fp:"); ok {
 		if !KnownFailpoint(name) {
@@ -150,7 +208,7 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 			return err
 		}
 		if rest != "" {
-			d, err := parseDuration(rest)
+			d, err := ParseDuration(rest)
 			if err != nil {
 				return err
 			}
@@ -164,7 +222,7 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 		if err := parseProb(p, &s.Net.Jitter); err != nil {
 			return err
 		}
-		d, err := parseDuration(rest)
+		d, err := ParseDuration(rest)
 		if err != nil {
 			return err
 		}
@@ -174,11 +232,11 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 		if !ok {
 			return fmt.Errorf("want flap=PERIOD:DOWN")
 		}
-		p, err := parseDuration(period)
+		p, err := ParseDuration(period)
 		if err != nil {
 			return err
 		}
-		d, err := parseDuration(down)
+		d, err := ParseDuration(down)
 		if err != nil {
 			return err
 		}
@@ -191,11 +249,11 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 		if !ok {
 			return fmt.Errorf("want partition=AT:DUR")
 		}
-		a, err := parseDuration(at)
+		a, err := ParseDuration(at)
 		if err != nil {
 			return err
 		}
-		d, err := parseDuration(dur)
+		d, err := ParseDuration(dur)
 		if err != nil {
 			return err
 		}
@@ -203,7 +261,7 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 	case "watchdog":
 		s.Watchdog = true
 		if hasVal && val != "" {
-			d, err := parseDuration(val)
+			d, err := ParseDuration(val)
 			if err != nil {
 				return err
 			}
@@ -221,7 +279,7 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 	case "reaper":
 		s.Reaper = true
 		if hasVal && val != "" {
-			d, err := parseDuration(val)
+			d, err := ParseDuration(val)
 			if err != nil {
 				return err
 			}
@@ -278,9 +336,9 @@ func parseProb(val string, dst *float64) error {
 	return nil
 }
 
-// parseDuration parses a virtual duration: bare cycles, or a number
-// with a us/ms/s suffix.
-func parseDuration(val string) (sim.Cycles, error) {
+// ParseDuration parses a virtual duration in the spec grammar: bare
+// cycles, or a number with a us/ms/s suffix.
+func ParseDuration(val string) (sim.Cycles, error) {
 	unit := sim.Cycles(1)
 	num := val
 	switch {

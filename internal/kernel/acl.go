@@ -195,21 +195,7 @@ func (c *Ctx) Syscall(op Op) error {
 		tr.Syscall(uint32(c.t.curDomain), c.t.owner.Name, op.String(), began, c.k.eng.Now(), denied)
 	}
 	if denied {
-		c.k.Logf("acl: %s denied in domain %d (owner %s)", op, c.t.curDomain, c.t.owner.Name)
 		return fmt.Errorf("%w: %s in domain %d", ErrAccessDenied, op, c.t.curDomain)
 	}
-	return nil
-}
-
-// ConsoleWrite is the console syscall: writes bytes to the configured
-// trace sink, charged per byte.
-//
-//escort:coldpath console syscall: a diagnostic path whose cost is explicitly charged per byte
-func (c *Ctx) ConsoleWrite(msg string) error {
-	if err := c.Syscall(OpConsoleWrite); err != nil {
-		return err
-	}
-	c.Use(sim.Cycles(len(msg)) * c.k.model.ConsoleWritePerByte)
-	c.k.Logf("console(%s): %s", c.t.owner.Name, msg)
 	return nil
 }

@@ -14,9 +14,6 @@
 package kernel
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/domain"
@@ -42,10 +39,6 @@ type Config struct {
 	// without yields; zero means unlimited. Policies can override
 	// per owner.
 	MaxRunDefault sim.Cycles
-	// Console, when non-nil, receives kernel console (Logf) output.
-	// It was previously named Trace; structured tracing now goes
-	// through Tracer instead.
-	Console io.Writer
 	// Tracer, when non-nil, receives structured lifecycle events
 	// (syscalls, thread slices, domain crossings, idle spans). A nil
 	// tracer costs one pointer test per emit site.
@@ -267,18 +260,6 @@ func (k *Kernel) AccountingTax() sim.Cycles {
 		return 0
 	}
 	return k.model.AccountingOp
-}
-
-// Logf writes to the configured console.
-//
-//escort:coldpath console diagnostics: a no-op unless a Console sink is configured
-func (k *Kernel) Logf(format string, args ...any) {
-	if k.cfg.Console == nil {
-		return
-	}
-	fmt.Fprintf(k.cfg.Console, "[%10d] ", k.eng.Now())
-	fmt.Fprintf(k.cfg.Console, format, args...)
-	fmt.Fprintln(k.cfg.Console)
 }
 
 // Run dispatches threads and advances the simulation until the virtual

@@ -299,7 +299,7 @@ func TestOrderlyTeardownCyclesFold(t *testing.T) {
 		t.Errorf("unaccounted = %d of %d", d.Unaccounted(), d.Measured)
 	}
 	m.Final(now)
-	s := m.Samples()[m.Len()-1]
+	s := m.Samples()[len(m.Samples())-1]
 	if got := s.Cycles["p"]; got != charged+teardown {
 		t.Errorf("sampled cycles for the dead owner = %d, want %d", got, charged+teardown)
 	}

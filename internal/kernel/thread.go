@@ -304,7 +304,6 @@ func (c *Ctx) Use(n sim.Cycles) {
 	c.t.usedThisSlice += n
 	limit := c.t.owner.Limits.MaxRunCycles
 	if limit > 0 && c.t.sinceYield > limit && !c.t.killed {
-		c.k.Logf("runaway: thread %q exceeded %d cycles without yield", c.t.name, limit) //escort:coldpath runaway diagnostic: fires once per policy violation, not per packet
 		if tr := c.k.tracer; tr != nil {
 			tr.Policy("maxRuntime", c.t.owner.Name, c.t.name, c.Now())
 		}
@@ -390,7 +389,6 @@ func (c *Ctx) Cross(target domain.ID, fn func()) {
 	}
 	tr := c.k.tracer
 	if !c.crossingAllowed(t.curDomain, target) {
-		c.k.Logf("protection fault: thread %q cross %d->%d denied", t.name, t.curDomain, target)
 		if tr != nil {
 			tr.Policy("protFault", t.owner.Name, t.name, c.Now())
 		}

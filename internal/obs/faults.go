@@ -1,23 +1,33 @@
 package obs
 
-// FaultRegistry counts injected-fault and robustness events per owner
-// (or per NIC, for network-level faults that fire before a frame is
-// attributable to an owner). It exists so chaos runs can answer "who
+import "repro/internal/core"
+
+// FaultRegistry counts injected-fault and robustness events per metrics
+// group (or per NIC, for network-level faults that fire before a frame
+// is attributable to an owner). It exists so chaos runs can answer "who
 // absorbed the faults?" from the metrics export alone: when a registry
 // is bound to a Metrics sampler, every sample carries a faults:<group>
 // column next to the cycle/kmem/page series.
 //
-// Names are kept in first-seen order so iteration is deterministic;
-// all methods are nil-safe so instrumented code can hold a nil
-// registry when observability is disabled.
+// Each owner name resolves to its group once, at Inc, through the
+// ledger's own grouping (core.GroupKey, core.OwnerGroup), so a sample
+// costs O(groups), not O(names ever counted). Groups are kept in
+// first-seen order so iteration is deterministic; all methods are
+// nil-safe so instrumented code can hold a nil registry when
+// observability is disabled.
 type FaultRegistry struct {
-	names  []string
-	counts map[string]uint64
+	groups []faultGroup
+	byKey  map[string]int // core.GroupKey(owner) -> index into groups
+}
+
+type faultGroup struct {
+	name  string
+	count uint64
 }
 
 // NewFaultRegistry returns an empty registry.
 func NewFaultRegistry() *FaultRegistry {
-	return &FaultRegistry{counts: make(map[string]uint64)}
+	return &FaultRegistry{byKey: make(map[string]int)}
 }
 
 // Inc records one fault attributed to owner. Nil-safe.
@@ -25,37 +35,12 @@ func (r *FaultRegistry) Inc(owner string) {
 	if r == nil {
 		return
 	}
-	if _, seen := r.counts[owner]; !seen {
-		r.names = append(r.names, owner)
+	key := core.GroupKey(owner)
+	i, seen := r.byKey[key]
+	if !seen {
+		i = len(r.groups)
+		r.byKey[key] = i
+		r.groups = append(r.groups, faultGroup{name: core.OwnerGroup(owner)})
 	}
-	r.counts[owner]++
-}
-
-// Count returns the faults attributed to owner (0 on a nil receiver).
-func (r *FaultRegistry) Count(owner string) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.counts[owner]
-}
-
-// Total returns the faults recorded across all owners.
-func (r *FaultRegistry) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	var t uint64
-	for _, name := range r.names {
-		t += r.counts[name]
-	}
-	return t
-}
-
-// Names returns the owners seen so far, in first-seen order. The
-// returned slice is the live backing store; don't mutate it.
-func (r *FaultRegistry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	return r.names
+	r.groups[i].count++
 }

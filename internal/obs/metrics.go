@@ -29,8 +29,7 @@ type Sample struct {
 // exports the per-owner time series. Like the Tracer, all methods are
 // nil-safe so instrumented code can hold a nil *Metrics when disabled.
 type Metrics struct {
-	csv   io.Writer
-	jsonW io.Writer
+	csv io.Writer
 
 	ledger      *core.Ledger
 	faults      *FaultRegistry
@@ -40,7 +39,7 @@ type Metrics struct {
 }
 
 // NewSampler builds a sink-less Metrics: it samples the ledger on the
-// virtual-time tick and feeds subscribers, but writes no CSV/JSON.
+// virtual-time tick and feeds subscribers, but writes no CSV.
 // The adaptive detector uses one when no metrics sink is configured,
 // so arming it never changes whether sampling happens — only who
 // consumes the samples.
@@ -128,9 +127,9 @@ func (m *Metrics) sample(now sim.Cycles) {
 		s.Pages[g] += c.Pages
 	}
 	if m.faults != nil {
-		s.Faults = map[string]uint64{}
-		for _, name := range m.faults.Names() {
-			s.Faults[core.OwnerGroup(name)] += m.faults.Count(name)
+		s.Faults = make(map[string]uint64, len(m.faults.groups))
+		for _, g := range m.faults.groups {
+			s.Faults[g.name] += g.count
 		}
 	}
 	m.samples = append(m.samples, s)
@@ -146,14 +145,6 @@ func (m *Metrics) Samples() []Sample {
 		return nil
 	}
 	return m.samples
-}
-
-// Len reports the number of samples taken (0 on a nil receiver).
-func (m *Metrics) Len() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.samples)
 }
 
 // groups returns the union of group names across all samples, sorted,
@@ -191,14 +182,6 @@ func (m *Metrics) faultGroups() []string {
 	}
 	sort.Strings(fgs)
 	return fgs
-}
-
-// flush writes the CSV and/or JSON exports.
-func (m *Metrics) flush() error {
-	if err := m.writeCSV(); err != nil {
-		return err
-	}
-	return m.writeJSON()
 }
 
 // writeCSV emits one row per sample: at_cycles, total_cycles (the
@@ -269,62 +252,4 @@ func csvField(s string) string {
 		return s
 	}
 	return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
-}
-
-// writeJSON emits the series as one document:
-// {"interval_cycles":N,"samples":[{"at":...,"cycles":{...},...}]}.
-func (m *Metrics) writeJSON() error {
-	if m.jsonW == nil {
-		return nil
-	}
-	w := bufio.NewWriterSize(m.jsonW, 1<<15)
-	var buf []byte
-	buf = append(buf, `{"interval_cycles":`...)
-	buf = strconv.AppendUint(buf, uint64(DefaultMetricsInterval), 10)
-	buf = append(buf, `,"samples":[`...)
-	w.Write(buf)
-	gs := m.groups()
-	fgs := m.faultGroups()
-	for i := range m.samples {
-		s := &m.samples[i]
-		buf = buf[:0]
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, "\n"...)
-		buf = append(buf, `{"at":`...)
-		buf = strconv.AppendUint(buf, uint64(s.At), 10)
-		buf = append(buf, `,"cycles":{`...)
-		buf = appendGroupSeries(buf, gs, func(g string) uint64 { return uint64(s.Cycles[g]) })
-		buf = append(buf, `},"kmem":{`...)
-		buf = appendGroupSeries(buf, gs, func(g string) uint64 { return s.Kmem[g] })
-		buf = append(buf, `},"pages":{`...)
-		buf = appendGroupSeries(buf, gs, func(g string) uint64 { return s.Pages[g] })
-		buf = append(buf, '}')
-		if len(fgs) > 0 {
-			buf = append(buf, `,"faults":{`...)
-			buf = appendGroupSeries(buf, fgs, func(g string) uint64 { return s.Faults[g] })
-			buf = append(buf, '}')
-		}
-		buf = append(buf, '}')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	if _, err := w.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func appendGroupSeries(buf []byte, gs []string, val func(string) uint64) []byte {
-	for i, g := range gs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendQuote(buf, g)
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, val(g), 10)
-	}
-	return buf
 }

@@ -44,15 +44,15 @@ func TestSubscribeOrder(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("subscriber calls = %v, want %v", got, want)
 	}
-	if m.Len() != 4 {
-		t.Fatalf("samples = %d, want 4", m.Len())
+	if n := len(m.Samples()); n != 4 {
+		t.Fatalf("samples = %d, want 4", n)
 	}
 }
 
 // lastSample takes a sample at now and returns it.
 func lastSample(m *obs.Metrics, now sim.Cycles) obs.Sample {
 	m.Final(now)
-	return m.Samples()[m.Len()-1]
+	return m.Samples()[len(m.Samples())-1]
 }
 
 // TestDeadOwnerPageRefundFolds: a page refund that lands on an owner

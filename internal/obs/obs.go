@@ -11,10 +11,9 @@
 // IOBuffer operations, policy triggers) carrying the virtual-cycle
 // timestamp and the owner name, and renders them as Chrome trace_event
 // JSON — loadable in Perfetto / chrome://tracing with one "process"
-// per protection domain and one "thread" track per owner — plus an
-// optional human-readable text stream. The metrics registry samples
-// the accounting Ledger on a configurable virtual-time tick and
-// exports per-owner cycle/kmem/page time series as CSV and JSON; the
+// per protection domain and one "thread" track per owner. The metrics
+// registry samples the accounting Ledger on a configurable virtual-time
+// tick and exports per-owner cycle/kmem/page time series as CSV; the
 // Table 1 invariant (summed owner cycles == virtual clock) holds at
 // every tick.
 //
@@ -43,19 +42,9 @@ type Config struct {
 	// Load it at https://ui.perfetto.dev or chrome://tracing.
 	TraceJSON io.Writer
 
-	// TraceText receives a human-readable event stream, one line per
-	// event, written as events happen.
-	TraceText io.Writer
-
 	// MetricsCSV receives the per-owner metrics time series as CSV,
 	// written on Close.
 	MetricsCSV io.Writer
-
-	// MetricsJSON receives the same series as a JSON document.
-	MetricsJSON io.Writer
-
-	// Console receives kernel console (Logf) output.
-	Console io.Writer
 }
 
 // Observer bundles the live sinks built from a Config. Fields are nil
@@ -65,7 +54,6 @@ type Observer struct {
 	Tracer  *Tracer
 	Metrics *Metrics
 	Faults  *FaultRegistry
-	Console io.Writer
 
 	closed bool
 }
@@ -77,12 +65,12 @@ func New(cfg *Config) *Observer {
 	if cfg == nil {
 		return &Observer{}
 	}
-	o := &Observer{Console: cfg.Console}
-	if cfg.TraceJSON != nil || cfg.TraceText != nil {
-		o.Tracer = newTracer(cfg.TraceJSON, cfg.TraceText)
+	o := &Observer{}
+	if cfg.TraceJSON != nil {
+		o.Tracer = newTracer(cfg.TraceJSON)
 	}
-	if cfg.MetricsCSV != nil || cfg.MetricsJSON != nil {
-		o.Metrics = &Metrics{csv: cfg.MetricsCSV, jsonW: cfg.MetricsJSON}
+	if cfg.MetricsCSV != nil {
+		o.Metrics = &Metrics{csv: cfg.MetricsCSV}
 	}
 	if o.Tracer != nil || o.Metrics != nil {
 		o.Faults = NewFaultRegistry()
@@ -92,8 +80,7 @@ func New(cfg *Config) *Observer {
 }
 
 // Close completes the streamed trace JSON document, writes the
-// metrics exports, then closes any sink that implements io.Closer (the
-// Console is never closed). It returns the first error, including a
+// metrics CSV, then closes any sink that implements io.Closer. It returns the first error, including a
 // trace write that failed during the run. Safe on a nil or
 // all-disabled Observer, and idempotent.
 func (o *Observer) Close() error {
@@ -110,12 +97,10 @@ func (o *Observer) Close() error {
 	if o.Tracer != nil {
 		keep(o.Tracer.flush())
 		keep(closeWriter(o.Tracer.json))
-		keep(closeWriter(o.Tracer.text))
 	}
 	if o.Metrics != nil {
-		keep(o.Metrics.flush())
+		keep(o.Metrics.writeCSV())
 		keep(closeWriter(o.Metrics.csv))
-		keep(closeWriter(o.Metrics.jsonW))
 	}
 	return first
 }

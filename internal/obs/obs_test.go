@@ -216,11 +216,10 @@ func TestDisabledObsAllocatesNothing(t *testing.T) {
 		tr.IOBufAlloc(owner, 2, true, 90)
 		tr.IOBufLock(owner, 90)
 		tr.Policy("synCapDrop", owner, "", 90)
-		_ = tr.Events()
 		m.Bind(nil)
 		m.Poll(100)
 		m.Final(100)
-		_ = m.Len()
+		_ = m.Samples()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled obs allocated %.1f times per run, want 0", allocs)

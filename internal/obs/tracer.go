@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -12,8 +11,7 @@ import (
 // Tracer records typed lifecycle events with virtual-cycle timestamps.
 // Each record is rendered as Chrome trace_event JSON and written to
 // the JSON sink as it happens, through one buffered writer, so a
-// traced run holds no per-event state; the optional text sink streams
-// the same events as lines.
+// traced run holds no per-event state.
 //
 // Every method is safe (and allocation-free) on a nil receiver, so
 // instrumented subsystems can hold a nil *Tracer when tracing is off.
@@ -24,11 +22,9 @@ import (
 // event on its (pid, tid) track.
 type Tracer struct {
 	json io.Writer
-	text io.Writer
-	w    *bufio.Writer // buffers json; nil when only the text sink is set
+	w    *bufio.Writer // buffers json
 
 	buf     []byte // scratch for one rendered record
-	events  int
 	tids    map[string]uint32
 	nextTid uint32
 	named   map[uint64]bool // pid<<32|tid pairs with thread_name metadata written
@@ -54,34 +50,23 @@ const engineTid uint32 = 0
 
 // newTracer writes the JSON document header and the engine track's
 // thread_name record, so every later record follows a separator.
-func newTracer(json, text io.Writer) *Tracer {
+func newTracer(json io.Writer) *Tracer {
 	t := &Tracer{
 		json:    json,
-		text:    text,
+		w:       bufio.NewWriterSize(json, 1<<16),
 		tids:    map[string]uint32{},
 		nextTid: engineTid + 1,
 		named:   map[uint64]bool{},
 	}
-	if json != nil {
-		t.w = bufio.NewWriterSize(json, 1<<16)
-		t.w.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-		t.w.Write(appendThreadName(t.buf[:0], 0, engineTid, "engine"))
-	}
+	t.w.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
+	t.w.Write(appendThreadName(t.buf[:0], 0, engineTid, "engine"))
 	return t
-}
-
-// Events reports the number of events recorded (0 on a nil tracer).
-func (t *Tracer) Events() int {
-	if t == nil {
-		return 0
-	}
-	return t.events
 }
 
 // Process writes a protection domain's process_name record (shown as
 // the track group title in Perfetto).
 func (t *Tracer) Process(pid uint32, name string) {
-	if t == nil || t.w == nil {
+	if t == nil {
 		return
 	}
 	t.buf = append(t.buf[:0], ",\n"...)
@@ -106,10 +91,8 @@ func (t *Tracer) track(pid uint32, owner string) uint32 {
 	key := uint64(pid)<<32 | uint64(tid)
 	if !t.named[key] {
 		t.named[key] = true
-		if t.w != nil {
-			t.buf = appendThreadName(append(t.buf[:0], ",\n"...), pid, tid, owner)
-			t.w.Write(t.buf)
-		}
+		t.buf = appendThreadName(append(t.buf[:0], ",\n"...), pid, tid, owner)
+		t.w.Write(t.buf)
 	}
 	return tid
 }
@@ -125,29 +108,8 @@ func appendThreadName(buf []byte, pid, tid uint32, name string) []byte {
 }
 
 func (t *Tracer) emit(ev event) {
-	t.events++
-	if t.w != nil {
-		t.buf = appendEvent(append(t.buf[:0], ",\n"...), &ev)
-		t.w.Write(t.buf)
-	}
-	if t.text != nil {
-		t.textLine(ev)
-	}
-}
-
-func (t *Tracer) textLine(ev event) {
-	kind := "span"
-	if ev.ph == 'i' {
-		kind = "inst"
-	}
-	fmt.Fprintf(t.text, "[%12d] %s %s.%s pid=%d tid=%d", uint64(ev.ts), kind, ev.cat, ev.name, ev.pid, ev.tid)
-	if ev.ph == 'X' {
-		fmt.Fprintf(t.text, " dur=%d", uint64(ev.dur))
-	}
-	for i := 0; i < ev.nargs; i++ {
-		fmt.Fprintf(t.text, " %s=%q", ev.args[i].k, ev.args[i].v)
-	}
-	fmt.Fprintln(t.text)
+	t.buf = appendEvent(append(t.buf[:0], ",\n"...), &ev)
+	t.w.Write(t.buf)
 }
 
 // EngineFire records one event-handler execution on the engine track
@@ -377,9 +339,6 @@ func (t *Tracer) Policy(kind, owner, detail string, at sim.Cycles) {
 // bufio.Writer keeps the first write error, so a failed write during
 // the run is reported here.
 func (t *Tracer) flush() error {
-	if t.w == nil {
-		return nil
-	}
 	t.w.WriteString("\n]}\n")
 	return t.w.Flush()
 }
