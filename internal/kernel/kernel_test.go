@@ -608,6 +608,33 @@ func TestSleep(t *testing.T) {
 	}
 }
 
+// TestSleepDoesNotAllocate pins Sleep's wakeup as an arg-carrying
+// engine event: a thread that sleeps and wakes in a loop allocates
+// nothing per round once the engine's record pool is warm.
+func TestSleepDoesNotAllocate(t *testing.T) {
+	k := newKernel(t, Config{})
+	owner := k.NewOwner("p", core.PathOwner)
+	const period = 100_000
+	rounds := 0
+	k.Spawn(owner, "sleeper", func(ctx *Ctx) {
+		for {
+			ctx.Sleep(period)
+			rounds++
+		}
+	}, SpawnOpts{})
+	k.RunFor(10 * period)
+	before := rounds
+	// Each run spans several rounds: AllocsPerRun divides in integers,
+	// so one allocation per round must add up to at least one per run.
+	allocs := testing.AllocsPerRun(100, func() { k.RunFor(10 * period) })
+	if allocs != 0 {
+		t.Fatalf("ten periods of Sleep rounds allocate %.1f objects, want 0", allocs)
+	}
+	if rounds-before < 900 {
+		t.Fatalf("the sleeper woke %d times in 1010 periods", rounds-before)
+	}
+}
+
 func TestSpawnOnDeadOwnerPanics(t *testing.T) {
 	k := newKernel(t, Config{})
 	owner := k.NewOwner("p", core.PathOwner)

@@ -351,13 +351,17 @@ func (c *Ctx) block() {
 func (c *Ctx) Sleep(d sim.Cycles) {
 	c.checkCurrent("Sleep")
 	c.checkKilled()
-	t := c.t
-	c.k.eng.After(d, func() { //escort:coldpath one wakeup closure per Sleep; an arg-carrying engine callback would remove it (ROADMAP: allocation-free packet path)
-		if t.state == threadBlocked {
-			c.k.makeRunnable(t)
-		}
-	})
+	c.k.eng.AfterArg(d, wakeSleeper, c.t)
 	c.block()
+}
+
+// wakeSleeper is Sleep's timer: it makes the sleeping thread runnable
+// unless something else (a kill) already moved it off blocked.
+func wakeSleeper(a any) {
+	t := a.(*Thread)
+	if t.state == threadBlocked {
+		t.k.makeRunnable(t)
+	}
 }
 
 // Handoff spawns a new thread under target executing fn — Escort's

@@ -6,10 +6,18 @@
 // protection domain needs at most one kernel lock per IOBuffer), and
 // transparent re-allocation when the library has lost write permission
 // to a locked buffer.
+//
+// Backings are recycled: a backing whose last reference goes returns to
+// a per-size-class pool, charges refunded and owner cleared, and the
+// next message of that class reuses it. Descriptors (*Msg) are never
+// recycled, so a stale descriptor always hits the freed check.
 package msg
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
+	"testing"
 
 	"repro/internal/core"
 )
@@ -23,9 +31,60 @@ const DefaultHeadroom = 128
 
 // backing is the shared storage under one or more messages.
 type backing struct {
-	data  []byte
+	data  []byte // resliced to the requested length; charges use len, never cap
 	refs  int
-	owner *core.Owner // charged for the storage bytes
+	owner *core.Owner // charged for the storage bytes; nil while pooled
+}
+
+// Backing storage comes in power-of-two size classes from 1<<minShift
+// (256 B) to 1<<maxShift (64 KiB); a larger request gets an exact-size
+// backing that is never pooled.
+const (
+	minShift = 8
+	maxShift = 16
+)
+
+// pools holds released backings, one pool per size class, as *backing.
+var pools [maxShift - minShift + 1]sync.Pool
+
+// poisonReleased makes every released backing fill its whole capacity
+// with poisonByte. It is on in test binaries only, so every go test run
+// checks that no byte slice is read after the backing under it went
+// back to its pool: a late read sees poison and moves a digest instead
+// of passing silently.
+var poisonReleased = testing.Testing()
+
+const poisonByte = 0xDB
+
+// class returns the size class holding n bytes, or -1 past the largest.
+func class(n int) int {
+	if n <= 1<<minShift {
+		return 0
+	}
+	if c := bits.Len(uint(n-1)) - minShift; c < len(pools) {
+		return c
+	}
+	return -1
+}
+
+// newBacking returns a backing of exactly n bytes with one reference,
+// owned (but not yet charged) by owner. A recycled backing holds stale
+// bytes: every region a message exposes is written before it is read
+// (Append copies in, Push hands out header space to fill).
+func newBacking(owner *core.Owner, n int) *backing {
+	var b *backing
+	size := n
+	if c := class(n); c >= 0 {
+		b, _ = pools[c].Get().(*backing)
+		size = 1 << (c + minShift)
+	}
+	if b == nil {
+		b = &backing{data: make([]byte, size)}
+	}
+	b.data = b.data[:n]
+	b.refs = 1
+	b.owner = owner
+	return b
 }
 
 // NetInfo is per-message network metadata filled in by lower stages as
@@ -54,7 +113,7 @@ func New(owner *core.Owner, headroom, capacity int) *Msg {
 	if headroom < 0 || capacity < 0 {
 		panic("msg: negative size")
 	}
-	b := &backing{data: make([]byte, headroom+capacity), refs: 1, owner: owner}
+	b := newBacking(owner, headroom+capacity)
 	owner.ChargeKmem(uint64(len(b.data)) + msgKmem)
 	return &Msg{b: b, head: headroom, tail: headroom, owner: owner}
 }
@@ -70,8 +129,13 @@ func FromBytes(owner *core.Owner, data []byte) *Msg {
 func (m *Msg) Len() int { return m.tail - m.head }
 
 // Bytes returns the message contents. The slice aliases the backing; it
-// is valid until the message is freed.
-func (m *Msg) Bytes() []byte { return m.b.data[m.head:m.tail] }
+// is valid until the message is freed (or reallocated by Push or Append)
+// and must not be read after that: the backing may already hold another
+// message.
+func (m *Msg) Bytes() []byte {
+	m.check("Bytes")
+	return m.b.data[m.head:m.tail]
+}
 
 // Owner returns the owner charged for this message descriptor.
 func (m *Msg) Owner() *core.Owner { return m.owner }
@@ -134,7 +198,7 @@ func (m *Msg) Append(p []byte) {
 // head and tail slack, releasing the old reference.
 func (m *Msg) realloc(headroom, tailroom int) {
 	cur := m.Bytes()
-	nb := &backing{data: make([]byte, headroom+len(cur)+tailroom), refs: 1, owner: m.owner}
+	nb := newBacking(m.owner, headroom+len(cur)+tailroom)
 	m.owner.ChargeKmem(uint64(len(nb.data)))
 	copy(nb.data[headroom:], cur)
 	m.releaseBacking()
@@ -175,12 +239,31 @@ func (m *Msg) Free() {
 	m.releaseBacking()
 }
 
+// releaseBacking drops this message's reference. The last one refunds
+// the storage bytes to the owner charged for them, clears the owner and
+// returns the backing to its size class.
 func (m *Msg) releaseBacking() {
-	m.b.refs--
-	if m.b.refs == 0 {
-		if !m.b.owner.Dead() {
-			m.b.owner.RefundKmem(uint64(len(m.b.data)))
+	b := m.b
+	if b.refs <= 0 {
+		panic("msg: backing released more often than referenced")
+	}
+	b.refs--
+	if b.refs > 0 {
+		return
+	}
+	if !b.owner.Dead() {
+		b.owner.RefundKmem(uint64(len(b.data)))
+	}
+	b.owner = nil
+	full := b.data[:cap(b.data)]
+	if poisonReleased {
+		for i := range full {
+			full[i] = poisonByte
 		}
+	}
+	// Every backing up to the largest class was made at its class size.
+	if c := class(len(full)); c >= 0 {
+		pools[c].Put(b)
 	}
 }
 

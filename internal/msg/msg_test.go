@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -167,22 +168,32 @@ func TestHeaderStackProperty(t *testing.T) {
 	}
 }
 
-// TestKmemAlwaysBalances: arbitrary slice/free interleavings leave no
-// residual kmem charge.
+// TestKmemAlwaysBalances: arbitrary slice/free/push/append
+// interleavings leave no residual kmem charge. Push and Append on a
+// shared or full backing reallocate, and the sizes drawn cross every
+// size class and go past the largest one, so reallocation moves
+// messages between classes and out of them.
 func TestKmemAlwaysBalances(t *testing.T) {
-	f := func(ops []uint8) bool {
+	f := func(ops []uint16) bool {
 		o := owner()
 		root := FromBytes(o, bytes.Repeat([]byte("x"), 100))
 		live := []*Msg{root}
 		for _, op := range ops {
-			switch {
-			case op%3 == 0 && len(live) > 0:
-				src := live[int(op)%len(live)]
-				if src.Len() > 1 {
-					live = append(live, src.Slice(o, 0, src.Len()/2))
+			if len(live) == 0 {
+				break
+			}
+			m := live[int(op)%len(live)]
+			switch op % 5 {
+			case 0:
+				if m.Len() > 1 {
+					live = append(live, m.Slice(o, 0, m.Len()/2))
 				}
-			case len(live) > 0:
-				i := int(op) % len(live)
+			case 1:
+				m.Push(int(op>>3) % 200)
+			case 2:
+				m.Append(make([]byte, int(op>>3)*16)) // up to ~128 KiB
+			default:
+				i := int(op>>3) % len(live)
 				live[i].Free()
 				live = append(live[:i], live[i+1:]...)
 			}
@@ -192,7 +203,129 @@ func TestKmemAlwaysBalances(t *testing.T) {
 		}
 		return o.Counters.Kmem == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestChargesUseLengthNotCapacity pins the kmem charge of a pooled
+// backing: headroom plus capacity plus the descriptor, byte for byte,
+// whatever size class the backing came from.
+func TestChargesUseLengthNotCapacity(t *testing.T) {
+	for _, n := range []int{0, 1, 100, 255, 256, 257, 1000, 64 << 10, 64<<10 + 1, 200 << 10} {
+		o := owner()
+		m := New(o, DefaultHeadroom, n)
+		if want := uint64(DefaultHeadroom + n + msgKmem); o.Counters.Kmem != want {
+			t.Fatalf("New(%d, %d) charged %d, want %d", DefaultHeadroom, n, o.Counters.Kmem, want)
+		}
+		m.Free()
+		if o.Counters.Kmem != 0 {
+			t.Fatalf("size %d: %d bytes left charged after Free", n, o.Counters.Kmem)
+		}
+	}
+}
+
+func TestBytesAfterFreePanics(t *testing.T) {
+	m := FromBytes(owner(), []byte("x"))
+	m.Free()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bytes on a freed message did not panic")
+		}
+	}()
+	m.Bytes()
+}
+
+// TestStaleSliceReadsPoison: a byte slice kept past the last Free of
+// its message reads poison in a test binary, not the old payload, so a
+// late reader changes what it computes instead of passing silently.
+func TestStaleSliceReadsPoison(t *testing.T) {
+	o := owner()
+	m := FromBytes(o, []byte("payload"))
+	s := m.Slice(o, 0, 3)
+	kept := m.Bytes()
+	m.Free()
+	if !bytes.Equal(kept, []byte("payload")) {
+		t.Fatal("a live slice's backing was released early")
+	}
+	s.Free()
+	if !bytes.Equal(kept, bytes.Repeat([]byte{poisonByte}, len(kept))) {
+		t.Fatalf("bytes kept past the last Free read %q, want poison", kept)
+	}
+}
+
+// TestReleasedBackingIsRecycled: a backing returns to its class with its
+// owner cleared, and a message of the same class made by another owner
+// takes it back without the old owner ever being charged again.
+func TestReleasedBackingIsRecycled(t *testing.T) {
+	a, b := owner(), core.NewOwner("q", core.PathOwner)
+	m := New(a, DefaultHeadroom, 300)
+	back := m.b
+	m.Free()
+	if back.owner != nil || back.refs != 0 {
+		t.Fatalf("released backing kept owner %v, refs %d", back.owner, back.refs)
+	}
+	m2 := New(b, DefaultHeadroom, 200) // same 512 B class
+	defer m2.Free()
+	if a.Counters.Kmem != 0 {
+		t.Fatalf("old owner charged %d after reuse", a.Counters.Kmem)
+	}
+	if m2.b.owner != b || len(m2.b.data) != DefaultHeadroom+200 || cap(m2.b.data) != 512 {
+		t.Fatalf("reused backing: owner %v, len %d, cap %d", m2.b.owner, len(m2.b.data), cap(m2.b.data))
+	}
+}
+
+func TestOverReleasePanics(t *testing.T) {
+	m := FromBytes(owner(), []byte("x"))
+	b := m.b
+	m.Free()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a backing with no references did not panic")
+		}
+	}()
+	(&Msg{b: b}).releaseBacking()
+}
+
+// TestNewFreeAllocatesOnlyTheDescriptor: once a size class is warm, a
+// message costs one allocation, its descriptor.
+func TestNewFreeAllocatesOnlyTheDescriptor(t *testing.T) {
+	o := owner()
+	New(o, DefaultHeadroom, 1000).Free()
+	allocs := testing.AllocsPerRun(1000, func() {
+		New(o, DefaultHeadroom, 1000).Free()
+	})
+	if allocs != 1 {
+		t.Fatalf("New+Free allocates %.1f objects, want 1 (the descriptor)", allocs)
+	}
+}
+
+// TestPoolsAcrossGoroutines: the size-class pools are shared by every
+// simulation in the process. Messages made and freed on several
+// goroutines at once keep their own bytes and charges (run under -race).
+func TestPoolsAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			o := core.NewOwner("g", core.PathOwner)
+			want := bytes.Repeat([]byte{byte(g)}, 300)
+			for i := 0; i < 500; i++ {
+				m := FromBytes(o, want[:1+i%300])
+				s := m.Slice(o, 0, m.Len())
+				m.Push(20)
+				if !bytes.Equal(s.Bytes(), want[:1+i%300]) {
+					t.Errorf("goroutine %d: message %d holds another message's bytes", g, i)
+					return
+				}
+				m.Free()
+				s.Free()
+			}
+			if o.Counters.Kmem != 0 {
+				t.Errorf("goroutine %d: %d bytes left charged", g, o.Counters.Kmem)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -100,6 +100,9 @@ func (n *NIC) Segment() Segment { return n.seg }
 // the attacher installed.
 func (n *NIC) SetSegment(s Segment) { n.seg = s }
 
+// arrive implements sink for a switch port's switch -> station medium.
+func (n *NIC) arrive(_ *NIC, f Frame) { n.deliver(f) }
+
 func (n *NIC) deliver(f Frame) {
 	if f.Dst != n.Mac && f.Dst != Broadcast && !n.promisc {
 		return
@@ -113,14 +116,41 @@ func (n *NIC) deliver(f Frame) {
 
 // medium models one serialized transmission resource: a half-duplex
 // shared wire (hub) or one direction of a switch port.
+//
+// Frames in flight wait in a ring. Every frame arrives at
+// busyUntil+prop, busyUntil only grows and prop is fixed, so a medium's
+// arrivals fall due in the order it transmitted them; equal-time events
+// fire in schedule order, so the event that fires next always belongs
+// to the frame at the ring's head. Each frame schedules exactly one
+// event, at its arrival cycle, running arrive on the medium, so
+// scheduling allocates nothing.
 type medium struct {
 	eng        *sim.Engine
 	cyclesPer8 sim.Cycles // cycles per byte (8 bits)
 	prop       sim.Cycles
 	busyUntil  sim.Cycles
+
+	// sink receives each frame as it finishes arriving: the hub (fan
+	// out), a switch port (forward) or a station's NIC (deliver).
+	sink sink
+
+	ring []inflight // power-of-two size; frames in flight, oldest at head
+	head int
+	n    int
 }
 
-func newMedium(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *medium {
+// sink is what a medium hands its arriving frames to.
+type sink interface {
+	arrive(src *NIC, f Frame)
+}
+
+// inflight is one frame between transmit and its arrival.
+type inflight struct {
+	src *NIC
+	f   Frame
+}
+
+func newMedium(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles, to sink) medium {
 	if bitsPerSec == 0 {
 		panic("netsim: zero bandwidth")
 	}
@@ -128,26 +158,53 @@ func newMedium(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *medium {
 	if cyclesPerByte == 0 {
 		cyclesPerByte = 1
 	}
-	return &medium{eng: eng, cyclesPer8: cyclesPerByte, prop: prop} //escort:coldpath constructor, topology setup
+	return medium{eng: eng, cyclesPer8: cyclesPerByte, prop: prop, sink: to}
 }
 
-// transmit schedules deliver at the time the frame finishes arriving.
-func (m *medium) transmit(size int, deliver func()) {
+// transmit queues f behind the frames already on the medium and
+// schedules its arrival at the time it finishes arriving.
+func (m *medium) transmit(src *NIC, f Frame) {
 	now := m.eng.Now()
 	start := m.busyUntil
 	if start < now {
 		start = now
 	}
-	txTime := sim.Cycles(size) * m.cyclesPer8
+	txTime := sim.Cycles(len(f.Data)) * m.cyclesPer8
 	m.busyUntil = start + txTime
-	m.eng.AtTime(m.busyUntil+m.prop, deliver)
+	if m.n == len(m.ring) {
+		m.grow()
+	}
+	m.ring[(m.head+m.n)&(len(m.ring)-1)] = inflight{src: src, f: f}
+	m.n++
+	m.eng.AtTimeArg(m.busyUntil+m.prop, arrive, m)
+}
+
+// arrive hands a medium's oldest frame in flight to its sink. The slot
+// is cleared and released before the sink runs, so a sink that
+// transmits again on the same medium sees a consistent ring.
+func arrive(a any) {
+	m := a.(*medium)
+	slot := &m.ring[m.head]
+	src, f := slot.src, slot.f
+	*slot = inflight{}
+	m.head = (m.head + 1) & (len(m.ring) - 1)
+	m.n--
+	m.sink.arrive(src, f)
+}
+
+// grow doubles the ring, keeping the frames in flight in order.
+func (m *medium) grow() {
+	next := make([]inflight, max(2*len(m.ring), 2)) //escort:coldpath ring growth, bounded by the most frames ever in flight on this medium
+	for i := 0; i < m.n; i++ {
+		next[i] = m.ring[(m.head+i)&(len(m.ring)-1)]
+	}
+	m.ring, m.head = next, 0
 }
 
 // Hub is a shared-medium repeater: every frame occupies the single
 // 100 Mbps wire and reaches every attached NIC except the sender.
 type Hub struct {
-	eng  *sim.Engine
-	med  *medium
+	med  medium
 	nics []*NIC
 }
 
@@ -155,7 +212,9 @@ type Hub struct {
 //
 //escort:coldpath constructor, topology setup
 func NewHub(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *Hub {
-	return &Hub{eng: eng, med: newMedium(eng, bitsPerSec, prop)}
+	h := &Hub{}
+	h.med = newMedium(eng, bitsPerSec, prop, h)
+	return h
 }
 
 // Attach implements Segment.
@@ -167,14 +226,15 @@ func (h *Hub) Attach(n *NIC) {
 }
 
 // Send implements Segment.
-func (h *Hub) Send(src *NIC, f Frame) {
-	h.med.transmit(len(f.Data), func() { //escort:coldpath per-frame delivery closure; needs an arg-carrying engine callback to remove (ROADMAP: allocation-free packet path)
-		for _, n := range h.nics {
-			if n != src {
-				n.deliver(f)
-			}
+func (h *Hub) Send(src *NIC, f Frame) { h.med.transmit(src, f) }
+
+// arrive repeats a frame to every attached NIC but its sender.
+func (h *Hub) arrive(src *NIC, f Frame) {
+	for _, n := range h.nics {
+		if n != src {
+			n.deliver(f)
 		}
-	})
+	}
 }
 
 // Switch is a store-and-forward learning switch: each port is a
@@ -189,8 +249,8 @@ type Switch struct {
 
 type swPort struct {
 	nic     *NIC
-	toNIC   *medium // switch -> station
-	fromNIC *medium // station -> switch
+	toNIC   medium // switch -> station; its sink is the station's NIC
+	fromNIC medium // station -> switch; its sink is the port
 	sw      *Switch
 }
 
@@ -205,43 +265,37 @@ func NewSwitch(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *Switch {
 //
 //escort:coldpath topology setup, once per NIC
 func (s *Switch) Attach(n *NIC) {
-	p := &swPort{
-		nic:     n,
-		toNIC:   newMedium(s.eng, s.bps, s.prop),
-		fromNIC: newMedium(s.eng, s.bps, s.prop),
-		sw:      s,
-	}
+	p := &swPort{nic: n, sw: s}
+	p.toNIC = newMedium(s.eng, s.bps, s.prop, n)
+	p.fromNIC = newMedium(s.eng, s.bps, s.prop, p)
 	s.ports = append(s.ports, p)
 	n.seg = portSegment{p}
 }
 
+// arrive forwards a frame from the port's station once it reaches the
+// switch.
+func (p *swPort) arrive(_ *NIC, f Frame) { p.sw.forward(p, f) }
+
 type portSegment struct{ p *swPort }
 
 // Send implements Segment: station -> switch, then forward.
-func (ps portSegment) Send(src *NIC, f Frame) {
-	p := ps.p
-	p.fromNIC.transmit(len(f.Data), func() { //escort:coldpath per-frame delivery closure; see Hub.Send
-		p.sw.forward(p, f)
-	})
-}
+func (ps portSegment) Send(src *NIC, f Frame) { ps.p.fromNIC.transmit(src, f) }
 
 func (s *Switch) forward(in *swPort, f Frame) {
 	s.table[f.Src] = in
 	if f.Dst != Broadcast {
 		if out, ok := s.table[f.Dst]; ok {
 			if out != in {
-				out.toNIC.transmit(len(f.Data), func() { out.nic.deliver(f) }) //escort:coldpath per-frame delivery closure; see Hub.Send
+				out.toNIC.transmit(nil, f)
 			}
 			return
 		}
 	}
 	// Flood unknown destinations and broadcasts.
 	for _, out := range s.ports {
-		if out == in {
-			continue
+		if out != in {
+			out.toNIC.transmit(nil, f)
 		}
-		out := out
-		out.toNIC.transmit(len(f.Data), func() { out.nic.deliver(f) }) //escort:coldpath per-frame delivery closure; see Hub.Send
 	}
 }
 

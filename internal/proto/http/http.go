@@ -5,8 +5,9 @@
 package http
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"strconv"
+	"unicode"
 
 	"repro/internal/domain"
 	"repro/internal/fs"
@@ -118,27 +119,27 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 		return false, nil
 	}
 	s.req = append(s.req, mm.Bytes()...)
-	if !strings.Contains(string(s.req), "\r\n\r\n") {
+	if !bytes.Contains(s.req, []byte("\r\n\r\n")) {
 		return false, nil // wait for the rest of the request
 	}
 	s.handled = true
 	ctx.Use(model.HTTPParse + s.k.AccountingTax())
 	s.mod.Requests++
 
-	target, ok := parseRequestLine(string(s.req))
+	target, ok := parseRequestLine(s.req)
 	if !ok {
 		return false, s.respond(ctx, "400 Bad Request", []byte("bad request"))
 	}
 	switch {
-	case strings.HasPrefix(target, "/cgi-bin/"):
+	case bytes.HasPrefix(target, []byte("/cgi-bin/")):
 		s.mod.CGIRequests++
 		s.startCGI(ctx)
 		return false, nil
-	case s.stream || strings.HasPrefix(target, "/stream"):
+	case s.stream || bytes.HasPrefix(target, []byte("/stream")):
 		s.mod.StreamsStarted++
 		s.startStream(ctx)
 		return false, nil
-	case strings.HasPrefix(target, "/login"):
+	case bytes.HasPrefix(target, []byte("/login")):
 		// The login endpoint of the brute-force scenarios: password
 		// checking costs real work (the hash), and every scripted
 		// attempt fails.
@@ -146,21 +147,35 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 		s.mod.AuthFailures++
 		return false, s.respond(ctx, "403 Forbidden", []byte("bad credentials"))
 	default:
-		return false, s.serveFile(ctx, target)
+		return false, s.serveFile(ctx, string(target))
 	}
 }
 
-// parseRequestLine extracts the target of a GET request.
-func parseRequestLine(req string) (string, bool) {
-	line, _, ok := strings.Cut(req, "\r\n")
-	if !ok {
-		return "", false
+// parseRequestLine extracts the target of a GET request: the second
+// field of the first line. Fields are split at white space exactly as
+// strings.Fields splits them (Unicode white space, with invalid UTF-8
+// bytes counting as non-space), without building the field list.
+func parseRequestLine(req []byte) ([]byte, bool) {
+	end := bytes.Index(req, []byte("\r\n"))
+	if end < 0 {
+		return nil, false
 	}
-	parts := strings.Fields(line)
-	if len(parts) < 2 || parts[0] != "GET" {
-		return "", false
+	method, rest := nextField(req[:end])
+	if string(method) != "GET" {
+		return nil, false
 	}
-	return parts[1], true
+	target, _ := nextField(rest)
+	return target, len(target) > 0
+}
+
+// nextField returns the first white-space-separated field of b and the
+// bytes after it.
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if end := bytes.IndexFunc(b, unicode.IsSpace); end >= 0 {
+		return b[:end], b[end:]
+	}
+	return b, nil
 }
 
 func (s *stage) serveFile(ctx *kernel.Ctx, target string) error {
@@ -189,9 +204,10 @@ func (s *stage) serveFile(ctx *kernel.Ctx, target string) error {
 // segments it and closes the connection after the last byte.
 func (s *stage) respond(ctx *kernel.Ctx, status string, body []byte) error {
 	model := s.k.Model()
-	hdr := fmt.Sprintf("HTTP/1.0 %s\r\nServer: Escort\r\nContent-Length: %d\r\n\r\n", status, len(body))
+	var buf [128]byte
+	hdr := appendHeader(buf[:0], status, len(body))
 	resp := msg.New(ctx.Owner(), msg.DefaultHeadroom, len(hdr)+len(body))
-	resp.Append([]byte(hdr))
+	resp.Append(hdr)
 	resp.Append(body)
 	// The content bytes are charged where they are actually touched:
 	// checksummed in TCP and copied to the wire in ETH. Charging here as
@@ -199,6 +215,15 @@ func (s *stage) respond(ctx *kernel.Ctx, status string, body []byte) error {
 	// 1 KB" observation.
 	ctx.Use(model.HTTPParse / 4)
 	return s.h.SendDown(ctx, resp)
+}
+
+// appendHeader appends the response header for a body of n bytes.
+func appendHeader(dst []byte, status string, n int) []byte {
+	dst = append(dst, "HTTP/1.0 "...)
+	dst = append(dst, status...)
+	dst = append(dst, "\r\nServer: Escort\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, "\r\n\r\n"...)
 }
 
 // startCGI emulates a runaway CGI script (§4.1.2): a thread owned by

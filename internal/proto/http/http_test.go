@@ -18,8 +18,8 @@ func TestParseRequestLine(t *testing.T) {
 		{"GET /a/b/c?x=1 HTTP/1.0\r\n\r\n", "/a/b/c?x=1", true},
 	}
 	for _, c := range cases {
-		target, ok := parseRequestLine(c.req)
-		if ok != c.ok || target != c.target {
+		target, ok := parseRequestLine([]byte(c.req))
+		if ok != c.ok || string(target) != c.target {
 			t.Errorf("parseRequestLine(%q) = %q %v, want %q %v", c.req, target, ok, c.target, c.ok)
 		}
 	}

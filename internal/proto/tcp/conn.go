@@ -341,21 +341,25 @@ func (c *conn) sendSegment(ctx *kernel.Ctx, flags byte, seq uint32, payload *msg
 	if mm == nil {
 		mm = msg.New(c.path.PathOwner(), msg.DefaultHeadroom, 0)
 	}
-	// Push writes only headroom, and reallocates first when the backing
-	// is shared, so body keeps the payload bytes the checksum covers.
-	body := mm.Bytes()
-	c.bytesOut += uint64(len(body))
-	hdr := mm.Push(wire.TCPLen)
-	wire.PutTCP(hdr, wire.TCP{
+	c.bytesOut += uint64(mm.Len())
+	pushTCP(mm, wire.TCP{
 		SrcPort: c.localPort,
 		DstPort: c.remotePort,
 		Seq:     seq,
 		Ack:     c.rcvNxt,
 		Flags:   flags,
 		Window:  advertised,
-	}, c.localIP, c.remoteIP, body)
+	}, c.localIP, c.remoteIP)
 	ctx.Use(sim.Cycles(mm.Len()) * model.PerByte)
 	_ = c.h.SendDown(ctx, mm)
+}
+
+// pushTCP prepends h to mm, checksummed over the payload. The payload
+// is read after the push: Push may move it to a new backing and release
+// the old one, whose bytes must not be read again.
+func pushTCP(mm *msg.Msg, h wire.TCP, srcIP, dstIP uint32) {
+	hdr := mm.Push(wire.TCPLen)
+	wire.PutTCP(hdr, h, srcIP, dstIP, mm.Bytes()[wire.TCPLen:])
 }
 
 // finish completes an orderly close: the connection leaves the demux

@@ -48,19 +48,25 @@ type event struct {
 	at  Cycles
 	seq uint64 // tie-break so equal-time events fire in schedule order
 	gen uint64 // incremented on every release; Event handles capture it
-	fn  func()
+	// fn(arg) is the callback. AtTimeArg stores a package-level handler
+	// and the object it acts on, so a per-object timer needs no closure;
+	// AtTime stores runClosure and the closure itself (a func value is
+	// one pointer, so it fits in arg without allocating).
+	fn  func(any)
+	arg any
 
 	idx  int    // heap index while pending, -1 otherwise
 	next *event // freelist link while free
 }
 
-// Event is a cancelable handle to a scheduled callback, returned by After
-// and AtTime. It is a small value (safe to copy, compare and overwrite);
-// the zero Event refers to nothing and Cancel on it is a no-op. Events are
-// single-shot; rescheduling is done by the callback re-arming itself. The
-// handle carries the generation of the record it was issued for, so a
-// handle kept after its event fired (or was canceled) is inert even once
-// the engine recycles the record for an unrelated event.
+// Event is a cancelable handle to a scheduled callback, returned by After,
+// AtTime and their Arg forms. It is a small value (safe to copy, compare
+// and overwrite); the zero Event refers to nothing and Cancel on it is a
+// no-op. Events are single-shot; rescheduling is done by the callback
+// re-arming itself. The handle carries the generation of the record it
+// was issued for, so a handle kept after its event fired (or was
+// canceled) is inert even once the engine recycles the record for an
+// unrelated event.
 type Event struct {
 	p   *event
 	gen uint64
@@ -124,6 +130,25 @@ func (e *Engine) After(delay Cycles, fn func()) Event {
 // a programming error and panics: the simulation would silently reorder
 // history otherwise.
 func (e *Engine) AtTime(at Cycles, fn func()) Event {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	return e.AtTimeArg(at, runClosure, fn)
+}
+
+func runClosure(fn any) { fn.(func())() }
+
+// AfterArg schedules fn(arg) to run delay cycles from now. It is After
+// for callers that would otherwise build a closure per event: fn is a
+// package-level function and arg the object it acts on (a pointer
+// stored in an interface does not allocate).
+func (e *Engine) AfterArg(delay Cycles, fn func(any), arg any) Event {
+	return e.AtTimeArg(e.now+delay, fn, arg)
+}
+
+// AtTimeArg schedules fn(arg) at an absolute cycle count, in the same
+// (at, seq) order as AtTime.
+func (e *Engine) AtTimeArg(at Cycles, fn func(any), arg any) Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d, before now %d", at, e.now))
 	}
@@ -134,6 +159,7 @@ func (e *Engine) AtTime(at Cycles, fn func()) Event {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fn = fn
+	ev.arg = arg
 	e.seq++
 	e.live++
 	e.queue.push(ev)
@@ -169,10 +195,12 @@ func (e *Engine) alloc() *event {
 }
 
 // release recycles a record: the generation bump invalidates every handle
-// issued for the old incarnation, and dropping fn releases the closure.
+// issued for the old incarnation, and dropping fn and arg releases what
+// they referenced.
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.arg = nil
 	ev.idx = -1
 	ev.next = e.free
 	e.free = ev
@@ -286,11 +314,11 @@ func (e *Engine) NextEventAt() (Cycles, bool) {
 func (e *Engine) fire(ev *event) {
 	e.queue.remove(ev)
 	e.live--
-	fn := ev.fn
+	fn, arg := ev.fn, ev.arg
 	e.release(ev)
 	began := e.now
 	e.masked++
-	fn()
+	fn(arg)
 	e.masked--
 	if e.OnFire != nil {
 		e.OnFire(began, e.now)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -721,5 +722,47 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := e.After(Cycles(500+i%1024), fn)
 		e.Cancel(h)
+	}
+}
+
+// TestArgEventsShareOrderAndPool pins the arg-carrying form: AtTimeArg
+// events interleave with closure events in (at, seq) order, cancel like
+// them, drop their argument on release, and allocate nothing in steady
+// state when the argument is a pointer.
+func TestArgEventsShareOrderAndPool(t *testing.T) {
+	e := New()
+	var log []int
+	record := func(a any) { log = append(log, *a.(*int)) }
+	vals := []int{0, 1, 2, 3}
+	e.AtTimeArg(10, record, &vals[1])
+	e.AtTime(10, func() { log = append(log, 9) })
+	e.AfterArg(5, record, &vals[0])
+	h := e.AtTimeArg(10, record, &vals[3])
+	e.AtTimeArg(10, record, &vals[2])
+	if !e.Cancel(h) {
+		t.Fatal("Cancel of a pending arg event reported false")
+	}
+	e.Drain(100)
+	if want := []int{0, 1, 9, 2}; !slices.Equal(log, want) {
+		t.Fatalf("fire order %v, want %v", log, want)
+	}
+	for p := e.free; p != nil; p = p.next {
+		if p.fn != nil || p.arg != nil {
+			t.Fatal("a released record still references its callback or argument")
+		}
+	}
+
+	n := 0
+	bump := func(a any) { *a.(*int)++ }
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.AfterArg(13, bump, &n)
+		e.Drain(e.Now() + 100)
+		e.Cancel(e.AfterArg(1000, bump, &n))
+	})
+	if allocs > 0 {
+		t.Fatalf("arg schedule+fire+cancel allocates %.1f objects per op, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("arg handler never ran")
 	}
 }

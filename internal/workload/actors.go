@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -29,6 +27,9 @@ type Client struct {
 	TotalLatency sim.Cycles
 
 	cur       *peerConn
+	req       []byte     // the request, built once by Start
+	start     sim.Cycles // when cur was opened
+	onClose   func(bool) // c.closed, bound once by Start
 	stopped   bool
 	timeoutEv sim.Event
 
@@ -48,8 +49,14 @@ func NewClient(eng *sim.Engine, seg netsim.Attacher, name string, ip uint32, mac
 	}
 }
 
-// Start begins the request loop (after ARP resolution).
+// Start begins the request loop (after ARP resolution). Every request
+// of the loop is the same bytes, so they are built here once; sendTCP
+// copies them into each segment.
 func (c *Client) Start() {
+	const method, rest = "GET ", " HTTP/1.0\r\nHost: server\r\n\r\n"
+	c.req = make([]byte, 0, len(method)+len(c.Doc)+len(rest))
+	c.req = append(append(append(c.req, method...), c.Doc...), rest...)
+	c.onClose = c.closed
 	c.Resolve(c.next)
 }
 
@@ -60,34 +67,44 @@ func (c *Client) next() {
 	if c.stopped || (c.MaxRequests > 0 && c.Completed >= c.MaxRequests) {
 		return
 	}
-	req := []byte(fmt.Sprintf("GET %s HTTP/1.0\r\nHost: server\r\n\r\n", c.Doc))
-	start := c.Eng.Now()
-	conn := c.open(c.Port, req, nil, func(success bool) {
-		// Cancel the stall timeout: without this, every completed
-		// request would leave a long-dated stale timer queued, and a
-		// busy client accumulates hundreds of them.
-		c.Eng.Cancel(c.timeoutEv)
-		c.timeoutEv = sim.Event{}
-		if success {
-			c.Completed++
-			c.TotalLatency += c.Eng.Now() - start
-		} else {
-			c.Failed++
-		}
-		if c.Think > 0 {
-			c.Eng.After(c.rng.Jitter(c.Think, 0.1), c.next)
-		} else {
-			c.next()
-		}
-	})
-	c.cur = conn
+	c.start = c.Eng.Now()
+	c.cur = c.open(c.Port, c.req, nil, c.onClose)
 	if c.Timeout > 0 {
-		c.timeoutEv = c.Eng.After(c.Timeout, func() {
-			c.timeoutEv = sim.Event{}
-			if c.cur == conn && conn.state != pcDone && conn.state != pcFailed {
-				conn.abandon(false)
-			}
-		})
+		c.timeoutEv = c.Eng.AfterArg(c.Timeout, clientTimeout, c)
+	}
+}
+
+// closed ends the current request and starts the next one, after the
+// think time if there is one.
+func (c *Client) closed(success bool) {
+	// Cancel the stall timeout: without this, every completed request
+	// would leave a long-dated stale timer queued, and a busy client
+	// accumulates hundreds of them.
+	c.Eng.Cancel(c.timeoutEv)
+	c.timeoutEv = sim.Event{}
+	if success {
+		c.Completed++
+		c.TotalLatency += c.Eng.Now() - c.start
+	} else {
+		c.Failed++
+	}
+	if c.Think > 0 {
+		c.Eng.AfterArg(c.rng.Jitter(c.Think, 0.1), clientNext, c)
+	} else {
+		c.next()
+	}
+}
+
+func clientNext(a any) { a.(*Client).next() }
+
+// clientTimeout abandons a stalled request. The timer is cancelled when
+// its connection closes, and the next connection opens only after that,
+// so the connection it was armed for is still c.cur.
+func clientTimeout(a any) {
+	c := a.(*Client)
+	c.timeoutEv = sim.Event{}
+	if conn := c.cur; conn.state != pcDone && conn.state != pcFailed {
+		conn.abandon(false)
 	}
 }
 

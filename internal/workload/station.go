@@ -283,22 +283,28 @@ func (c *peerConn) armReqRetry() {
 	if c.st.ReqRetry == 0 {
 		return
 	}
-	c.retryEv = c.st.Eng.After(c.st.ReqRetry, func() {
-		if c.state == pcEstablished && c.bytesIn == 0 && !c.sawFin {
-			c.sendRequest()
-			c.armReqRetry()
-		}
-	})
+	c.retryEv = c.st.Eng.AfterArg(c.st.ReqRetry, reqRetry, c)
+}
+
+func reqRetry(a any) {
+	c := a.(*peerConn)
+	if c.state == pcEstablished && c.bytesIn == 0 && !c.sawFin {
+		c.sendRequest()
+		c.armReqRetry()
+	}
 }
 
 func (c *peerConn) sendSyn() {
 	c.st.sendTCP(c.localPort, c.remotePort, wire.FlagSYN, c.iss, 0, nil)
 	if c.st.SynRetry > 0 {
-		c.retryEv = c.st.Eng.After(c.st.SynRetry, func() {
-			if c.state == pcSynSent {
-				c.sendSyn()
-			}
-		})
+		c.retryEv = c.st.Eng.AfterArg(c.st.SynRetry, synRetry, c)
+	}
+}
+
+func synRetry(a any) {
+	c := a.(*peerConn)
+	if c.state == pcSynSent {
+		c.sendSyn()
 	}
 }
 
@@ -378,12 +384,15 @@ func (c *peerConn) deferAck() {
 		return
 	}
 	if c.delackEv.IsZero() {
-		c.delackEv = c.st.Eng.After(c.st.DelAckTimeout, func() {
-			c.delackEv = sim.Event{}
-			if c.pendingAck > 0 && c.state == pcEstablished {
-				c.ackNow()
-			}
-		})
+		c.delackEv = c.st.Eng.AfterArg(c.st.DelAckTimeout, delackTimeout, c)
+	}
+}
+
+func delackTimeout(a any) {
+	c := a.(*peerConn)
+	c.delackEv = sim.Event{}
+	if c.pendingAck > 0 && c.state == pcEstablished {
+		c.ackNow()
 	}
 }
 

@@ -194,3 +194,26 @@ func TestQoSReceiverRateMeasurement(t *testing.T) {
 		t.Fatalf("rate = %.0f, want ~1e6", rate)
 	}
 }
+
+// TestPeerConnTimersDoNotAllocate pins the connection timers as
+// arg-carrying engine events: arming and cancelling the request retry,
+// the SYN retry and the delayed ACK allocates nothing.
+func TestPeerConnTimersDoNotAllocate(t *testing.T) {
+	e := newEnv()
+	s := NewStation(e.eng, e.hub, "c", lib.IPv4(10, 0, 1, 1), 0x0200_0000_1001, serverIP, 1)
+	s.DelAckThreshold = 1 << 30
+	c := &peerConn{st: s, state: pcEstablished}
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.armReqRetry()
+		c.cancelTimers()
+		c.retryEv = s.Eng.AfterArg(s.SynRetry, synRetry, c)
+		c.deferAck()
+		c.cancelTimers()
+	})
+	if allocs != 0 {
+		t.Fatalf("timer arm+cancel allocates %.1f objects, want 0", allocs)
+	}
+	if s.Eng.Pending() != 0 {
+		t.Fatalf("%d timers left pending", s.Eng.Pending())
+	}
+}
