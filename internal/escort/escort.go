@@ -129,13 +129,18 @@ type Options struct {
 	// value) disables everything at zero cost.
 	Obs *obs.Config
 
-	// Faults configures deterministic fault injection and graceful
-	// degradation: armed failpoints go into the kernel, the watchdog
-	// and overload shedding are enabled per the spec. Network faults
-	// are wired outside the server (the injector wraps the segment the
-	// NIC attaches to); see fault.Spec and ROBUSTNESS.md. Nil disables
-	// everything — the fast path pays one nil test per guarded site.
+	// Faults arms the spec's failpoints in the kernel; nil arms none,
+	// and the fast path pays one nil test per guarded site. Network
+	// faults are wired outside the server (the injector wraps the
+	// segment the NIC attaches to), and the spec's defense entries
+	// reach the server only through Defense; see ROBUSTNESS.md.
 	Faults *fault.Spec
+
+	// Defense arms the graceful-degradation and adaptive defenses. The
+	// watchdog, the session reaper and the detector need accounting,
+	// so base Scout arms only shedding and the puzzle gate. The zero
+	// value arms none.
+	Defense fault.Defense
 }
 
 // Server is an assembled Escort web server.
@@ -170,14 +175,14 @@ type Server struct {
 
 	Contain *policy.Containment
 
-	// Watchdog is the hung-path detector when Options.Faults enabled it.
+	// Watchdog is the hung-path detector when Options.Defense enabled it.
 	Watchdog *policy.Watchdog
 
-	// Reaper is the idle/slow-session reaper when Options.Faults
+	// Reaper is the idle/slow-session reaper when Options.Defense
 	// enabled it.
 	Reaper *policy.SessionReaper
 
-	// Detector is the adaptive anomaly detector when Options.Faults
+	// Detector is the adaptive anomaly detector when Options.Defense
 	// enabled it.
 	Detector *policy.Detector
 
@@ -198,8 +203,9 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	}
 	accounting := opt.Kind != KindScout
 
+	def := opt.Defense
 	o := obs.New(opt.Obs)
-	if opt.Faults != nil && opt.Faults.Detector && accounting && o.Metrics == nil {
+	if def.Detector && accounting && o.Metrics == nil {
 		// The detector rides the metrics sampler's 10 ms tick. When no
 		// metrics sink is configured, install a sink-less sampler so
 		// arming the detector never changes whether sampling happens —
@@ -314,27 +320,27 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	if accounting {
 		s.Contain = policy.EnableContainment(k, mgr)
 	}
-	if opt.Faults != nil && opt.Faults.Watchdog && accounting {
-		s.Watchdog = policy.EnableWatchdog(k, mgr, opt.Faults.WatchdogStall)
+	if def.Watchdog && accounting {
+		s.Watchdog = policy.EnableWatchdog(k, mgr, 0)
 	}
-	if opt.Faults != nil && opt.Faults.Shed > 0 {
+	if def.Shed > 0 {
 		// Overload shedding: refuse new connections while page-pool
 		// pressure sits above the high-water mark, so established paths
 		// keep their memory during a fault storm.
-		pages, mark := k.Pages(), opt.Faults.Shed
+		pages, mark := k.Pages(), def.Shed
 		s.TCP.Shed = func() bool {
 			return float64(pages.InUse()) >= mark*float64(pages.TotalPages())
 		}
 	}
-	if opt.Faults != nil && opt.Faults.PuzzleBits > 0 {
+	if def.PuzzleBits > 0 {
 		// The puzzle gate refines shedding: instead of refusing every
 		// new connection under pressure, admit the ones that pay.
-		s.TCP.Puzzle = &tcpmod.PuzzleGate{Bits: opt.Faults.PuzzleBits}
+		s.TCP.Puzzle = &tcpmod.PuzzleGate{Bits: def.PuzzleBits}
 	}
-	if opt.Faults != nil && opt.Faults.Reaper && accounting {
-		s.Reaper = policy.EnableSessionReaper(k, mgr, s.TCP, opt.Faults.ReaperMinAge)
+	if def.Reaper && accounting {
+		s.Reaper = policy.EnableSessionReaper(k, mgr, s.TCP, def.ReaperMinAge)
 	}
-	if opt.Faults != nil && opt.Faults.Detector && accounting {
+	if def.Detector && accounting {
 		s.Detector = policy.EnableDetector(k, mgr, s.TCP, s.TCP, o.Metrics)
 		s.TCP.ShedSrc = s.Detector.SourceShed
 	}
@@ -347,7 +353,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	// prefers it: an offender's SYN must not reach the regular
 	// listeners.
 	if opt.PenaltyBox && accounting {
-		s.Penalty = policy.NewPenaltyBox(eng, 0)
+		s.Penalty = policy.NewPenaltyBox(eng)
 		s.Penalty.Tracer = o.Tracer
 		s.TCP.OnOffender = s.Penalty.Record
 		penaltyAttrs := policy.PassiveAttrs(80, "penalty", s.Penalty.IsOffender,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/fault"
 	"repro/internal/lib"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -439,5 +440,54 @@ func TestPortFilterNarrowsTCPInterface(t *testing.T) {
 	}
 	if probe.Completed != 0 {
 		t.Fatal("probe to closed port completed")
+	}
+}
+
+// TestDefenseArmsServerHooks maps each accepted defense entry to the
+// server or TCP hook it arms. On an accounting server every entry arms
+// its hook; base Scout arms only the ones that need no accounting
+// (shedding and the puzzle gate). The same entries passed through
+// Options.Faults arm nothing: the server reads defenses only from
+// Options.Defense.
+func TestDefenseArmsServerHooks(t *testing.T) {
+	type armed struct{ watchdog, shed, puzzle, reaper, detector bool }
+	cases := []struct {
+		spec string
+		want armed // on an accounting server
+	}{
+		{"watchdog", armed{watchdog: true}},
+		{"shed=0.9", armed{shed: true}},
+		{"shed=0.9,puzzle=8", armed{shed: true, puzzle: true}},
+		{"reaper", armed{reaper: true}},
+		{"reaper=250ms", armed{reaper: true}},
+		{"detector", armed{detector: true}},
+	}
+	for _, c := range cases {
+		sp, err := fault.ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []Kind{KindScout, KindAccounting} {
+			t.Run(kind.String()+"/"+c.spec, func(t *testing.T) {
+				hooks := func(opt Options) armed {
+					s := newBed(t, kind, opt).srv
+					if (s.Detector != nil) != (s.TCP.ShedSrc != nil) {
+						t.Errorf("detector %v but per-source shed hook %v", s.Detector != nil, s.TCP.ShedSrc != nil)
+					}
+					return armed{s.Watchdog != nil, s.TCP.Shed != nil, s.TCP.Puzzle != nil,
+						s.Reaper != nil, s.Detector != nil}
+				}
+				want := c.want
+				if kind == KindScout {
+					want.watchdog, want.reaper, want.detector = false, false, false
+				}
+				if got := hooks(Options{Defense: sp.Defense}); got != want {
+					t.Errorf("Options.Defense armed %+v, want %+v", got, want)
+				}
+				if got := hooks(Options{Faults: sp}); got != (armed{}) {
+					t.Errorf("Options.Faults armed %+v, want nothing", got)
+				}
+			})
+		}
 	}
 }

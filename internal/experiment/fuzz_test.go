@@ -53,7 +53,7 @@ var malformedRuns = map[string]string{
 	"fault-edge-values":  "config=Scout,doc=/doc1k,partition=5s:0,reorder=0.5:0,drop=-0",
 	"duplicate-keys":     " config=Linux , clients=2,clients=+3,doc=/doc10k,,seed=9,seed=4",
 	"duration-overflow":  "config=Scout,doc=/doc1,warm=30744573456182586s",
-	"bare-fault-entries": "config=Accounting,doc=/doc1,watchdog=,reaper,detector,penaltybox,pathfinder",
+	"bare-fault-entries": "config=Accounting,doc=/doc1,watchdog,reaper=,detector,penaltybox,pathfinder",
 }
 
 // TestFuzzParseRunCorpus keeps the checked-in seed corpus in step with

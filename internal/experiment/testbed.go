@@ -9,6 +9,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -59,14 +60,19 @@ type DocSpec struct {
 // AllDocs is the §4.1.2 document set, smallest first.
 var AllDocs = []DocSpec{Doc1B, Doc1K, Doc10K}
 
-// Docs builds the document set.
-func Docs() map[string][]byte {
+// docSet holds the document bodies, built once: every testbed shares
+// them, and neither server ever writes a body it serves.
+var docSet = func() map[string][]byte {
 	docs := map[string][]byte{}
 	for _, d := range AllDocs {
 		docs[d.Name] = bytes.Repeat([]byte("x"), d.Size)
 	}
 	return docs
-}
+}()
+
+// Docs returns the document set: a fresh map, which NewTestbed extends
+// with Options.ExtraDocs, over the shared bodies.
+func Docs() map[string][]byte { return maps.Clone(docSet) }
 
 const mbps100 = 100_000_000
 
@@ -122,8 +128,9 @@ type Options struct {
 	// for the Linux baseline, which has no Escort kernel to observe).
 	Obs *obs.Config
 	// Faults configures deterministic fault injection: the network
-	// climate wraps both segments' attach points, and the failpoint /
-	// degradation parts are passed through to the server.
+	// climate wraps both segments' attach points, the failpoints go to
+	// the server's kernel, and the defense entries become the server's
+	// Options.Defense.
 	Faults *fault.Spec
 }
 
@@ -155,6 +162,10 @@ func NewTestbed(cfg Config, opt Options) (*Testbed, error) {
 		tb.Linux = linuxsim.New(eng, tb.Model, tb.hubAt, escort.ServerIP, escort.ServerMAC, docs)
 		return tb, nil
 	}
+	var def fault.Defense
+	if opt.Faults != nil {
+		def = opt.Faults.Defense
+	}
 	var kind escort.Kind
 	switch cfg {
 	case ConfigScout:
@@ -177,6 +188,7 @@ func NewTestbed(cfg Config, opt Options) (*Testbed, error) {
 		FSCacheBudget:   opt.FSCacheBudget,
 		Obs:             opt.Obs,
 		Faults:          opt.Faults,
+		Defense:         def,
 	})
 	if err != nil {
 		return nil, err

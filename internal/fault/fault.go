@@ -13,6 +13,8 @@
 // Fault mixes are described by a compact spec string (see ParseSpec
 // and ROBUSTNESS.md) so benchmarks and tests can name a chaos
 // scenario in one flag: drop=0.01,dup=0.005,fp:thread.spawn=n3,seed=7.
+// The same string names the server's defenses (Defense), which ride
+// out the faults it injects.
 package fault
 
 import (

@@ -149,10 +149,8 @@ func TestParseSpecGrammar(t *testing.T) {
 		{"fp:thread.spawn=p0.01", true, func(s *Spec) bool {
 			return len(s.Points) == 1 && s.Points[0].Trig.P == 0.01
 		}},
-		{"watchdog", true, func(s *Spec) bool { return s.Watchdog && s.WatchdogStall == 0 }},
-		{"watchdog=20ms", true, func(s *Spec) bool {
-			return s.Watchdog && s.WatchdogStall == 20*sim.CyclesPerMillisecond
-		}},
+		{"watchdog", true, func(s *Spec) bool { return s.Watchdog }},
+		{"watchdog=20ms", false, nil},
 		{"shed=0.9", true, func(s *Spec) bool { return s.Shed == 0.9 }},
 		{"drop=0.01, dup=0.02 ,seed=4", true, func(s *Spec) bool {
 			return s.Net.Drop == 0.01 && s.Net.Dup == 0.02 && s.Seed == 4

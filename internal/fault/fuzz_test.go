@@ -10,12 +10,13 @@ import (
 // ParseSpec must never panic, and any spec it accepts must describe a
 // sane fault mix — every probability in [0, 1], every duration
 // non-negative (the unit multiply must not wrap), shed inside (0, 1],
-// puzzle bits inside the wire clamp, flap down time under its period —
-// and must survive its own text form: ParseSpec(s.String()) deep-equals
-// s, and String is a fixed point.
+// puzzle bits inside the wire clamp and only with shed, flap down time
+// under its period — and must survive its own text form:
+// ParseSpec(s.String()) deep-equals s, and String is a fixed point.
 // The seed corpus (testdata/fuzz/FuzzParseSpec) covers every grammar
-// production, plus the detector values the grammar no longer accepts
-// (detector=WARMUP[:K]), which must be rejected without panicking.
+// production, plus forms the grammar no longer accepts (detector=
+// WARMUP[:K], watchdog=STALL, puzzle= without shed), which must be
+// rejected without panicking.
 func FuzzParseSpec(f *testing.F) {
 	for _, spec := range []string{
 		"",
@@ -43,7 +44,7 @@ func FuzzParseSpec(f *testing.F) {
 		"detector=300ms:4",
 		"detector=:6",
 		"seed=31,reaper=250ms,detector=100ms:3,puzzle=8",
-		"watchdog=30744573456182586s", // unit multiply near the int64 edge
+		"reaper=30744573456182586s", // unit multiply near the int64 edge
 		"seed=,drop=,jitter=:",
 		" , , ",
 	} {
@@ -84,7 +85,6 @@ func FuzzParseSpec(f *testing.F) {
 			{"flap down", int64(s.Net.FlapDown)},
 			{"partition at", int64(s.Net.PartitionAt)},
 			{"partition for", int64(s.Net.PartitionFor)},
-			{"watchdog stall", int64(s.WatchdogStall)},
 			{"reaper min age", int64(s.ReaperMinAge)},
 		} {
 			if d.v < 0 {
@@ -96,6 +96,9 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if s.PuzzleBits > 24 {
 			t.Fatalf("accepted puzzle bits %d past the wire clamp", s.PuzzleBits)
+		}
+		if s.PuzzleBits != 0 && s.Shed == 0 {
+			t.Fatalf("accepted puzzle bits %d without shed", s.PuzzleBits)
 		}
 		if s.Net.FlapPeriod > 0 && s.Net.FlapDown >= s.Net.FlapPeriod {
 			t.Fatalf("accepted flap down %d >= period %d", s.Net.FlapDown, s.Net.FlapPeriod)

@@ -9,9 +9,8 @@ import (
 )
 
 // Spec is a parsed fault-mix description: the network fault climate,
-// the armed failpoints, and the graceful-degradation knobs. A nil
-// *Spec means "no faults, no degradation machinery" everywhere it is
-// accepted.
+// the armed failpoints, and the server's defenses. A nil *Spec means
+// "no faults, no defenses" everywhere it is accepted.
 type Spec struct {
 	// Seed seeds the injector's and failpoint set's generators (the
 	// two streams are derived independently so adding a failpoint does
@@ -21,26 +20,9 @@ type Spec struct {
 	Net NetConfig
 	// Points are the armed failpoints, in spec order.
 	Points []PointSpec
-	// Watchdog enables the hung-path watchdog; WatchdogStall overrides
-	// its no-progress threshold (zero = the policy default).
-	Watchdog      bool
-	WatchdogStall sim.Cycles
-	// Shed is the overload-shedding high-water mark as a fraction of
-	// the page pool in use (0 disables; e.g. 0.9 sheds new connections
-	// above 90% memory pressure).
-	Shed float64
-	// Reaper enables the idle/slow-session reaper; ReaperMinAge
-	// overrides the minimum established age before a session is judged
-	// (zero = the policy default).
-	Reaper       bool
-	ReaperMinAge sim.Cycles
-	// PuzzleBits arms the client-puzzle fast-reject gate on the passive
-	// path: under shed pressure, SYNs whose initial sequence number does
-	// not prove ~2^bits of client hash work are rejected cheaply instead
-	// of shed wholesale (zero disables the gate).
-	PuzzleBits uint
-	// Detector enables the adaptive anomaly detector.
-	Detector bool
+	// Defense holds the spec's defense entries; escort.Options.Defense
+	// is the one place a server reads them.
+	Defense
 }
 
 // PointSpec names a failpoint and its trigger.
@@ -91,10 +73,11 @@ func (s *Spec) NewSet() *Set {
 //	partition=AT:DUR        all frames lost in [AT, AT+DUR)
 //	fp:NAME=nN              failpoint NAME fails on its Nth hit
 //	fp:NAME=pP              failpoint NAME fails with probability P
-//	watchdog[=STALL]        enable the hung-path watchdog
+//	watchdog                enable the hung-path watchdog
 //	shed=FRAC               shed new connections above FRAC page use
 //	reaper[=MINAGE]         enable the idle/slow-session reaper
 //	puzzle=BITS             client-puzzle SYN gate under shed pressure
+//	                        (needs shed=FRAC)
 //	detector                enable the adaptive anomaly detector
 //
 // Durations accept us/ms/s suffixes; a bare number is virtual cycles.
@@ -105,6 +88,7 @@ func ParseSpec(spec string) (*Spec, error) {
 		return nil, nil
 	}
 	s := &Spec{Seed: 1}
+	puzzle := "" // the entry that armed the puzzle gate
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -114,6 +98,12 @@ func ParseSpec(spec string) (*Spec, error) {
 		if err := s.apply(key, val, hasVal); err != nil {
 			return nil, fmt.Errorf("fault: spec entry %q: %w", entry, err)
 		}
+		if key == "puzzle" {
+			puzzle = entry
+		}
+	}
+	if s.PuzzleBits != 0 && s.Shed == 0 {
+		return nil, fmt.Errorf("fault: spec entry %q: the puzzle gate runs only under shed pressure; add shed=FRAC", puzzle)
 	}
 	return s, nil
 }
@@ -152,23 +142,7 @@ func (s *Spec) String() string {
 		}
 		add("fp:"+p.Name, true, trig)
 	}
-	// watchdog and reaper write their threshold only when it overrides
-	// the policy default.
-	toggle := func(key string, on bool, d sim.Cycles) {
-		switch {
-		case d != 0:
-			add(key, true, fmtCycles(d))
-		case on:
-			e = append(e, key)
-		}
-	}
-	toggle("watchdog", s.Watchdog, s.WatchdogStall)
-	add("shed", s.Shed != 0, fmtFloat(s.Shed))
-	toggle("reaper", s.Reaper, s.ReaperMinAge)
-	add("puzzle", s.PuzzleBits != 0, strconv.FormatUint(uint64(s.PuzzleBits), 10))
-	if s.Detector {
-		e = append(e, "detector")
-	}
+	e = s.Defense.appendEntries(e)
 	return strings.Join(e, ",")
 }
 
@@ -189,45 +163,43 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 		s.Points = append(s.Points, PointSpec{Name: name, Trig: trig})
 		return nil
 	}
-	switch key {
-	case "seed":
-		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			return err
-		}
-		s.Seed = n
-	case "drop":
-		return parseProb(val, &s.Net.Drop)
-	case "corrupt":
-		return parseProb(val, &s.Net.Corrupt)
-	case "dup":
-		return parseProb(val, &s.Net.Dup)
-	case "reorder":
+	if parse, ok := specEntries[key]; ok {
+		return parse(s, val)
+	}
+	if parse, ok := defenseEntries[key]; ok {
+		return parse(&s.Defense, val, hasVal)
+	}
+	return fmt.Errorf("unknown key %q", key)
+}
+
+// specEntries parses each key of the spec grammar other than the
+// fp:NAME failpoints and the defense keys (defenseEntries).
+var specEntries = map[string]func(s *Spec, val string) error{
+	"seed": func(s *Spec, val string) (err error) {
+		s.Seed, err = strconv.ParseUint(val, 10, 64)
+		return err
+	},
+	"drop":    func(s *Spec, val string) error { return parseProb(val, &s.Net.Drop) },
+	"corrupt": func(s *Spec, val string) error { return parseProb(val, &s.Net.Corrupt) },
+	"dup":     func(s *Spec, val string) error { return parseProb(val, &s.Net.Dup) },
+	"reorder": func(s *Spec, val string) (err error) {
 		p, rest, _ := strings.Cut(val, ":")
-		if err := parseProb(p, &s.Net.Reorder); err != nil {
-			return err
+		if err = parseProb(p, &s.Net.Reorder); err == nil && rest != "" {
+			s.Net.ReorderDelay, err = ParseDuration(rest)
 		}
-		if rest != "" {
-			d, err := ParseDuration(rest)
-			if err != nil {
-				return err
-			}
-			s.Net.ReorderDelay = d
-		}
-	case "jitter":
+		return err
+	},
+	"jitter": func(s *Spec, val string) (err error) {
 		p, rest, ok := strings.Cut(val, ":")
 		if !ok {
 			return fmt.Errorf("want jitter=P:MAX")
 		}
-		if err := parseProb(p, &s.Net.Jitter); err != nil {
-			return err
+		if err = parseProb(p, &s.Net.Jitter); err == nil {
+			s.Net.JitterMax, err = ParseDuration(rest)
 		}
-		d, err := ParseDuration(rest)
-		if err != nil {
-			return err
-		}
-		s.Net.JitterMax = d
-	case "flap":
+		return err
+	},
+	"flap": func(s *Spec, val string) error {
 		period, down, ok := strings.Cut(val, ":")
 		if !ok {
 			return fmt.Errorf("want flap=PERIOD:DOWN")
@@ -244,7 +216,9 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 			return fmt.Errorf("flap down time %d must be shorter than the period %d", d, p)
 		}
 		s.Net.FlapPeriod, s.Net.FlapDown = p, d
-	case "partition":
+		return nil
+	},
+	"partition": func(s *Spec, val string) error {
 		at, dur, ok := strings.Cut(val, ":")
 		if !ok {
 			return fmt.Errorf("want partition=AT:DUR")
@@ -258,48 +232,8 @@ func (s *Spec) apply(key, val string, hasVal bool) error {
 			return err
 		}
 		s.Net.PartitionAt, s.Net.PartitionFor = a, d
-	case "watchdog":
-		s.Watchdog = true
-		if hasVal && val != "" {
-			d, err := ParseDuration(val)
-			if err != nil {
-				return err
-			}
-			s.WatchdogStall = d
-		}
-	case "shed":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return err
-		}
-		if !(f > 0 && f <= 1) {
-			return fmt.Errorf("shed fraction %v outside (0, 1]", f)
-		}
-		s.Shed = f
-	case "reaper":
-		s.Reaper = true
-		if hasVal && val != "" {
-			d, err := ParseDuration(val)
-			if err != nil {
-				return err
-			}
-			s.ReaperMinAge = d
-		}
-	case "puzzle":
-		n, err := strconv.ParseUint(val, 10, 8)
-		if err != nil || n == 0 || n > 24 {
-			return fmt.Errorf("puzzle bits %q outside [1, 24]", val)
-		}
-		s.PuzzleBits = uint(n)
-	case "detector":
-		if hasVal {
-			return fmt.Errorf("detector takes no value")
-		}
-		s.Detector = true
-	default:
-		return fmt.Errorf("unknown key %q", key)
-	}
-	return nil
+		return nil
+	},
 }
 
 // parseTrigger parses nN (Nth hit) or pP (probability).

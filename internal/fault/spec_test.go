@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -18,7 +20,7 @@ func TestParseSpecDegradationKnobs(t *testing.T) {
 		{"reaper=250ms", func(s *Spec) bool {
 			return s.Reaper && s.ReaperMinAge == 250*sim.CyclesPerMillisecond
 		}},
-		{"puzzle=12", func(s *Spec) bool { return s.PuzzleBits == 12 }},
+		{"shed=0.9,puzzle=12", func(s *Spec) bool { return s.Shed == 0.9 && s.PuzzleBits == 12 }},
 		{"detector", func(s *Spec) bool { return s.Detector }},
 		{"shed=0.5,puzzle=8,reaper=1s", func(s *Spec) bool {
 			return s.Shed == 0.5 && s.PuzzleBits == 8 && s.Reaper &&
@@ -61,6 +63,8 @@ func TestParseSpecMalformed(t *testing.T) {
 		{"puzzle=0", "puzzle=0"},
 		{"puzzle=25", "puzzle=25"},
 		{"puzzle=many", "puzzle=many"},
+		{"puzzle=12", "puzzle=12"},
+		{"puzzle=8,drop=0.1,puzzle=12", "puzzle=12"},
 		{"fp:kmem.alloc=x1", "fp:kmem.alloc=x1"},
 		{"fp:kmem.alloc=n0", "fp:kmem.alloc=n0"},
 		{"fp:kmem.alloc=p2", "fp:kmem.alloc=p2"},
@@ -107,5 +111,51 @@ func TestParseSpecUnknownFailpointListsRegistered(t *testing.T) {
 	}
 	if KnownFailpoint("not.a.point") {
 		t.Error("KnownFailpoint accepted an unregistered name")
+	}
+}
+
+// TestGrammarTableMatchesParser keeps ROBUSTNESS.md's grammar table in
+// step with the parser: every entry the table lists parses once its
+// placeholders are filled in (with and without its optional part), and
+// every key the parser accepts has a row.
+func TestGrammarTableMatchesParser(t *testing.T) {
+	doc, err := os.ReadFile("../../ROBUSTNESS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(doc), "## The fault-spec grammar")
+	_, table, _ = strings.Cut(table, "| Entry | Meaning |")
+	table, _, _ = strings.Cut(table, "\n\n")
+	// Sample values, longer placeholders first so NAME is not read as N.
+	fill := strings.NewReplacer("PERIOD", "10ms", "MINAGE", "250ms", "NAME", "kmem.alloc",
+		"HOLD", "1ms", "MAX", "1ms", "DOWN", "1ms", "DUR", "1ms", "AT", "1s",
+		"FRAC", "0.9", "BITS", "8", "N", "3", "P", "0.5")
+	optional := regexp.MustCompile(`\[(.*?)\]`)
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(table, -1) {
+		entry := m[1]
+		key, _, _ := strings.Cut(optional.ReplaceAllString(entry, ""), "=")
+		if strings.HasPrefix(key, "fp:") {
+			key = "fp:"
+		}
+		listed[key] = true
+		for _, form := range []string{optional.ReplaceAllString(entry, ""), optional.ReplaceAllString(entry, "$1")} {
+			// puzzle needs shed, so every form parses after a shed entry.
+			if _, err := ParseSpec("shed=0.9," + fill.Replace(form)); err != nil {
+				t.Errorf("ROBUSTNESS.md lists %q, but %q does not parse: %v", entry, fill.Replace(form), err)
+			}
+		}
+	}
+	accepted := []string{"fp:"}
+	for key := range specEntries {
+		accepted = append(accepted, key)
+	}
+	for key := range defenseEntries {
+		accepted = append(accepted, key)
+	}
+	for _, key := range accepted {
+		if !listed[key] {
+			t.Errorf("ParseSpec accepts %q, but ROBUSTNESS.md's grammar table has no row for it", key)
+		}
 	}
 }

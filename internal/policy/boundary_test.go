@@ -73,45 +73,3 @@ func TestReaperMinAgeBoundary(t *testing.T) {
 		})
 	}
 }
-
-// TestPenaltyBoxBackoffCapBoundary pins the exponential backoff's
-// saturation at maxBackoffShift: the n-th strike boxes for
-// Expiry << (n-1) up to the cap, and every strike past it reuses the
-// capped window while the strike count itself keeps counting.
-func TestPenaltyBoxBackoffCapBoundary(t *testing.T) {
-	const expiry = sim.Cycles(100)
-	capped := expiry << (maxBackoffShift - 1)
-	cases := []struct {
-		name    string
-		strikes uint
-		boxed   sim.Cycles
-	}{
-		{"first strike", 1, expiry},
-		{"one below the cap", maxBackoffShift - 1, expiry << (maxBackoffShift - 2)},
-		{"exactly at the cap", maxBackoffShift, capped},
-		{"one past the cap saturates", maxBackoffShift + 1, capped},
-		{"far past the cap saturates", 3 * maxBackoffShift, capped},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			clk := &fakeClock{}
-			pb := NewPenaltyBox(clk, expiry)
-			ip := lib.IPv4(10, 0, 3, 9)
-			for i := uint(0); i < tc.strikes; i++ {
-				pb.Record(ip)
-			}
-			// Boxed through the last covered instant, free one past it.
-			clk.now = tc.boxed
-			if !pb.IsOffender(ip) {
-				t.Fatalf("strikes=%d: released before %d cycles", tc.strikes, tc.boxed)
-			}
-			clk.now = tc.boxed + 1
-			if pb.IsOffender(ip) {
-				t.Fatalf("strikes=%d: still boxed past %d cycles", tc.strikes, tc.boxed)
-			}
-			if got := pb.Strikes(ip); got != tc.strikes {
-				t.Fatalf("strikes = %d, want %d (the count must not cap)", got, tc.strikes)
-			}
-		})
-	}
-}

@@ -116,16 +116,11 @@ func DemotePriority(p module.PathRef) {
 // packets demultiplexed to a different distinct passive path with a
 // very small resource allocation." It records offender source
 // addresses (fed by the TCP module's abnormal-death notification) and
-// serves as the match predicate of the penalty passive path.
+// serves as the match predicate of the penalty passive path. An
+// address stays boxed for the rest of the run.
 type PenaltyBox struct {
-	offenders map[uint32]*boxEntry
-	eng       interface{ Now() sim.Cycles }
-
-	// Expiry forgives a first-time offender after this long (zero:
-	// never). Repeat offenders wait exponentially longer: the n-th
-	// strike boxes the address for Expiry << (n-1), capped at
-	// maxBackoffShift doublings — the re-admission backoff.
-	Expiry sim.Cycles
+	strikes map[uint32]uint
+	eng     interface{ Now() sim.Cycles }
 
 	// Recorded counts offender registrations (including repeats).
 	Recorded uint64
@@ -135,78 +130,25 @@ type PenaltyBox struct {
 	Tracer *obs.Tracer
 }
 
-// boxEntry is one offender's record: when it last offended and how many
-// times in total. Strikes persist past expiry, so an address that
-// re-offends after being forgiven is boxed for longer each time.
-type boxEntry struct {
-	at      sim.Cycles
-	strikes uint
-}
-
-// maxBackoffShift caps the exponential backoff (2^15 doublings of the
-// base expiry is already effectively forever at simulation scale).
-const maxBackoffShift = 16
-
 // NewPenaltyBox returns an empty penalty box on the given clock.
-func NewPenaltyBox(eng interface{ Now() sim.Cycles }, expiry sim.Cycles) *PenaltyBox {
-	return &PenaltyBox{offenders: make(map[uint32]*boxEntry), eng: eng, Expiry: expiry}
+func NewPenaltyBox(eng interface{ Now() sim.Cycles }) *PenaltyBox {
+	return &PenaltyBox{strikes: make(map[uint32]uint), eng: eng}
 }
 
 // Record registers an offender, adding a strike if it is already known.
 func (pb *PenaltyBox) Record(srcIP uint32) {
 	pb.Recorded++
-	e := pb.offenders[srcIP]
-	if e == nil {
-		e = &boxEntry{}
-		pb.offenders[srcIP] = e
-	}
-	e.at = pb.eng.Now()
-	e.strikes++
+	pb.strikes[srcIP]++
 	if tr := pb.Tracer; tr != nil {
 		tr.Policy("penaltyRecord", "PenaltyBox", lib.FormatIPv4(srcIP), pb.eng.Now())
 	}
 }
 
-// boxedFor returns how long an entry with the given strike count stays
-// boxed after its last offense.
-func (pb *PenaltyBox) boxedFor(strikes uint) sim.Cycles {
-	if strikes == 0 {
-		return 0
-	}
-	if strikes > maxBackoffShift {
-		strikes = maxBackoffShift
-	}
-	return pb.Expiry << (strikes - 1)
-}
+// IsOffender reports whether the address is boxed.
+func (pb *PenaltyBox) IsOffender(srcIP uint32) bool { return pb.strikes[srcIP] > 0 }
 
-// IsOffender reports whether the address is currently boxed. Expired
-// entries are retained (their strikes feed the backoff) but no longer
-// match.
-func (pb *PenaltyBox) IsOffender(srcIP uint32) bool {
-	e, ok := pb.offenders[srcIP]
-	if !ok {
-		return false
-	}
-	return pb.Expiry == 0 || pb.eng.Now()-e.at <= pb.boxedFor(e.strikes)
-}
+// Strikes returns the number of times the address was recorded.
+func (pb *PenaltyBox) Strikes(srcIP uint32) uint { return pb.strikes[srcIP] }
 
-// Strikes returns the address's total strike count (including forgiven
-// offenses).
-func (pb *PenaltyBox) Strikes(srcIP uint32) uint {
-	if e, ok := pb.offenders[srcIP]; ok {
-		return e.strikes
-	}
-	return 0
-}
-
-// Count returns the number of currently boxed addresses.
-func (pb *PenaltyBox) Count() int {
-	now := pb.eng.Now()
-	n := 0
-	for _, e := range pb.offenders {
-		if pb.Expiry == 0 || now-e.at <= pb.boxedFor(e.strikes) {
-			n++
-		}
-	}
-	return n
-}
+// Count returns the number of boxed addresses.
+func (pb *PenaltyBox) Count() int { return len(pb.strikes) }

@@ -159,33 +159,26 @@ type fakeClock struct{ now sim.Cycles }
 
 func (f *fakeClock) Now() sim.Cycles { return f.now }
 
-func TestPenaltyBoxRecordAndExpiry(t *testing.T) {
+func TestPenaltyBoxRecord(t *testing.T) {
 	clk := &fakeClock{}
-	pb := NewPenaltyBox(clk, 100)
+	pb := NewPenaltyBox(clk)
 	ip := lib.IPv4(10, 0, 2, 1)
-	if pb.IsOffender(ip) {
+	if pb.IsOffender(ip) || pb.Count() != 0 {
 		t.Fatal("empty box reports offender")
 	}
 	pb.Record(ip)
-	if !pb.IsOffender(ip) || pb.Count() != 1 {
+	if !pb.IsOffender(ip) || pb.Count() != 1 || pb.Strikes(ip) != 1 {
 		t.Fatal("record lost")
 	}
-	clk.now = 50
-	if !pb.IsOffender(ip) {
-		t.Fatal("expired too early")
-	}
-	clk.now = 151
-	if pb.IsOffender(ip) {
-		t.Fatal("offender not forgiven after expiry")
-	}
-	if pb.Count() != 0 {
-		t.Fatal("expired entry retained")
-	}
-	// Zero expiry: forever.
-	pb2 := NewPenaltyBox(clk, 0)
-	pb2.Record(ip)
+	// A repeat adds a strike, not a second entry, and boxing never
+	// lapses.
 	clk.now = 1 << 40
-	if !pb2.IsOffender(ip) {
-		t.Fatal("zero-expiry box forgave")
+	pb.Record(ip)
+	if !pb.IsOffender(ip) || pb.Count() != 1 || pb.Strikes(ip) != 2 || pb.Recorded != 2 {
+		t.Fatalf("repeat offense: offender=%v count=%d strikes=%d recorded=%d",
+			pb.IsOffender(ip), pb.Count(), pb.Strikes(ip), pb.Recorded)
+	}
+	if other := lib.IPv4(10, 0, 2, 2); pb.IsOffender(other) || pb.Strikes(other) != 0 {
+		t.Fatal("unrecorded address boxed")
 	}
 }

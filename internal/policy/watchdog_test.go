@@ -122,61 +122,6 @@ func TestWatchdogIgnoresIdlePaths(t *testing.T) {
 	}
 }
 
-func TestPenaltyBoxExponentialBackoff(t *testing.T) {
-	clk := &fakeClock{}
-	pb := NewPenaltyBox(clk, 100)
-	ip := lib.IPv4(10, 0, 2, 1)
-
-	// Strike 1: boxed for the base expiry, then forgiven — but the
-	// strike survives the forgiveness.
-	pb.Record(ip)
-	clk.now = 101
-	if pb.IsOffender(ip) {
-		t.Fatal("first offense outlived the base expiry")
-	}
-	if pb.Strikes(ip) != 1 {
-		t.Fatalf("strikes = %d after expiry, want 1 (retained)", pb.Strikes(ip))
-	}
-
-	// Strike 2: the re-admission backoff doubles the box time.
-	pb.Record(ip)
-	clk.now = 101 + 200
-	if !pb.IsOffender(ip) {
-		t.Fatal("second offense did not double the box time")
-	}
-	clk.now = 101 + 201
-	if pb.IsOffender(ip) {
-		t.Fatal("second offense boxed longer than 2x expiry")
-	}
-
-	// Strike 3: doubled again.
-	at := clk.now
-	pb.Record(ip)
-	clk.now = at + 400
-	if !pb.IsOffender(ip) {
-		t.Fatal("third offense did not quadruple the box time")
-	}
-	if pb.Strikes(ip) != 3 {
-		t.Fatalf("strikes = %d, want 3", pb.Strikes(ip))
-	}
-
-	// The backoff caps: pile on strikes far past maxBackoffShift and
-	// the box time stays Expiry << (maxBackoffShift-1).
-	for i := 0; i < 40; i++ {
-		pb.Record(ip)
-	}
-	at = clk.now
-	capped := sim.Cycles(100) << (maxBackoffShift - 1)
-	clk.now = at + capped
-	if !pb.IsOffender(ip) {
-		t.Fatal("capped backoff shorter than expected")
-	}
-	clk.now = at + capped + 1
-	if pb.IsOffender(ip) {
-		t.Fatal("backoff kept growing past the cap")
-	}
-}
-
 func TestLimitRuntimeEdges(t *testing.T) {
 	const limit = sim.CyclesPerMillisecond
 	cases := []struct {

@@ -9,6 +9,7 @@ package tcp
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
@@ -599,8 +600,12 @@ func (s *passiveStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Ms
 	for k, v := range s.activeExtra {
 		attrs[k] = v
 	}
-	name := fmt.Sprintf("Active Path %s:%d#%d", s.l.TrustClass, h.SrcPort, s.serial)
-	ap, err := m.factory.CreatePath(ctx, name, s.activeStart, attrs)
+	// "Active Path <class>:<port>#<serial>", appended on the stack.
+	var nb [64]byte
+	name := append(append(nb[:0], "Active Path "...), s.l.TrustClass...)
+	name = strconv.AppendUint(append(name, ':'), uint64(h.SrcPort), 10)
+	name = strconv.AppendUint(append(name, '#'), s.serial, 10)
+	ap, err := m.factory.CreatePath(ctx, string(name), s.activeStart, attrs)
 	if err != nil {
 		return false, fmt.Errorf("tcp: active path: %w", err)
 	}

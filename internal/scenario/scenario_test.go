@@ -321,7 +321,7 @@ func TestLookup(t *testing.T) {
 // get through, a SYN flood that refuses to pay is rejected on the
 // passive path at one hash of cost per segment.
 func TestPuzzleGateUnderShed(t *testing.T) {
-	sp, err := fault.ParseSpec("seed=41,puzzle=12")
+	sp, err := fault.ParseSpec("seed=41,shed=0.9,puzzle=12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestPuzzleGateUnderShed(t *testing.T) {
 // between the two mechanisms) and penalty-box strikes recorded before
 // a shed window must survive it.
 func TestWatchdogShedInteraction(t *testing.T) {
-	sp, err := fault.ParseSpec("seed=42,watchdog=40ms")
+	sp, err := fault.ParseSpec("seed=42,watchdog")
 	if err != nil {
 		t.Fatal(err)
 	}
