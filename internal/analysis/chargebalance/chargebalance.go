@@ -8,7 +8,7 @@
 //   - handing the object to the owner's tracking lists via Track
 //     (ReleaseAll refunds it at teardown — the constructor pattern),
 //   - passing the charged owner to a releasing function (one whose body
-//     refunds/releases, e.g. abortCreate, DestroyOwner), or
+//     refunds/releases, e.g. reclaim, DestroyOwner), or
 //   - the charged owner escaping through a return value (the caller
 //     now holds the balance — the msg.New pattern).
 //
@@ -33,7 +33,7 @@
 // A charge that is intentionally held by a containing object and
 // refunded elsewhere is annotated at the charge site:
 //
-//	//escort:held TCB kmem refunded in dropConn
+//	//escort:held TCB kmem refunded in close
 //
 // The annotation is a claim reviewers can grep, not a silent opt-out.
 //

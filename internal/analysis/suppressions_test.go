@@ -20,7 +20,7 @@ import (
 // chargebalance engine: removing any one //escort:held below makes
 // escort-lint flag its charge site, so none is stale.
 //
-//	tcp.go     ChargeKmem   TCB, refunded by dropConn
+//	tcp.go     ChargeKmem   TCB, refunded by close
 //	thread.go  ChargeStacks per-domain stack, refunded at thread exit
 //	heap.go    ChargeKmem   backing bytes, refunded in Destroy
 //	heap.go    ChargeKmem   transfer back from a dying owner
@@ -31,7 +31,7 @@ func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
 		"held":     4,
 		"ignore":   0,
-		"coldpath": 34,
+		"coldpath": 33,
 	}
 	got := map[string]int{}
 

@@ -185,19 +185,19 @@ func (s *stage) ReadInode(ctx *kernel.Ctx, ino Inode) (*msg.Msg, error) {
 
 	// Serve from the cached IOBuffer when one exists: associate it with
 	// the requesting path (which is fully charged for it — the paper
-	// accepts charging more than is used), read through the simulated
-	// mapping, and release the association once the bytes are copied
-	// into the reply message.
+	// accepts charging more than is used), check the read against the
+	// simulated mapping, release the association, and copy the bytes
+	// once, into the reply message.
 	if hold, ok := m.bufs[name]; ok {
-		assoc, err := m.iom.Associate(ctx, hold.Buffer(), ctx.Owner(),
+		buf := hold.Buffer()
+		assoc, err := m.iom.Associate(ctx, buf, ctx.Owner(),
 			iobuf.MapSpec{Current: m.node.Domain().ID()})
 		if err == nil {
 			m.Associations++
-			out := make([]byte, len(content))
-			rerr := hold.Buffer().ReadAt(m.node.Domain().ID(), 0, out)
+			rerr := buf.ReadAt(m.node.Domain().ID(), 0, nil) // the mapping check alone
 			m.iom.Unlock(ctx, assoc)
 			if rerr == nil {
-				return msg.FromBytes(ctx.Owner(), out), nil
+				return msg.FromBytes(ctx.Owner(), buf.Bytes()[:len(content)]), nil
 			}
 		}
 	}

@@ -457,5 +457,7 @@ func (b *Buffer) ReadAt(d domain.ID, off int, p []byte) error {
 	return nil
 }
 
-// Bytes exposes the raw contents to privileged (kernel) code and tests.
+// Bytes exposes the raw contents to privileged (kernel) code, tests,
+// and a reader whose mapping ReadAt has just checked (the FS copies a
+// cached file into its reply this way, once).
 func (b *Buffer) Bytes() []byte { return b.data }

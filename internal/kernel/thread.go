@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -83,14 +84,15 @@ type Thread struct {
 	usedThisSlice sim.Cycles
 
 	curDomain  domain.ID
-	crossStack []domain.ID        // kernel-resident crossing stack
-	stacks     map[domain.ID]bool // domains with a materialized stack
-	allowed    *lib.Hash          // path's allowed-crossings table (nil for domain threads)
-	node       lib.Node           // owner thread-list tracking
-	sem        *Semaphore         // where blocked, if anywhere
-	onKilled   func()             // test hook
-	refunded   bool               // kmem/stack charges already returned
-	schedState *sched.State       // per-thread queue state bound to the owner's Share
+	crossDepth int          // depth of the kernel-resident crossing stack
+	stacks     []domain.ID  // domains with a materialized stack
+	stackBuf   [8]domain.ID // stacks' inline backing
+	allowed    *lib.Hash    // path's allowed-crossings table (nil for domain threads)
+	node       lib.Node     // owner thread-list tracking
+	sem        *Semaphore   // where blocked, if anywhere
+	onKilled   func()       // test hook
+	refunded   bool         // kmem/stack charges already returned
+	schedState *sched.State // per-thread queue state bound to the owner's Share
 }
 
 // Name returns the thread's name.
@@ -106,7 +108,9 @@ func (t *Thread) Killed() bool { return t.killed }
 func (t *Thread) CurrentDomain() domain.ID { return t.curDomain }
 
 // CrossDepth returns the depth of the kernel-resident crossing stack.
-func (t *Thread) CrossDepth() int { return len(t.crossStack) }
+// Each Cross frame holds the domain it returns to; the thread keeps
+// the depth.
+func (t *Thread) CrossDepth() int { return t.crossDepth }
 
 // SchedState implements sched.Entity: each thread has its own queue
 // state, but it draws on its owner's Share, so an owner's threads
@@ -185,11 +189,11 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 		yielded:    make(chan yieldKind), //escort:coldpath spawn construction, as above
 		state:      threadNew,
 		curDomain:  domain.KernelID,
-		stacks:     make(map[domain.ID]bool), //escort:coldpath spawn construction, as above
 		allowed:    opts.Allowed,
 		schedState: sched.NewState(OwnerShare(owner)),
 	}
 	t.node.Value = t
+	t.stacks = t.stackBuf[:0]
 	owner.ChargeKmem(threadKmem)
 	owner.ChargeStacks(1) // home stack
 	owner.Track(core.TrackThreads, &t.node)
@@ -413,12 +417,13 @@ func (c *Ctx) Cross(target domain.ID, fn func()) {
 	if tr != nil {
 		tr.TLBFlush(uint32(target), t.owner.Name, c.Now())
 	}
-	if !t.stacks[target] && target != domain.KernelID {
-		t.stacks[target] = true
+	if target != domain.KernelID && !slices.Contains(t.stacks, target) {
+		//escort:coldpath once per thread and domain; inline for up to 8 domains
+		t.stacks = append(t.stacks, target)
 		t.owner.ChargeStacks(1) //escort:held per-domain stack, refunded by refundCharges at thread exit
 		c.Use(m.StackSetup)
 	}
-	t.crossStack = append(t.crossStack, t.curDomain) //escort:coldpath crossing stack pops on return; the backing array amortizes to its high-water mark
+	t.crossDepth++
 	from := t.curDomain
 	t.curDomain = target
 	if c.k.tlb.Touch(target) {
@@ -428,7 +433,7 @@ func (c *Ctx) Cross(target domain.ID, fn func()) {
 		// Return crossing: trap to the special address, pop the kernel
 		// crossing stack, flush again.
 		t.curDomain = from
-		t.crossStack = t.crossStack[:len(t.crossStack)-1]
+		t.crossDepth--
 		t.owner.ChargeCycles(m.CrossDomainCall)
 		c.k.eng.ConsumeCPU(m.CrossDomainCall)
 		c.k.tlb.Flush()

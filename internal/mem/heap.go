@@ -157,8 +157,12 @@ func (h *Heap) ReleaseFor(owner *core.Owner) int {
 	// byOwner set itself), so iterating the set directly would make the
 	// coalescing order — and the resulting span layout — depend on map
 	// iteration order.
-	objs := make([]*Obj, 0, len(h.byOwner[owner]))
-	for o := range h.byOwner[owner] {
+	set := h.byOwner[owner]
+	if len(set) == 0 {
+		return 0
+	}
+	objs := make([]*Obj, 0, len(set))
+	for o := range set {
 		objs = append(objs, o)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].start < objs[j].start })

@@ -6,7 +6,9 @@
 // destroyed either orderly (pathDestroy: module destructors run, in
 // initialization order) or summarily (pathKill: every resource across
 // every protection domain is reclaimed without running destructors —
-// the containment primitive measured in Table 2).
+// the containment primitive measured in Table 2). Both, and a create
+// that fails part-way, return the path's resources through one routine,
+// Manager.reclaim.
 package path
 
 import (
@@ -61,13 +63,13 @@ type StageRec struct {
 
 // Path is the path object (Figure 6): the Owner structure is its first
 // element, followed by the allowed protection-domain crossings, the
-// stage list, the work queue, thread pool, and the reference count that
-// delays pathDestroy (but never pathKill). Figure 6 draws four queues,
-// input and output at each end; this path has one inbound work queue,
-// since outbound messages run the stages on the sender's thread. The
-// stage, handle and domain lists live in inline arrays for paths of up
-// to inlineStages modules. The ledger keeps every dead owner, and with
-// it the whole Path, so teardown releases the queue's ring.
+// stage list, the work queue and the thread pool. Figure 6 draws four
+// queues, input and output at each end; this path has one inbound work
+// queue, since outbound messages run the stages on the sender's thread.
+// The stage, handle and domain lists live in inline arrays for paths of
+// up to inlineStages modules. Everything the path holds comes back
+// through Manager.reclaim; the ledger keeps every dead owner, and with
+// it the whole Path, so reclaim also releases the queue's ring.
 type Path struct {
 	Owner core.Owner
 
@@ -79,14 +81,12 @@ type Path struct {
 	doms    []*domain.Domain // distinct domains crossed, in stage order
 	work    lib.Queue        // inbound messages and control items
 	workSem *kernel.Semaphore
-	refCnt  int
 
-	alive          bool
-	pendingDestroy bool
-	destroyAsked   bool   // RequestDestroy found the queue full
-	staticKmem     uint64 // path struct + crossings hash charge
-	domHooks       []domHook
-	killHooks      []func() // run by Kill before the owner dies
+	alive        bool
+	destroyAsked bool   // RequestDestroy found the queue full
+	staticKmem   uint64 // path struct + crossings hash charge
+	domHooks     []domHook
+	killHooks    []func() // run by reclaim under kill, before the owner dies
 
 	stageBuf  [inlineStages]StageRec
 	handleBuf [inlineStages]stageHandle
@@ -143,31 +143,13 @@ func (p *Path) Spawn(name string, fn func(ctx *kernel.Ctx)) {
 // progress) from an idle one.
 func (p *Path) PendingWork() int { return p.work.Len() }
 
-// OnKill registers fn to run if the path is summarily killed, while
-// the path's owner can still receive refunds. Module-level per-path
-// state that is charged but not kernel-tracked (the TCP module's TCBs)
-// registers here so pathKill reclaims 100% of the owner's resources
-// immediately instead of waiting for the module's periodic sweep.
-// Hooks do not run on orderly destroy — module destructors own that.
+// OnKill registers fn to run if the path is summarily killed or its
+// create fails, while the path's owner can still receive refunds.
+// Module-level per-path state that is charged but not kernel-tracked
+// (the TCP module's TCBs) registers here so pathKill reclaims 100% of
+// the owner's resources. Hooks do not run on orderly destroy — module
+// destructors own that.
 func (p *Path) OnKill(fn func()) { p.killHooks = append(p.killHooks, fn) }
-
-// RefCnt returns the current reference count.
-func (p *Path) RefCnt() int { return p.refCnt }
-
-// Ref takes a reference, delaying pathDestroy.
-func (p *Path) Ref() { p.refCnt++ }
-
-// Unref drops a reference; if a destroy was pending and this was the
-// last reference, the orderly teardown proceeds now.
-func (p *Path) Unref(ctx *kernel.Ctx) {
-	if p.refCnt <= 0 {
-		panic("path: Unref below zero")
-	}
-	p.refCnt--
-	if p.refCnt == 0 && p.pendingDestroy && p.alive {
-		p.mgr.Destroy(ctx, p)
-	}
-}
 
 // Domains returns the distinct protection domains the path crosses, in
 // stage order. The slice is the path's own; callers must not modify it.
@@ -434,27 +416,22 @@ func (mgr *Manager) Live() int { return len(mgr.byOwner) }
 
 var _ module.PathFactory = (*Manager)(nil)
 
-// CreatePath implements module.PathFactory: the pathCreate kernel call.
-// The topology is determined incrementally: the kernel invokes the open
-// function (CreateStage) of the starting module, which names the next
-// module, and so on. Creation cost is charged to the calling context
-// (the passive path creating an active path pays for it, as Table 1's
-// passive-path row shows); the new path's objects are charged to the
-// new owner.
+// CreatePath implements module.PathFactory with Create.
 func (mgr *Manager) CreatePath(ctx *kernel.Ctx, name, start string, attrs lib.Attrs) (module.PathRef, error) {
-	p, err := mgr.create(ctx, name, start, attrs)
+	p, err := mgr.Create(ctx, name, start, attrs)
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Create is CreatePath returning the concrete type.
+// Create is the pathCreate kernel call. The topology is determined
+// incrementally: the kernel invokes the open function (CreateStage) of
+// the starting module, which names the next module, and so on. The
+// creation cost and the new path's objects are charged to the new
+// path. A create that fails part-way reclaims what it built as
+// pathKill does, without counting a kill.
 func (mgr *Manager) Create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs) (*Path, error) {
-	return mgr.create(ctx, name, start, attrs)
-}
-
-func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs) (*Path, error) {
 	k := mgr.k
 	model := k.Model()
 	tr := mgr.tracer
@@ -500,13 +477,12 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	cur := start
 	for {
 		if len(p.stages) >= maxPathLen {
-			mgr.abortCreate(p)
+			mgr.reclaim(p, true)
 			return nil, fmt.Errorf("path: open chain exceeded %d modules (cycle?)", maxPathLen)
 		}
 		node, ok := mgr.graph.Node(cur)
 		if !ok {
-			p.Owner.RefundKmem(pathKmem)
-			p.Owner.MarkDead()
+			mgr.reclaim(p, true)
 			return nil, fmt.Errorf("path: unknown module %q", cur)
 		}
 		// A handle stays valid when a path longer than inlineStages
@@ -517,7 +493,7 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		charge(model.PathOpenPerModule)
 		st, next, err := node.Mod().CreateStage(b, attrs)
 		if err != nil {
-			mgr.abortCreate(p)
+			mgr.reclaim(p, true)
 			return nil, fmt.Errorf("path: open %q: %w", cur, err)
 		}
 		p.stages = append(p.stages, StageRec{Node: node, Stage: st})
@@ -526,13 +502,11 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 			break
 		}
 		if !node.ConnectedTo(next) {
-			mgr.abortCreate(p)
+			mgr.reclaim(p, true)
 			return nil, fmt.Errorf("%w: %q -> %q", ErrNoEdge, cur, next)
 		}
 		cur = next
 	}
-
-	p.findDomains()
 
 	// Allowed protection-domain crossings: adjacent stage pairs, both
 	// directions (the ICMP example crosses the same domain twice).
@@ -553,12 +527,15 @@ func (mgr *Manager) create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	for i := 0; i < workerCount; i++ {
 		if _, err := k.SpawnChecked(&p.Owner, name+":worker", p.worker, SpawnOptsForPath(p)); err != nil {
 			// A path without its worker pool would hang on arrival;
-			// abort and reclaim instead (abortCreate releases every
-			// charge made so far).
-			mgr.abortCreate(p)
+			// reclaim it instead.
+			mgr.reclaim(p, true)
 			return nil, fmt.Errorf("path: create %q: %w", name, err)
 		}
 	}
+	// The crossed domains are listed only once the path is complete: a
+	// failed create is reclaimed without the per-domain sweep a kill
+	// pays for.
+	p.findDomains()
 
 	// A destroyed protection domain takes every path crossing it down
 	// with it (§2.4). Hooks are deregistered when the path dies first.
@@ -589,32 +566,12 @@ func SpawnOptsForPath(p *Path) kernel.SpawnOpts {
 	return kernel.SpawnOpts{Allowed: p.allowed}
 }
 
-func (mgr *Manager) abortCreate(p *Path) {
-	// Partial path: reclaim what was built, without destructors. Kill
-	// hooks run first, while the owner is still live, so modules whose
-	// CreateStage already ran can drop their per-path state and refund
-	// their charges (TCP's TCB is the canonical case); then the
-	// manager's own static charges come back, leaving the dead owner's
-	// books at zero.
-	for _, fn := range p.killHooks {
-		fn()
-	}
-	p.killHooks = nil
-	p.drainQueue()
-	p.Owner.RefundKmem(p.staticKmem)
-	mgr.k.DestroyOwner(&p.Owner, true)
-}
-
 // Destroy is pathDestroy: run each module's destructor in the order the
 // stages were initialized (crossing into each module's domain), release
 // the path's heap charges in every crossed domain, then free all kernel
-// resources. A referenced path destroys when the last reference drops.
+// resources.
 func (mgr *Manager) Destroy(ctx *kernel.Ctx, p *Path) {
 	if !p.alive {
-		return
-	}
-	if p.refCnt > 0 {
-		p.pendingDestroy = true
 		return
 	}
 	p.alive = false
@@ -642,12 +599,7 @@ func (mgr *Manager) Destroy(ctx *kernel.Ctx, p *Path) {
 			rec.Stage.Destroy(nil)
 		}
 	}
-	p.dropDomainHooks()
-	p.drainQueue()
-	p.releaseDomainCharges(false)
-	p.Owner.RefundKmem(p.staticKmem)
-	mgr.k.DestroyOwner(&p.Owner, false)
-	mgr.dropPath(p)
+	mgr.reclaim(p, false)
 	if tr != nil {
 		tr.PathDestroy(p.name, began, mgr.k.Engine().Now())
 	}
@@ -665,21 +617,33 @@ func (mgr *Manager) Kill(p *Path) sim.Cycles {
 	start := mgr.k.Engine().Now()
 	p.alive = false
 	mgr.Kills++
-	for _, fn := range p.killHooks {
-		fn()
-	}
-	p.killHooks = nil
-	p.dropDomainHooks()
-	p.drainQueue()
-	p.releaseDomainCharges(true)
-	p.Owner.RefundKmem(p.staticKmem)
-	mgr.k.DestroyOwner(&p.Owner, true)
-	mgr.dropPath(p)
+	mgr.reclaim(p, true)
 	reclaimed := mgr.k.Engine().Now() - start
 	if tr := mgr.tracer; tr != nil {
 		tr.PathKill(p.name, reclaimed, start, mgr.k.Engine().Now())
 	}
 	return reclaimed
+}
+
+// reclaim returns everything p holds and retires its owner: the tail of
+// pathDestroy, the whole of pathKill, and the unwinding of a failed
+// create. Under kill the kill hooks run first, while the owner can
+// still take refunds, so modules drop their per-path state; the kernel
+// then sweeps every crossed domain at its own expense. The owner dies
+// with its books at zero.
+func (mgr *Manager) reclaim(p *Path, kill bool) {
+	if kill {
+		for _, fn := range p.killHooks {
+			fn()
+		}
+	}
+	p.killHooks = nil
+	p.dropDomainHooks()
+	p.drainQueue()
+	p.releaseDomainCharges(kill)
+	p.Owner.RefundKmem(p.staticKmem)
+	mgr.k.DestroyOwner(&p.Owner, kill)
+	mgr.dropPath(p)
 }
 
 // dropDomainHooks deregisters the path's domain destroy hooks.
@@ -710,10 +674,9 @@ func (p *Path) releaseDomainCharges(kill bool) {
 	k := p.mgr.k
 	model := k.Model()
 	for _, d := range p.doms {
-		freed := d.Heap().ReleaseFor(&p.Owner)
+		d.Heap().ReleaseFor(&p.Owner)
 		if kill && !d.Privileged() {
 			k.Burn(k.KernelOwner(), model.PathKillPerDomain)
 		}
-		_ = freed
 	}
 }

@@ -184,6 +184,26 @@ func TestCreateUnwindsOnOpenError(t *testing.T) {
 	}
 }
 
+// A create naming an unknown module unwinds through the same
+// reclamation as any other failed create: its owner dies holding
+// nothing.
+func TestCreateFromUnknownModuleReclaims(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, false, app, mid, dev)
+	ledger := e.k.Ledger()
+	before := ledger.Snapshot(e.k.Engine().Now())
+	if _, err := e.mgr.Create(nil, "p", "nosuch", lib.Attrs{}); err == nil {
+		t.Fatal("create from an unknown module succeeded")
+	}
+	if err := ledger.CheckContainment(before, ledger.Snapshot(e.k.Engine().Now())); err != nil {
+		t.Fatal(err)
+	}
+	if e.mgr.Live() != 0 {
+		t.Fatal("failed path left registered")
+	}
+}
+
 func TestInboundDeliveryFlowsUp(t *testing.T) {
 	app, mid, dev := chain()
 	appFirst(app, mid, dev)
@@ -385,34 +405,6 @@ func TestKillSkipsDestructorsAndReclaims(t *testing.T) {
 	}
 	if e.mgr.Kills != 1 {
 		t.Fatal("kill not counted")
-	}
-}
-
-func TestRefCountDelaysDestroyButNotKill(t *testing.T) {
-	app, mid, dev := chain()
-	appFirst(app, mid, dev)
-	e := buildEnv(t, false, app, mid, dev)
-	p := createPath(t, e)
-	p.Ref()
-	e.mgr.Destroy(nil, p)
-	if !p.Alive() {
-		t.Fatal("destroy proceeded despite reference")
-	}
-	p.Unref(nil)
-	if p.Alive() {
-		t.Fatal("pending destroy did not fire at last unref")
-	}
-
-	p2 := createPath(t, e)
-	p2.Ref()
-	e.mgr.Kill(p2)
-	if p2.Alive() {
-		// kill must ignore references
-	} else if p2.RefCnt() != 1 {
-		t.Fatal("kill changed refcount semantics")
-	}
-	if p2.Alive() {
-		t.Fatal("pathKill was delayed by a reference")
 	}
 }
 
@@ -635,7 +627,7 @@ func TestTeardownReleasesQueueStorage(t *testing.T) {
 	}
 	aborted := dev.opened.(*Path)
 	if aborted.Alive() || aborted.work.Slots() != 0 {
-		t.Errorf("after abortCreate: alive=%v queue slots=%d", aborted.Alive(), aborted.work.Slots())
+		t.Errorf("after a failed create: alive=%v queue slots=%d", aborted.Alive(), aborted.work.Slots())
 	}
 }
 

@@ -48,7 +48,6 @@ type conn struct {
 	rto        sim.Cycles // current timeout, doubled per loss (Karn-style backoff)
 	synRecvdAt sim.Cycles
 	listener   *Listener
-	tcbCharged bool
 
 	// bytesIn/bytesOut count in-order payload through the connection;
 	// the session reaper judges cycles-per-byte asymmetry on them.
@@ -83,14 +82,7 @@ func (s *activeStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg
 // connection's module-level state (conn-table entry, SYN_RECVD slot) —
 // the resources the paper says destructors return to the domain.
 func (s *activeStage) Destroy(*kernel.Ctx) {
-	c := s.c
-	if c.state != StateClosed {
-		c.m.dropConn(c.key)
-	}
-	if c.sendBuf != nil {
-		c.sendBuf.Free()
-		c.sendBuf = nil
-	}
+	s.c.release()
 }
 
 // input processes one inbound segment.
@@ -362,37 +354,16 @@ func pushTCP(mm *msg.Msg, h wire.TCP, srcIP, dstIP uint32) {
 	wire.PutTCP(hdr, h, srcIP, dstIP, mm.Bytes()[wire.TCPLen:])
 }
 
-// finish completes an orderly close: the connection leaves the demux
-// table and the path destroys itself (running destructors).
+// finish completes an orderly close: the connection closes and the
+// path destroys itself (running destructors).
 func (c *conn) finish(ctx *kernel.Ctx) {
 	if c.state == StateClosed {
 		return
 	}
 	ctx.Use(c.m.k.Model().TCPConnTeardown)
-	c.state = StateClosed
-	c.m.conns.Delete(c.key)
-	if c.m.Patterns != nil {
-		c.m.Patterns.Remove(connPatternName(c.key))
-	}
-	c.refundTCB()
+	c.close()
 	c.m.Completed++
 	c.path.RequestDestroy()
-}
-
-// refundTCB returns the TCB's kmem charge to the path owner. Every
-// teardown route must pass through here before the owner dies, or the
-// dead owner keeps the 256 bytes on its books forever (the chaos
-// harness's leak sweep catches exactly that). When the path was killed
-// the owner may already be dead — the kill reclaimed everything, so
-// the refund is skipped rather than underflowed.
-func (c *conn) refundTCB() {
-	if !c.tcbCharged {
-		return
-	}
-	c.tcbCharged = false
-	if o := c.path.PathOwner(); o != nil && !o.Dead() {
-		o.RefundKmem(tcbKmem)
-	}
 }
 
 // abort reaps a half-open connection (SYN_RECVD timeout).
@@ -401,16 +372,41 @@ func (c *conn) abort(ctx *kernel.Ctx) {
 		return
 	}
 	c.m.Reaped++
-	c.state = StateClosed
-	c.m.conns.Delete(c.key)
-	if c.m.Patterns != nil {
-		c.m.Patterns.Remove(connPatternName(c.key))
+	c.close()
+	c.path.RequestDestroy()
+}
+
+// close is the connection's one exit, taken by finish, abort, the
+// stage destructor and the path's kill hook: the connection leaves the
+// demux table and the pattern table, returns its SYN_RECVD slot if the
+// handshake never completed, and refunds the TCB. Every route runs
+// while the path's owner is live: destructors and kill hooks run
+// before the owner dies.
+func (c *conn) close() {
+	if c.state == StateClosed {
+		return
 	}
-	if c.listener != nil {
+	m := c.m
+	m.conns.Delete(c.key)
+	if m.Patterns != nil {
+		m.Patterns.Remove(connPatternName(c.key))
+	}
+	if c.state == StateSynRcvd && c.listener != nil {
 		c.listener.SynRecvd--
 		c.listener.syncPattern()
 		c.listener = nil
 	}
-	c.refundTCB()
-	c.path.RequestDestroy()
+	c.state = StateClosed
+	c.path.PathOwner().RefundKmem(tcbKmem)
+}
+
+// release ends a connection whose path is going away: it closes the
+// connection if finish or abort has not, and frees the send buffer.
+// The stage destructor and the path's kill hook call it.
+func (c *conn) release() {
+	c.close()
+	if c.sendBuf != nil {
+		c.sendBuf.Free()
+		c.sendBuf = nil
+	}
 }

@@ -84,7 +84,7 @@ const (
 	advertised    = 64000
 
 	// tcbKmem is the TCB's kernel-memory charge against the connection
-	// path's owner, held from CreateStage until dropConn.
+	// path's owner, held from CreateStage until the connection's close.
 	tcbKmem = 256
 )
 
@@ -242,19 +242,9 @@ func (m *Module) masterTick(ctx *kernel.Ctx) {
 	model := m.k.Model()
 	ctx.Use(model.TCPMasterEvent)
 	now := ctx.Now()
-	var stale []uint64
-	m.conns.Each(func(key uint64, v any) {
+	m.conns.Each(func(_ uint64, v any) {
 		ctx.Use(model.TCPTimerPerConn)
 		c := v.(*conn)
-		if !c.path.Alive() {
-			// A live table entry with a dead path means the path was
-			// killed, not destroyed: an abnormal death — an offender.
-			if m.OnOffender != nil && c.state != StateSynRcvd {
-				m.OnOffender(c.remoteIP)
-			}
-			stale = append(stale, key)
-			return
-		}
 		switch {
 		case c.state == StateSynRcvd && now-c.synRecvdAt > m.SynRcvdTimeout:
 			_ = c.path.EnqueueControl(c.stageIdx, func(ctx *kernel.Ctx, _ module.Stage) {
@@ -266,44 +256,20 @@ func (m *Module) masterTick(ctx *kernel.Ctx) {
 			})
 		}
 	})
-	for _, key := range stale {
-		m.dropConn(key)
-	}
 }
 
-// reapKilled reclaims a connection whose path was summarily killed:
-// report abnormal deaths as offenders (§4.4.4) and return the TCB and
-// SYN_RECVD slot immediately. It is the prompt, per-kill form of the
-// master sweep's stale-entry branch (which remains as a backstop).
+// reapKilled is the kill hook of a connection's path (pathKill, or a
+// create that failed after the TCB was made): report an open, established
+// connection's abnormal death as an offender (§4.4.4) and release the
+// connection while the owner can still take the refunds.
 func (m *Module) reapKilled(c *conn) {
-	if c.state == StateClosed {
-		return
+	if c.state != StateClosed {
+		if m.OnOffender != nil && c.state != StateSynRcvd {
+			m.OnOffender(c.remoteIP)
+		}
+		m.Reaped++
 	}
-	if m.OnOffender != nil && c.state != StateSynRcvd {
-		m.OnOffender(c.remoteIP)
-	}
-	m.Reaped++
-	m.dropConn(c.key)
-}
-
-// dropConn removes a table entry whose path died (pathKill bypasses the
-// destructors, so the master sweep reclaims module-level state).
-func (m *Module) dropConn(key uint64) {
-	v, ok := m.conns.Get(key)
-	if !ok {
-		return
-	}
-	c := v.(*conn)
-	m.conns.Delete(key)
-	if m.Patterns != nil {
-		m.Patterns.Remove(connPatternName(key))
-	}
-	if c.state == StateSynRcvd && c.listener != nil {
-		c.listener.SynRecvd--
-		c.listener.syncPattern()
-	}
-	c.state = StateClosed
-	c.refundTCB()
+	c.release()
 }
 
 func connPatternName(key uint64) string {
@@ -413,11 +379,9 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 		listener.SynRecvd++
 		listener.syncPattern()
 	}
-	pb.PathOwner().ChargeKmem(tcbKmem) //escort:held TCB; refunded by dropConn at connection teardown
-	c.tcbCharged = true
-	// Reclaim the module-level state the moment the path is killed
-	// (rather than waiting for the next master sweep): pathKill must
-	// leave nothing behind, and the refund needs the owner still live.
+	pb.PathOwner().ChargeKmem(tcbKmem) //escort:held TCB; refunded by close at connection teardown
+	// pathKill runs no destructors, so the kill hook closes the
+	// connection: the refund needs the owner still live.
 	if kp, ok := c.path.(interface{ OnKill(func()) }); ok {
 		kp.OnKill(func() { m.reapKilled(c) })
 	}

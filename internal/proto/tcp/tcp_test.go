@@ -12,9 +12,12 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/escort"
+	"repro/internal/fault"
 	"repro/internal/lib"
 	"repro/internal/msg"
 	"repro/internal/netsim"
+	"repro/internal/path"
+	"repro/internal/proto/tcp"
 	"repro/internal/proto/wire"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -30,9 +33,15 @@ type env struct {
 
 func newEnv(t *testing.T, opt escort.Options) *env {
 	t.Helper()
+	opt.Kind = escort.KindAccounting
+	return newKindEnv(t, opt)
+}
+
+// newKindEnv builds the server of opt.Kind.
+func newKindEnv(t *testing.T, opt escort.Options) *env {
+	t.Helper()
 	eng := sim.New()
 	hub := netsim.NewHub(eng, mbps100, 3000)
-	opt.Kind = escort.KindAccounting
 	if opt.Docs == nil {
 		opt.Docs = map[string][]byte{"/doc1": []byte("x")}
 	}
@@ -255,5 +264,105 @@ func TestSharedPayloadSegmentsChecksum(t *testing.T) {
 	}
 	if !bytes.HasSuffix(stream, doc) {
 		t.Fatalf("reassembled %d payload bytes do not end with the %d-byte document", len(stream), len(doc))
+	}
+}
+
+// TestPathDeathClosesConnection kills a connection's path by each route
+// a path can die: pathKill, pathDestroy, the destruction of a
+// protection domain the path crosses, and a create that fails after the
+// TCP stage made its TCB. Each route closes the connection: the demux
+// table keeps no entry whose path is dead, the listeners' SYN_RECVD
+// counts match the half-open entries left, and no dead owner holds
+// anything.
+func TestPathDeathClosesConnection(t *testing.T) {
+	// openPath returns the path of a connection part-way through its
+	// response, so the path holds a send buffer as well as the TCB.
+	openPath := func(t *testing.T, e *env) *path.Path {
+		t.Helper()
+		var p *path.Path
+		e.srv.TCP.EachConn(func(cs tcp.ConnStats) {
+			if p == nil && cs.State == tcp.StateEstablished && cs.BytesOut > 0 {
+				p = e.srv.Paths.PathByOwner(cs.Path.PathOwner())
+			}
+		})
+		if p == nil {
+			t.Fatal("no connection is sending")
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		kind escort.Kind
+		die  func(t *testing.T, e *env)
+	}{
+		{"Kill", escort.KindAccounting, func(t *testing.T, e *env) {
+			e.srv.Paths.Kill(openPath(t, e))
+		}},
+		{"Destroy", escort.KindAccounting, func(t *testing.T, e *env) {
+			e.srv.Paths.Destroy(nil, openPath(t, e))
+		}},
+		{"domain destroy", escort.KindAccountingPD, func(t *testing.T, e *env) {
+			p := openPath(t, e)
+			d, ok := e.srv.K.Domains().ByName("http")
+			if !ok {
+				t.Fatal("no http domain")
+			}
+			e.srv.K.Domains().Destroy(d)
+			if p.Alive() {
+				t.Fatal("the domain's destruction left a crossing path alive")
+			}
+		}},
+		{"failed create", escort.KindAccounting, func(t *testing.T, e *env) {
+			spawn := e.srv.K.FaultSet().Point("thread.spawn")
+			e.srv.K.FaultSet().Arm("thread.spawn", fault.Trigger{Nth: spawn.Hits + 1})
+			reaped := e.srv.TCP.Reaped
+			e.srv.Run(200 * sim.CyclesPerMillisecond)
+			if spawn.Fails != 1 || e.srv.TCP.Reaped != reaped+1 {
+				t.Fatalf("spawn fails=%d reaped=%d: no create failed after its TCB was made",
+					spawn.Fails, e.srv.TCP.Reaped-reaped)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The failed-create route arms the spawn failpoint; an
+			// unreachable trigger makes the point exist.
+			sp, err := fault.ParseSpec("fp:thread.spawn=n1000000000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newKindEnv(t, escort.Options{
+				Kind:   tc.kind,
+				Docs:   map[string][]byte{"/big": make([]byte, 64<<10)},
+				Faults: sp,
+			})
+			ledger := e.srv.K.Ledger()
+			before := ledger.Snapshot(e.eng.Now())
+			for i := 0; i < 4; i++ {
+				c := workload.NewClient(e.eng, e.hub, "c", lib.IPv4(10, 0, 1, byte(1+i)),
+					netsim.MAC(0x0200_0000_1001+uint64(i)), escort.ServerIP, "/big", uint64(i)+1)
+				c.Start()
+			}
+			e.srv.Run(30 * sim.CyclesPerMillisecond)
+			tc.die(t, e)
+			halfOpen := 0
+			e.srv.TCP.EachConn(func(cs tcp.ConnStats) {
+				if !cs.Path.Alive() {
+					t.Errorf("conn table keeps %q, whose path is dead", cs.Path.PathName())
+				}
+				if cs.State == tcp.StateSynRcvd {
+					halfOpen++
+				}
+			})
+			synRecvd := 0
+			for _, l := range e.srv.TCP.Listeners() {
+				synRecvd += l.SynRecvd
+			}
+			if synRecvd != halfOpen {
+				t.Errorf("listeners count %d SYN_RECVD, the table holds %d", synRecvd, halfOpen)
+			}
+			if err := ledger.CheckContainment(before, ledger.Snapshot(e.eng.Now())); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
