@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check tidy-check vet check bench-check bench-smoke scenarios profile-allocs
+.PHONY: all build test race lint lint-json lint-sarif fmt fmt-check tidy-check vet check bench-check bench-smoke fuzz-smoke scenarios profile-allocs
 
 all: check
 
@@ -52,6 +52,24 @@ check: fmt-check tidy-check vet build lint race bench-smoke bench-check
 # build instead of surfacing at the next measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# fuzz-smoke runs each native fuzz target for 10 s beyond its seed
+# corpus, two workers at a time. A crasher lands under the target's
+# testdata/fuzz directory; commit it with its fix.
+FUZZ_TARGETS = \
+	FuzzParseSpec:./internal/fault \
+	FuzzParseRun:./internal/experiment \
+	FuzzParseRequestLine:./internal/proto/http \
+	FuzzPuzzleSolved:./internal/proto/wire \
+	FuzzPuzzleRoundTrip:./internal/proto/wire \
+	FuzzConnLifecycle:./internal/proto/tcp
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		echo "fuzz $$name ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s -parallel 2 $$pkg; \
+	done
 
 # bench-check builds and tests the host-cost benchmark module. bench/
 # is its own Go module, so the root build and test never compile it; a

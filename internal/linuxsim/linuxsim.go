@@ -66,8 +66,6 @@ type sconn struct {
 	state   int
 	resp    []byte
 	respOff int // next unsent byte
-	finSent bool
-	finSeq  uint32
 	req     []byte
 }
 
@@ -118,46 +116,21 @@ func (s *Server) KillProcess() sim.Cycles {
 }
 
 func (s *Server) rx(f netsim.Frame) {
-	eh, err := wire.ParseEth(f.Data)
+	p, err := wire.ParsePacket(f.Data)
 	if err != nil {
 		return
 	}
-	switch eh.EtherType {
-	case wire.EtherTypeARP:
-		s.rxARP(eh, f.Data[wire.EthLen:])
-	case wire.EtherTypeIPv4:
-		s.rxIP(eh, f.Data[wire.EthLen:])
-	}
-}
-
-func (s *Server) rxARP(eh wire.Eth, b []byte) {
-	a, err := wire.ParseARP(b)
-	if err != nil || a.Op != wire.ARPRequest || a.TargetIP != s.IP {
+	if p.Eth.EtherType == wire.EtherTypeARP {
+		if p.ARP.Op == wire.ARPRequest && p.ARP.TargetIP == s.IP {
+			s.NIC.Send(wire.AnswerARP(p.ARP, s.MAC))
+		}
 		return
 	}
-	buf := make([]byte, wire.EthLen+wire.ARPLen)
-	wire.PutEth(buf, wire.Eth{Dst: a.SenderMAC, Src: s.MAC, EtherType: wire.EtherTypeARP})
-	wire.PutARP(buf[wire.EthLen:], wire.ARP{
-		Op: wire.ARPReply, SenderMAC: s.MAC, SenderIP: s.IP,
-		TargetMAC: a.SenderMAC, TargetIP: a.SenderIP,
-	})
-	s.NIC.Send(netsim.Frame{Dst: a.SenderMAC, Src: s.MAC, Data: buf})
-}
-
-func (s *Server) rxIP(eh wire.Eth, b []byte) {
-	iph, err := wire.ParseIPv4(b)
-	if err != nil || iph.Proto != wire.ProtoTCP || iph.Dst != s.IP {
+	if p.IP.Dst != s.IP {
 		return
 	}
-	seg := b[wire.IPv4Len:]
-	if int(iph.TotalLen) >= wire.IPv4Len && int(iph.TotalLen) <= len(b) {
-		seg = b[wire.IPv4Len:iph.TotalLen]
-	}
-	th, dataOff, err := wire.ParseTCP(seg, iph.Src, iph.Dst)
-	if err != nil {
-		return
-	}
-	key := lib.ConnKey(s.IP, th.DstPort, iph.Src, th.SrcPort)
+	th := p.TCP
+	key := lib.ConnKey(s.IP, th.DstPort, p.IP.Src, th.SrcPort)
 	c, ok := s.conns[key]
 	if !ok {
 		if th.Flags&wire.FlagSYN != 0 && th.Flags&wire.FlagACK == 0 {
@@ -166,8 +139,8 @@ func (s *Server) rxIP(eh wire.Eth, b []byte) {
 			c = &sconn{
 				s:          s,
 				key:        key,
-				peerIP:     iph.Src,
-				peerMAC:    eh.Src,
+				peerIP:     p.IP.Src,
+				peerMAC:    p.Eth.Src,
 				localPort:  th.DstPort,
 				remotePort: th.SrcPort,
 				iss:        s.iss,
@@ -189,7 +162,7 @@ func (s *Server) rxIP(eh wire.Eth, b []byte) {
 		}
 		return
 	}
-	c.input(th, seg[dataOff:])
+	c.input(th, p.Payload)
 }
 
 func (c *sconn) input(h wire.TCP, payload []byte) {
@@ -217,7 +190,7 @@ func (c *sconn) input(h wire.TCP, payload []byte) {
 	if h.Flags&wire.FlagFIN != 0 && h.Seq+uint32(len(payload)) == c.rcvNxt {
 		c.rcvNxt++
 		c.send(wire.FlagACK, c.sndNxt, nil)
-		if c.finSent {
+		if c.state == lsFinWait {
 			c.state = lsClosed
 			delete(s.conns, c.key)
 			s.Completed++
@@ -269,11 +242,9 @@ func (c *sconn) pump() {
 		}
 		remaining := len(c.resp) - c.respOff
 		if remaining <= 0 {
-			if !c.finSent {
-				c.finSeq = c.sndNxt
+			if c.state == lsEstablished {
 				c.send(wire.FlagFIN|wire.FlagACK, c.sndNxt, nil)
 				c.sndNxt++
-				c.finSent = true
 				c.state = lsFinWait
 			}
 			return
@@ -293,25 +264,11 @@ func (c *sconn) pump() {
 
 func (c *sconn) send(flags byte, seq uint32, payload []byte) {
 	s := c.s
-	buf := make([]byte, wire.EthLen+wire.IPv4Len+wire.TCPLen+len(payload))
-	copy(buf[wire.EthLen+wire.IPv4Len+wire.TCPLen:], payload)
-	wire.PutEth(buf, wire.Eth{Dst: c.peerMAC, Src: s.MAC, EtherType: wire.EtherTypeIPv4})
-	wire.PutIPv4(buf[wire.EthLen:], wire.IPv4{
-		TotalLen: uint16(wire.IPv4Len + wire.TCPLen + len(payload)),
-		TTL:      64,
-		Proto:    wire.ProtoTCP,
-		Src:      s.IP,
-		Dst:      c.peerIP,
-	})
-	wire.PutTCP(buf[wire.EthLen+wire.IPv4Len:wire.EthLen+wire.IPv4Len+wire.TCPLen], wire.TCP{
-		SrcPort: c.localPort,
-		DstPort: c.remotePort,
-		Seq:     seq,
-		Ack:     c.rcvNxt,
-		Flags:   flags,
-		Window:  32768,
-	}, s.IP, c.peerIP, payload)
-	s.NIC.Send(netsim.Frame{Dst: c.peerMAC, Src: s.MAC, Data: buf})
+	s.NIC.Send(wire.TCPFrame(
+		wire.Eth{Dst: c.peerMAC, Src: s.MAC},
+		wire.IPv4{Src: s.IP, Dst: c.peerIP},
+		wire.TCP{SrcPort: c.localPort, DstPort: c.remotePort, Seq: seq, Ack: c.rcvNxt, Flags: flags, Window: 32768},
+		payload))
 }
 
 // OpenConns returns the live connection count.

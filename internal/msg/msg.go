@@ -1,11 +1,10 @@
 // Package msg implements Escort's message library: the user-level
 // facility (mapped into every protection domain) for manipulating
-// network messages held in IOBuffers. It provides header push/strip
-// without copying via head/tail offsets into a shared backing, slices
-// that share the backing under a user-level reference count (so each
-// protection domain needs at most one kernel lock per IOBuffer), and
-// transparent re-allocation when the library has lost write permission
-// to a locked buffer.
+// network messages held in pooled byte-slice backings. It provides
+// header push/strip without copying via head/tail offsets into a
+// backing, slices that share the backing under a reference count, and
+// transparent re-allocation when a push or append needs room the
+// backing lacks or the backing is shared.
 //
 // Backings are recycled: a backing whose last reference goes returns to
 // a per-size-class pool, charges refunded and owner cleared, and the
@@ -147,9 +146,8 @@ func (m *Msg) check(op string) {
 }
 
 // Push prepends n bytes of header space and returns the slice to fill
-// in. When headroom is insufficient or the backing is shared (locked by
-// another reference — the lost-write-permission case), the library
-// transparently reallocates.
+// in. When headroom is insufficient or the backing is shared with
+// another reference, the library transparently reallocates.
 func (m *Msg) Push(n int) []byte {
 	m.check("Push")
 	if n < 0 {

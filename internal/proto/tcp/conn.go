@@ -38,16 +38,19 @@ type conn struct {
 	sendBuf *msg.Msg
 	sndBase uint32
 
+	// wantFin: our FIN follows the response's last byte (its progress
+	// is the state). peerFin: the peer's FIN has arrived in order.
 	wantFin   bool
-	finSent   bool
-	finAcked  bool
+	peerFin   bool
 	streaming bool
-	finSeq    uint32
 
 	rtoAt      sim.Cycles
 	rto        sim.Cycles // current timeout, doubled per loss (Karn-style backoff)
 	synRecvdAt sim.Cycles
-	listener   *Listener
+	// ackedAt is when the peer last acknowledged something new (or the
+	// connection was born or began owing it): PeerTimeout runs from it.
+	ackedAt  sim.Cycles
+	listener *Listener // holds a SYN_RECVD slot exactly while in SYN_RCVD
 
 	// bytesIn/bytesOut count in-order payload through the connection;
 	// the session reaper judges cycles-per-byte asymmetry on them.
@@ -97,9 +100,12 @@ func (c *conn) input(ctx *kernel.Ctx, mm *msg.Msg) (bool, error) {
 
 	// Duplicate SYN: the SYN-ACK was lost; resend it.
 	if h.Flags&wire.FlagSYN != 0 && h.Flags&wire.FlagACK == 0 {
-		if c.state == StateSynRcvd {
-			c.sendSynAck(ctx)
-		}
+		c.sendSynAck(ctx)
+		return false, nil
+	}
+	// SYN-RECEIVED takes only a segment whose ACK covers our SYN-ACK,
+	// with whatever it carries; anything else is dropped (RFC 793).
+	if c.state == StateSynRcvd && (h.Flags&wire.FlagACK == 0 || !c.acceptable(h.Ack)) {
 		return false, nil
 	}
 
@@ -121,44 +127,41 @@ func (c *conn) input(ctx *kernel.Ctx, mm *msg.Msg) (bool, error) {
 		c.sendAck(ctx)
 	}
 
-	if h.Flags&wire.FlagFIN != 0 {
-		finSeq := h.Seq + uint32(payloadLen)
-		if finSeq == c.rcvNxt {
-			c.rcvNxt++
-			c.sendAck(ctx)
-			if c.finAcked || c.state == StateFinWait2 {
-				c.finish(ctx)
-			} else {
-				// Peer closed first (simultaneous close); wait for the
-				// ACK of our FIN before finishing.
-				c.state = StateFinWait2
-			}
-		}
+	if h.Flags&wire.FlagFIN != 0 && h.Seq+uint32(payloadLen) == c.rcvNxt {
+		c.rcvNxt++
+		c.peerFin = true
+		c.sendAck(ctx)
+	}
+	// Both sides have closed once the peer's FIN is in and ours is
+	// acknowledged, in whichever order the two arrived.
+	if c.peerFin && c.state == StateFinWait2 {
+		c.finish(ctx)
 	}
 	return forward, nil
 }
 
+// acceptable reports whether ack acknowledges something sent and not
+// yet acknowledged.
+func (c *conn) acceptable(ack uint32) bool {
+	return wire.SeqLT(c.sndUna, ack) && wire.SeqLEQ(ack, c.sndNxt)
+}
+
 // handleAck advances the send state: SYN-ACK acknowledgment establishes
 // the connection, data acknowledgment opens the congestion window and
-// pumps more segments, FIN acknowledgment completes the close.
+// pumps more segments, FIN acknowledgment moves to FIN_WAIT_2.
 func (c *conn) handleAck(ctx *kernel.Ctx, ack uint32) {
-	if c.state == StateSynRcvd && wire.SeqLEQ(c.iss+1, ack) {
-		c.state = StateEstablished
-		c.sndUna = c.iss + 1
-		c.sndNxt = c.sndUna
-		c.sndBase = c.sndUna
-		c.m.Established++
-		if c.listener != nil {
-			c.listener.SynRecvd--
-			c.listener.syncPattern()
-			c.listener = nil
-		}
-		return
-	}
-	if !wire.SeqLT(c.sndUna, ack) || !wire.SeqLEQ(ack, c.sndNxt) {
+	if !c.acceptable(ack) {
 		return // old or absurd ACK
 	}
 	c.sndUna = ack
+	c.ackedAt = ctx.Now()
+	if c.state == StateSynRcvd {
+		c.state = StateEstablished
+		c.sndBase = c.sndUna
+		c.m.Established++
+		c.releaseSlot()
+		return
+	}
 	c.rto = c.m.RTO // progress: reset the backoff
 	// Congestion window growth: slow start, then congestion avoidance.
 	if c.cwnd < c.ssthresh {
@@ -169,11 +172,8 @@ func (c *conn) handleAck(ctx *kernel.Ctx, ack uint32) {
 	if c.cwnd > maxWindow {
 		c.cwnd = maxWindow
 	}
-	if c.finSent && wire.SeqLEQ(c.finSeq+1, ack) {
-		c.finAcked = true
-		if c.state == StateFinWait1 {
-			c.state = StateFinWait2
-		}
+	if c.state == StateFinWait1 && ack == c.sndNxt {
+		c.state = StateFinWait2
 	}
 	c.compact()
 	c.pump(ctx)
@@ -202,6 +202,9 @@ func (c *conn) compact() {
 // queueResponse accepts response bytes from HTTP; the server closes
 // after the response (HTTP/1.0), so the FIN follows the last byte.
 func (c *conn) queueResponse(ctx *kernel.Ctx, mm *msg.Msg) {
+	if !c.waiting() {
+		c.ackedAt = ctx.Now() // the connection starts owing the peer
+	}
 	if c.sendBuf == nil {
 		c.sendBuf = mm.Dup(c.path.PathOwner())
 		c.sndBase = c.sndNxt
@@ -212,6 +215,20 @@ func (c *conn) queueResponse(ctx *kernel.Ctx, mm *msg.Msg) {
 		c.wantFin = true
 	}
 	c.pump(ctx)
+}
+
+// waiting reports whether the connection waits on its peer: half-open,
+// closing (our FIN sent), or holding response bytes or a FIN the peer
+// has not acknowledged. An established connection that owes nothing
+// is idle, not waiting.
+func (c *conn) waiting() bool {
+	switch c.state {
+	case StateSynRcvd, StateFinWait1, StateFinWait2:
+		return true
+	case StateEstablished:
+		return c.wantFin || c.sendBuf != nil && c.sndBase+uint32(c.sendBuf.Len()) != c.sndUna
+	}
+	return false
 }
 
 // pump transmits as much buffered data as the congestion and peer
@@ -225,39 +242,38 @@ func (c *conn) pump(ctx *kernel.Ctx) {
 		window = c.peerWnd
 	}
 	for {
-		inFlight := int(c.sndNxt - c.sndUna)
-		avail := window - inFlight
+		avail := window - int(c.sndNxt-c.sndUna)
 		if avail <= 0 {
 			return
 		}
-		sent := int(c.sndNxt - c.sndBase)
-		var remaining int
-		if c.sendBuf != nil {
-			remaining = c.sendBuf.Len() - sent
-		}
-		if remaining <= 0 {
-			if c.wantFin && !c.finSent {
-				c.finSeq = c.sndNxt
+		n := c.sendData(ctx, c.sndNxt, avail)
+		if n == 0 {
+			if c.wantFin && c.state == StateEstablished {
 				c.sendSegment(ctx, wire.FlagFIN|wire.FlagACK, c.sndNxt, nil)
 				c.sndNxt++
-				c.finSent = true
 				c.state = StateFinWait1
 				c.armRTO(ctx)
 			}
 			return
 		}
-		n := remaining
-		if n > wire.MSS {
-			n = wire.MSS
-		}
-		if n > avail {
-			n = avail
-		}
-		seg := c.sendBuf.Slice(c.path.PathOwner(), sent, n)
-		c.sendSegment(ctx, wire.FlagACK|wire.FlagPSH, c.sndNxt, seg)
 		c.sndNxt += uint32(n)
 		c.armRTO(ctx)
 	}
+}
+
+// sendData sends one segment of up to limit buffered bytes starting at
+// sequence number seq, and returns its length (0: nothing to send).
+func (c *conn) sendData(ctx *kernel.Ctx, seq uint32, limit int) int {
+	if c.sendBuf == nil {
+		return 0
+	}
+	off := int(seq - c.sndBase)
+	n := min(c.sendBuf.Len()-off, wire.MSS, limit)
+	if n <= 0 {
+		return 0
+	}
+	c.sendSegment(ctx, wire.FlagACK|wire.FlagPSH, seq, c.sendBuf.Slice(c.path.PathOwner(), off, n))
+	return n
 }
 
 func (c *conn) armRTO(ctx *kernel.Ctx) {
@@ -265,6 +281,25 @@ func (c *conn) armRTO(ctx *kernel.Ctx) {
 		c.rto = c.m.RTO
 	}
 	c.rtoAt = ctx.Now() + c.rto
+}
+
+// timer is the connection's share of the master event, run on its own
+// path: a connection that has waited on its peer past the timeout is
+// reaped; otherwise the unacknowledged segment is retransmitted.
+func (c *conn) timer(ctx *kernel.Ctx) {
+	if c.expired(ctx.Now()) {
+		c.m.Reaped++
+		c.close()
+		c.path.RequestDestroy()
+		return
+	}
+	c.retransmit(ctx)
+}
+
+// expired reports whether the connection has waited on its peer for
+// longer than the peer timeout.
+func (c *conn) expired(now sim.Cycles) bool {
+	return c.waiting() && now-c.ackedAt > c.m.PeerTimeout
 }
 
 // retransmit resends one segment from sndUna and backs the window off —
@@ -293,20 +328,8 @@ func (c *conn) retransmit(ctx *kernel.Ctx) {
 		c.sendSynAck(ctx)
 		return
 	}
-	sent := int(c.sndUna - c.sndBase)
-	var remaining int
-	if c.sendBuf != nil {
-		remaining = c.sendBuf.Len() - sent
-	}
-	if remaining > 0 {
-		n := remaining
-		if n > wire.MSS {
-			n = wire.MSS
-		}
-		seg := c.sendBuf.Slice(c.path.PathOwner(), sent, n)
-		c.sendSegment(ctx, wire.FlagACK|wire.FlagPSH, c.sndUna, seg)
-	} else if c.finSent && !c.finAcked {
-		c.sendSegment(ctx, wire.FlagFIN|wire.FlagACK, c.finSeq, nil)
+	if c.sendData(ctx, c.sndUna, wire.MSS) == 0 && c.state == StateFinWait1 {
+		c.sendSegment(ctx, wire.FlagFIN|wire.FlagACK, c.sndNxt-1, nil)
 	}
 	c.armRTO(ctx)
 }
@@ -366,17 +389,17 @@ func (c *conn) finish(ctx *kernel.Ctx) {
 	c.path.RequestDestroy()
 }
 
-// abort reaps a half-open connection (SYN_RECVD timeout).
-func (c *conn) abort(ctx *kernel.Ctx) {
-	if c.state != StateSynRcvd {
-		return
+// releaseSlot returns the listener's SYN_RECVD slot when the
+// connection leaves SYN_RCVD, by establishment or by close.
+func (c *conn) releaseSlot() {
+	if l := c.listener; l != nil {
+		l.SynRecvd--
+		l.syncPattern()
+		c.listener = nil
 	}
-	c.m.Reaped++
-	c.close()
-	c.path.RequestDestroy()
 }
 
-// close is the connection's one exit, taken by finish, abort, the
+// close is the connection's one exit, taken by finish, timer, the
 // stage destructor and the path's kill hook: the connection leaves the
 // demux table and the pattern table, returns its SYN_RECVD slot if the
 // handshake never completed, and refunds the TCB. Every route runs
@@ -391,17 +414,13 @@ func (c *conn) close() {
 	if m.Patterns != nil {
 		m.Patterns.Remove(connPatternName(c.key))
 	}
-	if c.state == StateSynRcvd && c.listener != nil {
-		c.listener.SynRecvd--
-		c.listener.syncPattern()
-		c.listener = nil
-	}
+	c.releaseSlot()
 	c.state = StateClosed
 	c.path.PathOwner().RefundKmem(tcbKmem)
 }
 
 // release ends a connection whose path is going away: it closes the
-// connection if finish or abort has not, and frees the send buffer.
+// connection if finish or timer has not, and frees the send buffer.
 // The stage destructor and the path's kill hook call it.
 func (c *conn) release() {
 	c.close()

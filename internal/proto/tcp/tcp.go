@@ -179,11 +179,12 @@ type Module struct {
 	demand     map[uint32]*SrcDemand
 	demandKeys []uint32
 
-	// RTO is the (fixed) retransmission timeout; SynRcvdTimeout reaps
-	// half-open connections; MasterPeriod is the master event interval.
-	RTO            sim.Cycles
-	SynRcvdTimeout sim.Cycles
-	MasterPeriod   sim.Cycles
+	// RTO is the initial retransmission timeout; PeerTimeout reaps a
+	// connection that waits on a peer which acknowledges nothing new
+	// for that long (conn.waiting); MasterPeriod is the master interval.
+	RTO          sim.Cycles
+	PeerTimeout  sim.Cycles
+	MasterPeriod sim.Cycles
 
 	// Counters for the experiment harness.
 	Established uint64
@@ -205,8 +206,8 @@ func New(name, ipName string, myIP uint32) *Module {
 		// SYN_RCVD lifetime): under a flood the listener's budget fills
 		// once and stays full, and everything beyond it is dropped at
 		// demux time — the cheap steady state of §4.4.1.
-		SynRcvdTimeout: 75 * sim.CyclesPerSecond,
-		MasterPeriod:   100 * sim.CyclesPerMillisecond,
+		PeerTimeout:  75 * sim.CyclesPerSecond,
+		MasterPeriod: 100 * sim.CyclesPerMillisecond,
 	}
 }
 
@@ -237,7 +238,8 @@ func (m *Module) Init(ic *module.InitCtx) error {
 
 // masterTick scans connections: scanning is charged to the TCP domain,
 // while per-connection timeout *processing* is enqueued onto each
-// connection's path so its cycles are charged there.
+// connection's path so its cycles are charged there: at most one timer
+// item per connection per tick, when it expired or its RTO is due.
 func (m *Module) masterTick(ctx *kernel.Ctx) {
 	model := m.k.Model()
 	ctx.Use(model.TCPMasterEvent)
@@ -245,14 +247,9 @@ func (m *Module) masterTick(ctx *kernel.Ctx) {
 	m.conns.Each(func(_ uint64, v any) {
 		ctx.Use(model.TCPTimerPerConn)
 		c := v.(*conn)
-		switch {
-		case c.state == StateSynRcvd && now-c.synRecvdAt > m.SynRcvdTimeout:
+		if c.expired(now) || wire.SeqLT(c.sndUna, c.sndNxt) && now > c.rtoAt {
 			_ = c.path.EnqueueControl(c.stageIdx, func(ctx *kernel.Ctx, _ module.Stage) {
-				c.abort(ctx)
-			})
-		case wire.SeqLT(c.sndUna, c.sndNxt) && now > c.rtoAt:
-			_ = c.path.EnqueueControl(c.stageIdx, func(ctx *kernel.Ctx, _ module.Stage) {
-				c.retransmit(ctx)
+				c.timer(ctx)
 			})
 		}
 	})
@@ -346,6 +343,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 	listener, _ := attrs[AttrListener].(*Listener)
 
 	m.iss += 64009
+	now := pb.Kernel().Engine().Now()
 	c := &conn{
 		m:          m,
 		path:       pb.Handle().Path(),
@@ -366,7 +364,8 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 		peerWnd:    advertised,
 		listener:   listener,
 		streaming:  attrs.Bool(AttrStream),
-		synRecvdAt: pb.Kernel().Engine().Now(),
+		synRecvdAt: now,
+		ackedAt:    now,
 	}
 	c.key = lib.ConnKey(c.localIP, c.localPort, c.remoteIP, c.remotePort)
 	m.conns.Put(c.key, c)
@@ -521,6 +520,11 @@ func (s *passiveStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Ms
 	}
 	if h.Flags&wire.FlagSYN == 0 || h.Flags&wire.FlagACK != 0 {
 		return false, nil // only connection setup lands here
+	}
+	// A SYN retry queued behind the SYN that created its connection:
+	// that connection's SYN-ACK answers it. One connection per 4-tuple.
+	if _, dup := m.conns.Get(lib.ConnKey(m.myIP, s.l.Port, mm.Net.SrcIP, h.SrcPort)); dup {
+		return false, nil
 	}
 	if s.l.SynCap > 0 && s.l.SynRecvd >= s.l.SynCap {
 		s.l.DroppedSyn++

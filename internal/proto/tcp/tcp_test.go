@@ -56,16 +56,9 @@ func newKindEnv(t *testing.T, opt escort.Options) *env {
 // rawSegment builds a full eth+ip+tcp frame as a message, the shape the
 // demux sees.
 func rawSegment(e *env, srcIP uint32, srcPort, dstPort uint16, flags byte) *msg.Msg {
-	buf := make([]byte, wire.EthLen+wire.IPv4Len+wire.TCPLen)
-	wire.PutEth(buf, wire.Eth{Dst: escort.ServerMAC, Src: 0x99, EtherType: wire.EtherTypeIPv4})
-	wire.PutIPv4(buf[wire.EthLen:], wire.IPv4{
-		TotalLen: wire.IPv4Len + wire.TCPLen, TTL: 64, Proto: wire.ProtoTCP,
-		Src: srcIP, Dst: escort.ServerIP,
-	})
-	wire.PutTCP(buf[wire.EthLen+wire.IPv4Len:], wire.TCP{
-		SrcPort: srcPort, DstPort: dstPort, Seq: 1000, Flags: flags, Window: 8192,
-	}, srcIP, escort.ServerIP, nil)
-	return msg.FromBytes(e.srv.K.KernelOwner(), buf)
+	f := wire.TCPFrame(wire.Eth{Dst: escort.ServerMAC, Src: 0x99}, wire.IPv4{Src: srcIP, Dst: escort.ServerIP},
+		wire.TCP{SrcPort: srcPort, DstPort: dstPort, Seq: 1000, Flags: flags, Window: 8192}, nil)
+	return msg.FromBytes(e.srv.K.KernelOwner(), f.Data)
 }
 
 func TestDemuxSynSelectsListenerByTrust(t *testing.T) {
@@ -123,9 +116,9 @@ func TestDemuxEnforcesSynCap(t *testing.T) {
 
 func TestSynRecvdReaping(t *testing.T) {
 	// A half-open connection (handshake never completed) is reaped by
-	// the master event after SynRcvdTimeout.
+	// the master event after PeerTimeout.
 	e := newEnv(t, escort.Options{})
-	e.srv.TCP.SynRcvdTimeout = 300 * sim.CyclesPerMillisecond
+	e.srv.TCP.PeerTimeout = 300 * sim.CyclesPerMillisecond
 	atk := workload.NewSynAttacker(e.eng, e.hub, "atk",
 		lib.IPv4(192, 168, 9, 9), netsim.MAC(0x0200_0000_9999), escort.ServerIP, 50, 3)
 	atk.Start()
@@ -218,28 +211,18 @@ func TestSharedPayloadSegmentsChecksum(t *testing.T) {
 		if f.Src != escort.ServerMAC {
 			return
 		}
-		eth, err := wire.ParseEth(f.Data)
-		if err != nil || eth.EtherType != wire.EtherTypeIPv4 {
+		p, err := wire.ParsePacket(f.Data)
+		if p.Eth.EtherType != wire.EtherTypeIPv4 {
 			return
 		}
-		b := f.Data[wire.EthLen:]
-		ip, err := wire.ParseIPv4(b)
 		if err != nil {
-			t.Fatalf("server IP header: %v", err)
+			t.Fatalf("server segment seq %d flags %#x: %v", p.TCP.Seq, p.TCP.Flags, err)
 		}
-		if ip.Proto != wire.ProtoTCP {
-			return
-		}
-		seg := b[wire.IPv4Len:ip.TotalLen]
-		h, dataOff, err := wire.ParseTCP(seg, ip.Src, ip.Dst)
-		if err != nil {
-			t.Fatalf("server segment seq %d flags %#x: %v", h.Seq, h.Flags, err)
-		}
+		h, payload := p.TCP, p.Payload
 		if h.Flags&wire.FlagSYN != 0 {
 			iss = h.Seq
 			return
 		}
-		payload := seg[dataOff:]
 		if len(payload) == 0 {
 			return
 		}

@@ -7,6 +7,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/netsim"
@@ -212,6 +213,81 @@ func ParseTCP(b []byte, srcIP, dstIP uint32) (TCP, int, error) {
 		Flags:   b[13],
 		Window:  binary.BigEndian.Uint16(b[14:16]),
 	}, dataOff, nil
+}
+
+// ARPFrame builds the frame carrying a from a.SenderMAC to dst.
+func ARPFrame(dst netsim.MAC, a ARP) netsim.Frame {
+	buf := make([]byte, EthLen+ARPLen)
+	PutEth(buf, Eth{Dst: dst, Src: a.SenderMAC, EtherType: EtherTypeARP})
+	PutARP(buf[EthLen:], a)
+	return netsim.Frame{Dst: dst, Src: a.SenderMAC, Data: buf}
+}
+
+// AnswerARP builds the reply to req from the host at mac that owns
+// req.TargetIP.
+func AnswerARP(req ARP, mac netsim.MAC) netsim.Frame {
+	return ARPFrame(req.SenderMAC, ARP{
+		Op: ARPReply, SenderMAC: mac, SenderIP: req.TargetIP,
+		TargetMAC: req.SenderMAC, TargetIP: req.SenderIP,
+	})
+}
+
+// TCPFrame builds an Ethernet+IPv4+TCP frame carrying payload between
+// the addresses of eth and ip; the other header fields but ip.ID are
+// filled in here.
+func TCPFrame(eth Eth, ip IPv4, h TCP, payload []byte) netsim.Frame {
+	const hdrs = EthLen + IPv4Len + TCPLen
+	buf := make([]byte, hdrs+len(payload))
+	copy(buf[hdrs:], payload)
+	eth.EtherType = EtherTypeIPv4
+	PutEth(buf, eth)
+	ip.TotalLen, ip.TTL, ip.Proto = uint16(IPv4Len+TCPLen+len(payload)), 64, ProtoTCP
+	PutIPv4(buf[EthLen:], ip)
+	PutTCP(buf[EthLen+IPv4Len:hdrs], h, ip.Src, ip.Dst, buf[hdrs:])
+	return netsim.Frame{Dst: eth.Dst, Src: eth.Src, Data: buf}
+}
+
+// Packet is a decoded frame: its Ethernet header, then the ARP packet
+// or the IPv4 and TCP headers and TCP payload, as Eth.EtherType says.
+type Packet struct {
+	Eth     Eth
+	ARP     ARP
+	IP      IPv4
+	TCP     TCP
+	Payload []byte
+}
+
+var errNotTCP = errors.New("wire: neither ARP nor TCP over IPv4")
+
+// ParsePacket decodes an ARP or a TCP frame, verifying the checksums
+// and trimming Ethernet padding by the IPv4 total length. Payload
+// aliases b.
+func ParsePacket(b []byte) (p Packet, err error) {
+	if p.Eth, err = ParseEth(b); err != nil {
+		return p, err
+	}
+	b = b[EthLen:]
+	switch p.Eth.EtherType {
+	case EtherTypeARP:
+		p.ARP, err = ParseARP(b)
+		return p, err
+	case EtherTypeIPv4:
+		if p.IP, err = ParseIPv4(b); err != nil {
+			return p, err
+		}
+	}
+	if p.Eth.EtherType != EtherTypeIPv4 || p.IP.Proto != ProtoTCP {
+		return p, errNotTCP
+	}
+	if n := int(p.IP.TotalLen); n >= IPv4Len && n <= len(b) {
+		b = b[:n]
+	}
+	var off int
+	if p.TCP, off, err = ParseTCP(b[IPv4Len:], p.IP.Src, p.IP.Dst); err != nil {
+		return p, err
+	}
+	p.Payload = b[IPv4Len+off:]
+	return p, nil
 }
 
 // Checksum is the Internet checksum (RFC 1071) of b.

@@ -142,3 +142,39 @@ func TestIPv4EncodeParseProperty(t *testing.T) {
 }
 
 var _ = netsim.MAC(0)
+
+// TestFrameBuildParse round-trips the simulated hosts' frames: a TCP
+// frame (with Ethernet padding past the IPv4 total length) and an ARP
+// answer come back through ParsePacket as built, and a frame that is
+// neither ARP nor TCP is refused.
+func TestFrameBuildParse(t *testing.T) {
+	eth := Eth{Dst: 0x0A0B0C0D0E0F, Src: 0x010203040506}
+	ip := IPv4{ID: 9, Src: 0xC0A80101, Dst: 0x0A000001}
+	h := TCP{SrcPort: 5000, DstPort: 80, Seq: 1, Ack: 2, Flags: FlagACK | FlagPSH, Window: 64000}
+	f := TCPFrame(eth, ip, h, []byte("hello"))
+	if f.Dst != eth.Dst || f.Src != eth.Src {
+		t.Fatalf("frame addressed %v -> %v", f.Src, f.Dst)
+	}
+	p, err := ParsePacket(append(f.Data, 0, 0, 0)) // padding
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Eth.EtherType != EtherTypeIPv4 || p.IP.ID != 9 || p.IP.TTL != 64 || p.IP.Src != ip.Src ||
+		p.TCP != h || string(p.Payload) != "hello" {
+		t.Fatalf("parsed %+v", p)
+	}
+
+	req := ARP{Op: ARPRequest, SenderMAC: 0x111111111111, SenderIP: 0x0A000002, TargetIP: 0x0A000001}
+	p, err = ParsePacket(AnswerARP(req, 0x222222222222).Data)
+	want := ARP{Op: ARPReply, SenderMAC: 0x222222222222, SenderIP: 0x0A000001,
+		TargetMAC: 0x111111111111, TargetIP: 0x0A000002}
+	if err != nil || p.Eth.Dst != req.SenderMAC || p.ARP != want {
+		t.Fatalf("ARP answer %+v err=%v", p, err)
+	}
+
+	other := make([]byte, EthLen+IPv4Len)
+	PutEth(other, Eth{EtherType: 0x86DD})
+	if _, err := ParsePacket(other); err == nil {
+		t.Fatal("non-IPv4, non-ARP frame parsed")
+	}
+}

@@ -9,8 +9,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/netsim"
 	"repro/internal/proto/wire"
 	"repro/internal/sim"
@@ -96,12 +94,9 @@ func (s *Station) Resolve(fn func()) {
 }
 
 func (s *Station) sendARPRequest() {
-	buf := make([]byte, wire.EthLen+wire.ARPLen)
-	wire.PutEth(buf, wire.Eth{Dst: netsim.Broadcast, Src: s.MAC, EtherType: wire.EtherTypeARP})
-	wire.PutARP(buf[wire.EthLen:], wire.ARP{
+	s.NIC.Send(wire.ARPFrame(netsim.Broadcast, wire.ARP{
 		Op: wire.ARPRequest, SenderMAC: s.MAC, SenderIP: s.IP, TargetIP: s.ServerIP,
-	})
-	s.NIC.Send(netsim.Frame{Dst: netsim.Broadcast, Src: s.MAC, Data: buf})
+	}))
 	s.arpTries++
 	if s.arpTries < 10 {
 		s.Eng.After(100*sim.CyclesPerMillisecond, func() {
@@ -114,23 +109,20 @@ func (s *Station) sendARPRequest() {
 
 // rx is the station's receive handler.
 func (s *Station) rx(f netsim.Frame) {
-	eh, err := wire.ParseEth(f.Data)
+	p, err := wire.ParsePacket(f.Data)
 	if err != nil {
 		return
 	}
-	switch eh.EtherType {
-	case wire.EtherTypeARP:
-		s.rxARP(f.Data[wire.EthLen:])
-	case wire.EtherTypeIPv4:
-		s.rxIP(eh, f.Data[wire.EthLen:])
+	if p.Eth.EtherType == wire.EtherTypeARP {
+		s.rxARP(p.ARP)
+		return
+	}
+	if c, ok := s.conns[p.TCP.DstPort]; ok && p.IP.Dst == s.IP && c.remotePort == p.TCP.SrcPort {
+		c.input(p.TCP, p.Payload)
 	}
 }
 
-func (s *Station) rxARP(b []byte) {
-	a, err := wire.ParseARP(b)
-	if err != nil {
-		return
-	}
+func (s *Station) rxARP(a wire.ARP) {
 	switch a.Op {
 	case wire.ARPReply:
 		if a.SenderIP == s.ServerIP {
@@ -146,35 +138,9 @@ func (s *Station) rxARP(b []byte) {
 		}
 	case wire.ARPRequest:
 		if a.TargetIP == s.IP {
-			buf := make([]byte, wire.EthLen+wire.ARPLen)
-			wire.PutEth(buf, wire.Eth{Dst: a.SenderMAC, Src: s.MAC, EtherType: wire.EtherTypeARP})
-			wire.PutARP(buf[wire.EthLen:], wire.ARP{
-				Op: wire.ARPReply, SenderMAC: s.MAC, SenderIP: s.IP,
-				TargetMAC: a.SenderMAC, TargetIP: a.SenderIP,
-			})
-			s.NIC.Send(netsim.Frame{Dst: a.SenderMAC, Src: s.MAC, Data: buf})
+			s.NIC.Send(wire.AnswerARP(a, s.MAC))
 		}
 	}
-}
-
-func (s *Station) rxIP(eh wire.Eth, b []byte) {
-	iph, err := wire.ParseIPv4(b)
-	if err != nil || iph.Proto != wire.ProtoTCP || iph.Dst != s.IP {
-		return
-	}
-	seg := b[wire.IPv4Len:]
-	if int(iph.TotalLen) >= wire.IPv4Len && int(iph.TotalLen) <= len(b) {
-		seg = b[wire.IPv4Len:iph.TotalLen]
-	}
-	th, dataOff, err := wire.ParseTCP(seg, iph.Src, iph.Dst)
-	if err != nil {
-		return
-	}
-	c, ok := s.conns[th.DstPort]
-	if !ok || c.remotePort != th.SrcPort {
-		return
-	}
-	c.input(th, seg[dataOff:])
 }
 
 // nextPort allocates an ephemeral port.
@@ -192,26 +158,11 @@ func (s *Station) nextPort() uint16 {
 
 // sendTCP emits one segment to the server.
 func (s *Station) sendTCP(localPort, remotePort uint16, flags byte, seq, ack uint32, payload []byte) {
-	buf := make([]byte, wire.EthLen+wire.IPv4Len+wire.TCPLen+len(payload))
-	copy(buf[wire.EthLen+wire.IPv4Len+wire.TCPLen:], payload)
-	wire.PutEth(buf, wire.Eth{Dst: s.serverMAC, Src: s.MAC, EtherType: wire.EtherTypeIPv4})
-	wire.PutIPv4(buf[wire.EthLen:], wire.IPv4{
-		TotalLen: uint16(wire.IPv4Len + wire.TCPLen + len(payload)),
-		ID:       uint16(s.issSeq),
-		TTL:      64,
-		Proto:    wire.ProtoTCP,
-		Src:      s.IP,
-		Dst:      s.ServerIP,
-	})
-	wire.PutTCP(buf[wire.EthLen+wire.IPv4Len:wire.EthLen+wire.IPv4Len+wire.TCPLen], wire.TCP{
-		SrcPort: localPort,
-		DstPort: remotePort,
-		Seq:     seq,
-		Ack:     ack,
-		Flags:   flags,
-		Window:  64000,
-	}, s.IP, s.ServerIP, payload)
-	s.NIC.Send(netsim.Frame{Dst: s.serverMAC, Src: s.MAC, Data: buf})
+	s.NIC.Send(wire.TCPFrame(
+		wire.Eth{Dst: s.serverMAC, Src: s.MAC},
+		wire.IPv4{ID: uint16(s.issSeq), Src: s.IP, Dst: s.ServerIP},
+		wire.TCP{SrcPort: localPort, DstPort: remotePort, Seq: seq, Ack: ack, Flags: flags, Window: 64000},
+		payload))
 }
 
 // Client connection states.
@@ -240,8 +191,6 @@ type peerConn struct {
 	pendingAck int
 	delackEv   sim.Event
 	retryEv    sim.Event
-	sawFin     bool
-	finSent    bool
 
 	onData  func(n int)
 	onClose func(success bool)
@@ -288,7 +237,7 @@ func (c *peerConn) armReqRetry() {
 
 func reqRetry(a any) {
 	c := a.(*peerConn)
-	if c.state == pcEstablished && c.bytesIn == 0 && !c.sawFin {
+	if c.state == pcEstablished && c.bytesIn == 0 {
 		c.sendRequest()
 		c.armReqRetry()
 	}
@@ -355,13 +304,11 @@ func (c *peerConn) input(h wire.TCP, payload []byte) {
 		}
 		if h.Flags&wire.FlagFIN != 0 && h.Seq+uint32(len(payload)) == c.rcvNxt {
 			c.rcvNxt++
-			c.sawFin = true
 			// ACK the FIN and send ours.
 			c.cancelDelack()
 			c.st.sendTCP(c.localPort, c.remotePort, wire.FlagFIN|wire.FlagACK,
 				c.sndNxt, c.rcvNxt, nil)
 			c.sndNxt++
-			c.finSent = true
 			c.state = pcLastAck
 		}
 	case pcLastAck:
@@ -405,8 +352,4 @@ func (c *peerConn) cancelDelack() {
 func (c *peerConn) ackNow() {
 	c.cancelDelack()
 	c.st.sendTCP(c.localPort, c.remotePort, wire.FlagACK, c.sndNxt, c.rcvNxt, nil)
-}
-
-func (s *Station) String() string {
-	return fmt.Sprintf("station(%s %s)", s.Name, s.NIC.Mac)
 }
