@@ -62,6 +62,7 @@ FUZZ_TARGETS = \
 	FuzzParseRequestLine:./internal/proto/http \
 	FuzzPuzzleSolved:./internal/proto/wire \
 	FuzzPuzzleRoundTrip:./internal/proto/wire \
+	FuzzTCPFrameRoundTrip:./internal/proto/wire \
 	FuzzConnLifecycle:./internal/proto/tcp
 
 fuzz-smoke:
@@ -90,12 +91,21 @@ bench-check:
 scenarios:
 	$(GO) run ./cmd/escort-bench -scenario all -report SCENARIOS.json
 
-# profile-allocs records the heap allocations of one Figure 8 best-effort
-# run (BenchmarkFig8Scout1B) and prints the allocation sites ranked by
-# object count (every allocation recorded): the profile that names what a host-cost change made
-# cheaper. The test binary and profile stay under .bench_build/.
+# profile-allocs records every heap allocation of a Figure 8 best-effort
+# run on 1-byte pages (BenchmarkFig8Scout1B, where per-connection
+# objects dominate) and of a 10 KB run with one protection domain per
+# module (BenchmarkFig8AccountingPD10K, where per-byte copies dominate),
+# and prints each one's allocation sites ranked by object count and by
+# bytes: the profiles that name what a host-cost change made cheaper.
+# The test binary and profiles stay under .bench_build/.
 profile-allocs:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench '^BenchmarkFig8Scout1B$$' -benchtime 3x -benchmem -memprofilerate 1 \
-		-o .bench_build/repro.test -memprofile .bench_build/allocs.prof .
-	$(GO) tool pprof -top -sample_index=alloc_objects .bench_build/repro.test .bench_build/allocs.prof
+	$(GO) test -c -o .bench_build/repro.test .
+	@set -e; for b in Fig8Scout1B Fig8AccountingPD10K; do \
+		.bench_build/repro.test -test.run '^$$' -test.bench "^Benchmark$$b\$$" -test.benchtime 3x \
+			-test.benchmem -test.memprofilerate 1 -test.memprofile .bench_build/$$b.prof; \
+		for idx in alloc_objects alloc_space; do \
+			echo "== $$b by $$idx"; \
+			$(GO) tool pprof -top -sample_index=$$idx .bench_build/repro.test .bench_build/$$b.prof; \
+		done; \
+	done

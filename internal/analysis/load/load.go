@@ -261,6 +261,36 @@ func (i imp) Import(path string) (*types.Package, error) {
 	return p.Types, nil
 }
 
+// xtestImp resolves an external test package's imports: the package
+// under test to its test variant, module packages that import it to
+// copies checked against that variant, and the rest as imp does.
+type xtestImp struct {
+	l     *Loader
+	under string
+	pkgs  map[string]*types.Package // the test variant and the rechecked importers of it
+}
+
+func (x *xtestImp) Import(path string) (*types.Package, error) {
+	if p, ok := x.pkgs[path]; ok {
+		return p, nil
+	}
+	m := x.l.meta[path]
+	if m == nil || m.Standard || !x.l.DepsOf(path)[x.under] {
+		return imp{x.l}.Import(path)
+	}
+	files, _, err := x.l.parse(m.Dir, m.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	cfg := types.Config{Importer: x}
+	tp, err := cfg.Check(path, x.l.fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("load: type-check %s against %s's tests: %v", path, x.under, err)
+	}
+	x.pkgs[path] = tp
+	return tp, nil
+}
+
 // Importer exposes the loader's import resolution (module packages by
 // source, stdlib by the offline source importer) for callers that
 // type-check extra files against the shared FileSet — analysistest uses
@@ -315,16 +345,9 @@ func (l *Loader) checkPkg(importPath string, withTests bool) (*Package, error) {
 	if withTests {
 		names = append(names, m.TestGoFiles...)
 	}
-	var files []*ast.File
-	var fileNames []string
-	for _, name := range names {
-		full := filepath.Join(m.Dir, name)
-		af, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, af)
-		fileNames = append(fileNames, full)
+	files, fileNames, err := l.parse(m.Dir, names)
+	if err != nil {
+		return nil, err
 	}
 	info := NewInfo()
 	cfg := types.Config{Importer: imp{l}}
@@ -355,31 +378,45 @@ func (l *Loader) checkPkg(importPath string, withTests bool) (*Package, error) {
 	return p, nil
 }
 
-// checkXTest type-checks a package's external test package (foo_test).
-// Its imports — including the package under test — resolve to the
-// no-test variants, keeping type identity consistent with every other
-// dependency edge. (Consequence: an xtest referencing exported helpers
-// defined in in-package _test files will not resolve; none in this
-// module do, and the go toolchain itself discourages the pattern.)
+// parse parses the named files of the package in dir.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, []string, error) {
+	var files []*ast.File
+	var fileNames []string
+	for _, name := range names {
+		full := filepath.Join(dir, name)
+		af, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments)
+		if err != nil {
+			return nil, nil, err
+		}
+		files = append(files, af)
+		fileNames = append(fileNames, full)
+	}
+	return files, fileNames, nil
+}
+
+// checkXTest type-checks a package's external test package (foo_test)
+// the way go test builds it: the package under test resolves to its
+// test variant, so exported helpers in its _test.go files (the
+// export_test.go pattern) are visible, and each module package that
+// imports it is checked again against that variant, so the xtest sees
+// one type identity per package across all its imports.
 func (l *Loader) checkXTest(importPath string) (*Package, error) {
 	xpath := importPath + "_test"
 	if p, ok := l.pkgs[xpath]; ok {
 		return p, nil
 	}
 	m := l.meta[importPath]
-	var files []*ast.File
-	var fileNames []string
-	for _, name := range m.XTestGoFiles {
-		full := filepath.Join(m.Dir, name)
-		af, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, af)
-		fileNames = append(fileNames, full)
+	files, fileNames, err := l.parse(m.Dir, m.XTestGoFiles)
+	if err != nil {
+		return nil, err
 	}
+	under, err := l.checkPkg(importPath, true)
+	if err != nil {
+		return nil, err
+	}
+	xi := &xtestImp{l: l, under: importPath, pkgs: map[string]*types.Package{importPath: under.Types}}
 	info := NewInfo()
-	cfg := types.Config{Importer: imp{l}}
+	cfg := types.Config{Importer: xi}
 	tpkg, err := cfg.Check(xpath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("load: type-check %s: %v", xpath, err)

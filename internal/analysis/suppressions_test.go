@@ -25,8 +25,9 @@ import (
 //	heap.go    ChargeKmem   backing bytes, refunded in Destroy
 //	heap.go    ChargeKmem   transfer back from a dying owner
 //
-// The netsim medium's ring growth is the one coldpath claim on the
-// frame path: frame delivery and Sleep's wakeup schedule no closures.
+// The netsim medium's ring growth and the frame pool's miss are the
+// coldpath claims on the frame path: frame delivery and Sleep's wakeup
+// schedule no closures, and frame storage is recycled.
 func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
 		"held":     4,

@@ -132,31 +132,37 @@ type injSegment struct {
 	inner netsim.Segment
 }
 
-// Send applies the configured faults to one frame. Probability draws
-// happen in a fixed order per frame, so a run's draw sequence depends
-// only on the (deterministic) event order and the seed.
+// Send applies the configured faults to one frame, taking over the
+// caller's reference to it: a lost frame releases it, a held or
+// duplicated frame takes one more. Probability draws happen in a fixed
+// order per frame, so a run's draw sequence depends only on the
+// (deterministic) event order and the seed.
 func (s *injSegment) Send(src *netsim.NIC, f netsim.Frame) {
 	in := s.in
 	cfg := &in.cfg
 	now := in.eng.Now()
 
 	if cfg.PartitionFor > 0 && now >= cfg.PartitionAt && now < cfg.PartitionAt+cfg.PartitionFor {
+		f.Release()
 		in.Stats.PartitionDropped++
 		in.record("partition", src.Name, now)
 		return
 	}
 	if cfg.FlapPeriod > 0 && now%cfg.FlapPeriod < cfg.FlapDown {
+		f.Release()
 		in.Stats.FlapDropped++
 		in.record("linkFlap", src.Name, now)
 		return
 	}
 	if cfg.Drop > 0 && in.rng.Float64() < cfg.Drop {
+		f.Release()
 		in.Stats.Dropped++
 		in.record("netDrop", src.Name, now)
 		return
 	}
 	if cfg.Corrupt > 0 && in.rng.Float64() < cfg.Corrupt {
 		corrupted, ok := in.corrupt(f)
+		f.Release()
 		if !ok {
 			// No checksummed payload to break: lose the frame instead.
 			in.Stats.Dropped++
@@ -169,6 +175,7 @@ func (s *injSegment) Send(src *netsim.NIC, f netsim.Frame) {
 	}
 	dup := cfg.Dup > 0 && in.rng.Float64() < cfg.Dup
 	if dup {
+		f.Retain()
 		in.Stats.Duplicated++
 		in.record("netDup", src.Name, now)
 	}
@@ -185,10 +192,8 @@ func (s *injSegment) Send(src *netsim.NIC, f netsim.Frame) {
 	}
 
 	if delay > 0 {
-		// Hold a private copy: the sender may reuse its buffer before
-		// the deferred transmission happens.
-		held := netsim.Frame{Dst: f.Dst, Src: f.Src, Data: append([]byte(nil), f.Data...)}
-		in.eng.After(delay, func() { s.inner.Send(src, held) })
+		// The held frame keeps the sender's reference until it goes out.
+		in.eng.After(delay, func() { s.inner.Send(src, f) })
 		if dup {
 			s.inner.Send(src, f)
 		}
@@ -200,20 +205,23 @@ func (s *injSegment) Send(src *netsim.NIC, f netsim.Frame) {
 	}
 }
 
-// corrupt flips one random bit in the Ethernet payload of an IPv4
-// frame, returning ok=false for frames it cannot safely corrupt
-// (too short, or not IPv4 — ARP carries no checksum, so a flipped bit
-// there would silently poison state rather than surface as loss).
+// corrupt returns a new frame holding a copy of an IPv4 frame with one
+// random bit of its Ethernet payload flipped (f's storage may be shared
+// with the frame's other deliveries, so it is never written). It
+// returns ok=false for frames it cannot safely corrupt (too short, or
+// not IPv4 — ARP carries no checksum, so a flipped bit there would
+// silently poison state rather than surface as loss).
 func (in *NetInjector) corrupt(f netsim.Frame) (netsim.Frame, bool) {
 	const ethLen = 14
 	d := f.Data
 	if len(d) <= ethLen+1 || d[12] != 0x08 || d[13] != 0x00 {
-		return f, false
+		return netsim.Frame{}, false
 	}
-	c := append([]byte(nil), d...)
-	bit := ethLen*8 + in.rng.Intn((len(c)-ethLen)*8)
-	c[bit/8] ^= 1 << (bit % 8)
-	return netsim.Frame{Dst: f.Dst, Src: f.Src, Data: c}, true
+	c := netsim.NewFrame(f.Dst, f.Src, len(d))
+	copy(c.Data, d)
+	bit := ethLen*8 + in.rng.Intn((len(d)-ethLen)*8)
+	c.Data[bit/8] ^= 1 << (bit % 8)
+	return c, true
 }
 
 // record emits the trace instant and bumps the per-NIC fault counter.

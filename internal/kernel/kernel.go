@@ -336,8 +336,8 @@ func (k *Kernel) resume(t *Thread) {
 	if tr != nil {
 		began = k.eng.Now()
 	}
-	t.resume <- struct{}{}
-	kind := <-t.yielded
+	t.hand <- resumed
+	kind := <-t.hand
 	if tr != nil {
 		tr.ThreadSlice(uint32(t.curDomain), t.owner.Name, t.name, began, k.eng.Now(), kind.String())
 	}
@@ -389,8 +389,8 @@ func (k *Kernel) Stop() {
 	for _, t := range append([]*Thread(nil), k.threads...) {
 		t.killed = true
 		if t.state != threadDead {
-			t.resume <- struct{}{}
-			<-t.yielded
+			t.hand <- resumed
+			<-t.hand
 			t.state = threadDead
 			k.removeThread(t)
 		}

@@ -34,6 +34,10 @@ const (
 	yieldPaused
 	yieldExited
 	yieldKilled
+
+	// resumed is what the kernel sends on a thread's hand to start or
+	// continue its slice; a thread never yields it.
+	resumed
 )
 
 // String names the way a slice ended, for trace events.
@@ -75,8 +79,10 @@ type Thread struct {
 	name  string
 	owner *core.Owner
 
-	resume  chan struct{}
-	yielded chan yieldKind
+	// hand carries the CPU between the kernel and the thread's
+	// goroutine. The two strictly alternate on it: the kernel sends
+	// resumed, then receives how the slice ended.
+	hand chan yieldKind
 
 	state         threadState
 	killed        bool
@@ -185,8 +191,7 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 		k:          k,
 		name:       name,
 		owner:      owner,
-		resume:     make(chan struct{}),  //escort:coldpath spawn construction, as above
-		yielded:    make(chan yieldKind), //escort:coldpath spawn construction, as above
+		hand:       make(chan yieldKind), //escort:coldpath spawn construction, as above
 		state:      threadNew,
 		curDomain:  domain.KernelID,
 		allowed:    opts.Allowed,
@@ -204,7 +209,7 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 	}
 
 	go func() { //escort:coldpath one goroutine environment per spawned thread
-		<-t.resume
+		<-t.hand
 		defer func() {
 			if r := recover(); r != nil {
 				if s, ok := r.(sentinel); ok {
@@ -212,15 +217,15 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 						if t.onKilled != nil {
 							t.onKilled()
 						}
-						t.yielded <- yieldKilled
+						t.hand <- yieldKilled
 						return
 					}
-					t.yielded <- yieldExited
+					t.hand <- yieldExited
 					return
 				}
 				panic(r)
 			}
-			t.yielded <- yieldExited
+			t.hand <- yieldExited
 		}()
 		if t.killed {
 			panic(killSentinel)
@@ -322,8 +327,8 @@ func (c *Ctx) Use(n sim.Cycles) {
 	// not soften non-preemptive semantics; it only keeps the simulation
 	// controllable when a no-limit configuration hosts a runaway.
 	if dl := c.k.runDeadline; dl > 0 && c.Now() >= dl {
-		c.t.yielded <- yieldPaused
-		<-c.t.resume
+		c.t.hand <- yieldPaused
+		<-c.t.hand
 		c.checkKilled()
 	}
 }
@@ -332,8 +337,8 @@ func (c *Ctx) Use(n sim.Cycles) {
 func (c *Ctx) Yield() {
 	c.checkCurrent("Yield")
 	c.checkKilled()
-	c.t.yielded <- yieldYielded
-	<-c.t.resume
+	c.t.hand <- yieldYielded
+	<-c.t.hand
 	c.checkKilled()
 }
 
@@ -346,8 +351,8 @@ func (c *Ctx) Exit() {
 // block parks the thread; some other context must makeRunnable it.
 func (c *Ctx) block() {
 	c.checkCurrent("block")
-	c.t.yielded <- yieldBlocked
-	<-c.t.resume
+	c.t.hand <- yieldBlocked
+	<-c.t.hand
 	c.checkKilled()
 }
 

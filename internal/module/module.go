@@ -72,7 +72,9 @@ type Module interface {
 	Init(ic *InitCtx) error
 	// CreateStage is the module's open function during incremental path
 	// creation: it returns the module's stage (path-local state) and the
-	// name of the next module to visit ("" terminates the path).
+	// name of the next module to visit ("" terminates the path). attrs
+	// is valid only for the call: a stage copies out the values it
+	// keeps and never holds the map.
 	CreateStage(pb PathBuilder, attrs lib.Attrs) (Stage, string, error)
 	// Demux classifies an incoming message (§2.2): continue at an
 	// adjacent module, reject, or return the unique path. Demux must be
@@ -159,6 +161,8 @@ type PathRef interface {
 // PathFactory creates paths; implemented by the path manager and used by
 // module Init / deliver code (the TCP module creating an active path).
 type PathFactory interface {
+	// CreatePath builds a path from module start on. attrs is valid
+	// only for the call; the caller may reuse the map afterwards.
 	CreatePath(ctx *kernel.Ctx, name, start string, attrs lib.Attrs) (PathRef, error)
 }
 

@@ -5,6 +5,14 @@
 // link speed (the dominant network effect at these document sizes) and
 // experience propagation delay; the hub is a single shared medium, the
 // switch gives each port its own full-duplex link.
+//
+// Frame bytes come from a pool of reference-counted buffers (NewFrame).
+// NIC.Send takes over the sender's reference, a frame in flight on a
+// medium holds one until the receiving side's handling returns (so a
+// hub delivers one buffer to every listener), and a switch port or the
+// bridge takes one more before it transmits again. The buffer goes back
+// to its pool when the last delivery ends, so receivers copy what they
+// keep (see NIC.Rx).
 package netsim
 
 import (
@@ -27,15 +35,6 @@ func (m MAC) String() string {
 		byte(m>>40), byte(m>>32), byte(m>>24), byte(m>>16), byte(m>>8), byte(m))
 }
 
-// Frame is a raw Ethernet frame (header included in Data).
-type Frame struct {
-	Dst, Src MAC
-	Data     []byte
-}
-
-// MaxFrame is the Ethernet maximum frame size (1500 MTU + 14 header).
-const MaxFrame = 1514
-
 // Attacher is anything a NIC can attach to (hub or switch).
 type Attacher interface {
 	Attach(n *NIC)
@@ -43,7 +42,7 @@ type Attacher interface {
 
 // Segment is the transmission interface a NIC sends through; attaching
 // to a hub binds the hub itself, attaching to a switch binds a per-port
-// segment.
+// segment. Send takes over the caller's reference to f.
 type Segment interface {
 	Send(src *NIC, f Frame)
 }
@@ -57,6 +56,10 @@ type NIC struct {
 	seg  Segment
 
 	// Rx is invoked for each frame addressed to this NIC (or broadcast).
+	// It keeps nothing of f past its return: the storage is shared with
+	// the frame's other receivers and reused once the last of them
+	// returns, so Rx copies what it keeps (the bridge, which sends f on,
+	// Retains it first).
 	Rx func(f Frame)
 
 	// Counters.
@@ -74,16 +77,18 @@ func NewNIC(name string, mac MAC) *NIC {
 	return &NIC{Name: name, Mac: mac}
 }
 
-// Send transmits a frame onto the attached segment. Oversized frames are
-// dropped (and counted), as the hardware would; it reports whether the
-// frame made it onto the wire so the driver layer can attribute the
-// drop to the owner that produced the frame.
+// Send transmits a frame onto the attached segment, taking over the
+// caller's reference to it. Oversized frames are dropped (and counted),
+// as the hardware would; it reports whether the frame made it onto the
+// wire so the driver layer can attribute the drop to the owner that
+// produced the frame.
 func (n *NIC) Send(f Frame) bool {
 	if n.seg == nil {
 		panic("netsim: send on detached NIC " + n.Name)
 	}
 	if len(f.Data) > MaxFrame {
 		n.TxDropped++
+		f.Release()
 		return false
 	}
 	n.TxFrames++
@@ -123,7 +128,8 @@ func (n *NIC) deliver(f Frame) {
 // fire in schedule order, so the event that fires next always belongs
 // to the frame at the ring's head. Each frame schedules exactly one
 // event, at its arrival cycle, running arrive on the medium, so
-// scheduling allocates nothing.
+// scheduling allocates nothing. Each ring slot holds one reference to
+// its frame, dropped once the sink returns.
 type medium struct {
 	eng        *sim.Engine
 	cyclesPer8 sim.Cycles // cycles per byte (8 bits)
@@ -139,7 +145,8 @@ type medium struct {
 	n    int
 }
 
-// sink is what a medium hands its arriving frames to.
+// sink is what a medium hands its arriving frames to. A sink that
+// transmits the frame again Retains it first.
 type sink interface {
 	arrive(src *NIC, f Frame)
 }
@@ -162,7 +169,8 @@ func newMedium(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles, to sink) med
 }
 
 // transmit queues f behind the frames already on the medium and
-// schedules its arrival at the time it finishes arriving.
+// schedules its arrival at the time it finishes arriving. The ring slot
+// takes over the caller's reference.
 func (m *medium) transmit(src *NIC, f Frame) {
 	now := m.eng.Now()
 	start := m.busyUntil
@@ -179,9 +187,10 @@ func (m *medium) transmit(src *NIC, f Frame) {
 	m.eng.AtTimeArg(m.busyUntil+m.prop, arrive, m)
 }
 
-// arrive hands a medium's oldest frame in flight to its sink. The slot
-// is cleared and released before the sink runs, so a sink that
-// transmits again on the same medium sees a consistent ring.
+// arrive hands a medium's oldest frame in flight to its sink, then
+// drops the slot's reference. The slot is cleared and released before
+// the sink runs, so a sink that transmits again on the same medium sees
+// a consistent ring.
 func arrive(a any) {
 	m := a.(*medium)
 	slot := &m.ring[m.head]
@@ -190,6 +199,7 @@ func arrive(a any) {
 	m.head = (m.head + 1) & (len(m.ring) - 1)
 	m.n--
 	m.sink.arrive(src, f)
+	f.Release()
 }
 
 // grow doubles the ring, keeping the frames in flight in order.
@@ -281,11 +291,14 @@ type portSegment struct{ p *swPort }
 // Send implements Segment: station -> switch, then forward.
 func (ps portSegment) Send(src *NIC, f Frame) { ps.p.fromNIC.transmit(src, f) }
 
+// forward learns the sender's port and transmits f on the destination's
+// port, or floods it; each output port holds its own reference.
 func (s *Switch) forward(in *swPort, f Frame) {
 	s.table[f.Src] = in
 	if f.Dst != Broadcast {
 		if out, ok := s.table[f.Dst]; ok {
 			if out != in {
+				f.Retain()
 				out.toNIC.transmit(nil, f)
 			}
 			return
@@ -294,6 +307,7 @@ func (s *Switch) forward(in *swPort, f Frame) {
 	// Flood unknown destinations and broadcasts.
 	for _, out := range s.ports {
 		if out != in {
+			f.Retain()
 			out.toNIC.transmit(nil, f)
 		}
 	}
@@ -318,8 +332,8 @@ func NewBridge(name string, segA, segB Attacher, macA, macB MAC) *Bridge {
 	br.b.SetPromiscuous()
 	segA.Attach(br.a)
 	segB.Attach(br.b)
-	br.a.Rx = func(f Frame) { br.b.Send(f) }
-	br.b.Rx = func(f Frame) { br.a.Send(f) }
+	br.a.Rx = func(f Frame) { f.Retain(); br.b.Send(f) }
+	br.b.Rx = func(f Frame) { f.Retain(); br.a.Send(f) }
 	return br
 }
 

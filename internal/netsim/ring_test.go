@@ -242,9 +242,10 @@ func at(log []delivery, i int) any {
 }
 
 // TestFrameForwardingDoesNotAllocate pins the allocation-free frame
-// path: once the rings and the switch table are warm, a unicast frame
-// from a switch station across the bridge to a hub station (three
-// media, two forwarding hops) allocates nothing.
+// path: once the frame pool, the rings and the switch table are warm, a
+// pooled unicast frame built at a switch station and carried across the
+// bridge to a hub station (three media, two forwarding hops) allocates
+// nothing, and its storage comes back.
 func TestFrameForwardingDoesNotAllocate(t *testing.T) {
 	eng := sim.New()
 	hub := NewHub(eng, mbps100, 3000)
@@ -252,23 +253,35 @@ func TestFrameForwardingDoesNotAllocate(t *testing.T) {
 	NewBridge("uplink", hub, sw, 0xFE, 0xFF)
 	server, client := NewNIC("server", 1), NewNIC("client", 2)
 	got := 0
-	server.Rx = func(Frame) { got++ }
+	server.Rx = func(f Frame) {
+		if intact(f) {
+			got++
+		}
+	}
 	hub.Attach(server)
 	sw.Attach(client)
 	server.Send(Frame{Dst: Broadcast, Src: 1, Data: make([]byte, 60)})
-	f := Frame{Dst: 1, Src: 2, Data: make([]byte, 600)}
+	id := uint32(0)
+	send := func() {
+		client.Send(pooledFrame(1, 2, id, 600))
+		id++
+	}
 	for i := 0; i < 16; i++ {
-		client.Send(f) // a burst grows every ring on the path
+		send() // a burst grows every ring on the path
 	}
 	eng.Drain(1 << 50)
+	before := LiveFrames()
 	allocs := testing.AllocsPerRun(1000, func() {
-		client.Send(f)
+		send()
 		eng.Drain(eng.Now() + sim.CyclesPerSecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("switch -> bridge -> hub forwarding allocates %.1f objects per frame, want 0", allocs)
 	}
 	if got != 16+1001 {
-		t.Fatalf("server received %d frames, want %d", got, 16+1001)
+		t.Fatalf("server received %d intact frames, want %d", got, 16+1001)
+	}
+	if n := LiveFrames() - before; n != 0 {
+		t.Fatalf("%d pooled frames still referenced", n)
 	}
 }

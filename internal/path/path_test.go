@@ -637,7 +637,7 @@ func TestCreateDestroyAllocs(t *testing.T) {
 	app, mid, dev := chain()
 	appFirst(app, mid, dev)
 	e := buildEnv(t, false, app, mid, dev)
-	const ceiling = 22
+	const ceiling = 19
 	allocs := testing.AllocsPerRun(100, func() {
 		p, err := e.mgr.Create(nil, "p0", "app", lib.Attrs{})
 		if err != nil {

@@ -136,19 +136,18 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 	}
 	// Down: frame out the device. The copy onto the (simulated) wire is
 	// the per-byte cost.
-	var frame netsim.Frame
+	h := wire.Eth{Dst: s.peer, Src: s.mod.nic.Mac, EtherType: wire.EtherTypeIPv4}
 	if s.raw {
-		h, err := wire.ParseEth(mm.Bytes())
-		if err != nil {
+		var err error
+		if h, err = wire.ParseEth(mm.Bytes()); err != nil {
 			return false, err
 		}
-		frame = netsim.Frame{Dst: h.Dst, Src: h.Src, Data: append([]byte(nil), mm.Bytes()...)}
 	} else {
-		hdr := mm.Push(wire.EthLen)
-		wire.PutEth(hdr, wire.Eth{Dst: s.peer, Src: s.mod.nic.Mac, EtherType: wire.EtherTypeIPv4})
-		frame = netsim.Frame{Dst: s.peer, Src: s.mod.nic.Mac, Data: append([]byte(nil), mm.Bytes()...)}
+		wire.PutEth(mm.Push(wire.EthLen), h)
 	}
-	ctx.Use(sim.Cycles(len(frame.Data)) * model.PerByte)
+	ctx.Use(sim.Cycles(mm.Len()) * model.PerByte)
+	frame := netsim.NewFrame(h.Dst, h.Src, mm.Len())
+	copy(frame.Data, mm.Bytes())
 	if !s.mod.nic.Send(frame) {
 		s.mod.TxDrops++
 		owner := ctx.Owner().Name

@@ -328,6 +328,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 			h:           pb.Handle(),
 			activeStart: start,
 			activeExtra: extra,
+			attrs:       lib.Attrs{},
 		}
 		l.stage = st
 		l.path = pb.Handle().Path()
@@ -503,6 +504,7 @@ type passiveStage struct {
 	h           module.StageHandle
 	activeStart string
 	activeExtra lib.Attrs
+	attrs       lib.Attrs // an accepted SYN's active-path attributes, refilled per SYN
 	serial      uint64
 }
 
@@ -557,14 +559,16 @@ func (s *passiveStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Ms
 		}
 	}
 	s.serial++
-	attrs := lib.Attrs{
-		lib.AttrRemoteIP:   mm.Net.SrcIP,
-		lib.AttrRemotePort: int(h.SrcPort),
-		lib.AttrLocalPort:  int(s.l.Port),
-		ethmod.AttrPeerMAC: netsim.MAC(mm.Net.SrcMAC),
-		AttrIRS:            h.Seq,
-		AttrListener:       s.l,
-	}
+	// CreatePath's attributes are valid only for the call, so one map
+	// serves every SYN this stage accepts.
+	attrs := s.attrs
+	clear(attrs)
+	attrs[lib.AttrRemoteIP] = mm.Net.SrcIP
+	attrs[lib.AttrRemotePort] = int(h.SrcPort)
+	attrs[lib.AttrLocalPort] = int(s.l.Port)
+	attrs[ethmod.AttrPeerMAC] = netsim.MAC(mm.Net.SrcMAC)
+	attrs[AttrIRS] = h.Seq
+	attrs[AttrListener] = s.l
 	for k, v := range s.activeExtra {
 		attrs[k] = v
 	}

@@ -215,12 +215,13 @@ func ParseTCP(b []byte, srcIP, dstIP uint32) (TCP, int, error) {
 	}, dataOff, nil
 }
 
-// ARPFrame builds the frame carrying a from a.SenderMAC to dst.
+// ARPFrame builds the frame carrying a from a.SenderMAC to dst, in
+// pooled storage with one reference (netsim.NewFrame).
 func ARPFrame(dst netsim.MAC, a ARP) netsim.Frame {
-	buf := make([]byte, EthLen+ARPLen)
-	PutEth(buf, Eth{Dst: dst, Src: a.SenderMAC, EtherType: EtherTypeARP})
-	PutARP(buf[EthLen:], a)
-	return netsim.Frame{Dst: dst, Src: a.SenderMAC, Data: buf}
+	f := netsim.NewFrame(dst, a.SenderMAC, EthLen+ARPLen)
+	PutEth(f.Data, Eth{Dst: dst, Src: a.SenderMAC, EtherType: EtherTypeARP})
+	PutARP(f.Data[EthLen:], a)
+	return f
 }
 
 // AnswerARP builds the reply to req from the host at mac that owns
@@ -233,18 +234,28 @@ func AnswerARP(req ARP, mac netsim.MAC) netsim.Frame {
 }
 
 // TCPFrame builds an Ethernet+IPv4+TCP frame carrying payload between
-// the addresses of eth and ip; the other header fields but ip.ID are
-// filled in here.
+// the addresses of eth and ip, in pooled storage with one reference
+// (netsim.NewFrame); the other header fields but ip.ID are filled in
+// here.
 func TCPFrame(eth Eth, ip IPv4, h TCP, payload []byte) netsim.Frame {
-	const hdrs = EthLen + IPv4Len + TCPLen
-	buf := make([]byte, hdrs+len(payload))
-	copy(buf[hdrs:], payload)
+	f := netsim.NewFrame(eth.Dst, eth.Src, tcpHdrs+len(payload))
+	putTCPFrame(f.Data, eth, ip, h, payload)
+	return f
+}
+
+// tcpHdrs is the length of a TCP frame's headers.
+const tcpHdrs = EthLen + IPv4Len + TCPLen
+
+// putTCPFrame writes TCPFrame's frame into buf, which holds exactly
+// tcpHdrs+len(payload) bytes. It writes every one of them: pooled
+// storage holds another frame's bytes.
+func putTCPFrame(buf []byte, eth Eth, ip IPv4, h TCP, payload []byte) {
+	copy(buf[tcpHdrs:], payload)
 	eth.EtherType = EtherTypeIPv4
 	PutEth(buf, eth)
 	ip.TotalLen, ip.TTL, ip.Proto = uint16(IPv4Len+TCPLen+len(payload)), 64, ProtoTCP
 	PutIPv4(buf[EthLen:], ip)
-	PutTCP(buf[EthLen+IPv4Len:hdrs], h, ip.Src, ip.Dst, buf[hdrs:])
-	return netsim.Frame{Dst: eth.Dst, Src: eth.Src, Data: buf}
+	PutTCP(buf[EthLen+IPv4Len:tcpHdrs], h, ip.Src, ip.Dst, buf[tcpHdrs:])
 }
 
 // Packet is a decoded frame: its Ethernet header, then the ARP packet
