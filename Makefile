@@ -54,7 +54,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # fuzz-smoke runs each native fuzz target for 10 s beyond its seed
-# corpus, two workers at a time. A crasher lands under the target's
+# corpus, two workers at a time. Minimizing a newly interesting input
+# stops after 1 s (Go's default is 60 s, which would eat the rest of
+# the 10 s with no executions). A crasher lands under the target's
 # testdata/fuzz directory; commit it with its fix.
 FUZZ_TARGETS = \
 	FuzzParseSpec:./internal/fault \
@@ -69,7 +71,7 @@ fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		name=$${t%%:*}; pkg=$${t#*:}; \
 		echo "fuzz $$name ($$pkg)"; \
-		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s -parallel 2 $$pkg; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s -fuzzminimizetime 1s -parallel 2 $$pkg; \
 	done
 
 # bench-check builds and tests the host-cost benchmark module. bench/

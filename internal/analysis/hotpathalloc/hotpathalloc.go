@@ -48,6 +48,7 @@ var (
 		"repro/internal/netsim",
 		"repro/internal/iobuf",
 		"repro/internal/kernel",
+		"repro/internal/path",
 	}
 	ObsPath = "repro/internal/obs"
 )

@@ -27,12 +27,19 @@ import (
 //
 // The netsim medium's ring growth and the frame pool's miss are the
 // coldpath claims on the frame path: frame delivery and Sleep's wakeup
-// schedule no closures, and frame storage is recycled.
+// schedule no closures, and frame storage is recycled. Semaphore
+// waiters link through the threads, so blocking claims nothing. The
+// path package's 14 claims are its per-path objects (the Path, the
+// worker's name, inline stage/handle/domain lists that grow only past
+// eight), one live-path list, a second control item while the path's
+// own is queued, the constructor, the per-chain crossing table and
+// per-domain destroy hook, two Cross closures that stay on the stack,
+// and a miswired-graph reject reason.
 func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
 		"held":     4,
 		"ignore":   0,
-		"coldpath": 33,
+		"coldpath": 46,
 	}
 	got := map[string]int{}
 

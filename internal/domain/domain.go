@@ -9,7 +9,6 @@ package domain
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -35,8 +34,7 @@ type Domain struct {
 	// onDestroy callbacks tear down dependents: every path crossing this
 	// domain must die with it (§2.4: paths can access module state in
 	// each domain they cross, and that state vanishes with the domain).
-	onDestroy  map[int]func()
-	nextHookID int
+	onDestroy []func()
 }
 
 // ID returns the domain identifier.
@@ -54,22 +52,12 @@ func (d *Domain) Destroyed() bool { return d.destroyed }
 // Name returns the owner name.
 func (d *Domain) Name() string { return d.Owner.Name }
 
-// AddDestroyHook registers fn to run when the domain is destroyed and
-// returns an id for RemoveDestroyHook. Paths register (and deregister at
-// their own teardown) so a destroyed domain takes down exactly its live
-// paths.
-func (d *Domain) AddDestroyHook(fn func()) int {
-	if d.onDestroy == nil {
-		d.onDestroy = make(map[int]func())
-	}
-	d.nextHookID++
-	d.onDestroy[d.nextHookID] = fn
-	return d.nextHookID
-}
-
-// RemoveDestroyHook deregisters a hook (no-op for unknown ids).
-func (d *Domain) RemoveDestroyHook(id int) {
-	delete(d.onDestroy, id)
+// AddDestroyHook registers fn to run when the domain is destroyed,
+// before its owner releases anything. The path manager registers one
+// per domain its paths cross, so a destroyed domain takes down exactly
+// its live paths.
+func (d *Domain) AddDestroyHook(fn func()) {
+	d.onDestroy = append(d.onDestroy, fn)
 }
 
 // Registry tracks all domains in a configuration.
@@ -145,13 +133,8 @@ func (r *Registry) Destroy(d *Domain) {
 	}
 	d.destroyed = true
 	// Run hooks in registration order (deterministic teardown).
-	ids := make([]int, 0, len(d.onDestroy))
-	for id := range d.onDestroy {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		d.onDestroy[id]()
+	for _, fn := range d.onDestroy {
+		fn()
 	}
 	d.onDestroy = nil
 	d.Owner.ReleaseAll(true)

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/fault"
+	"repro/internal/kernel"
 	"repro/internal/lib"
 	"repro/internal/netsim"
+	"repro/internal/path"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -489,5 +491,51 @@ func TestDefenseArmsServerHooks(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// On Accounting_PD, active paths over the same protection-domain chain
+// share one allowed-crossings table, and the shared table still refuses
+// a crossing between two domains that no stage pair makes adjacent: the
+// faulting thread's path is killed.
+func TestActivePathsShareCrossingTable(t *testing.T) {
+	b := newBed(t, KindAccountingPD, Options{})
+	for i := 0; i < 4; i++ {
+		b.client(i, "/doc10k").Start()
+	}
+	b.srv.Run(300 * sim.CyclesPerMillisecond)
+	var active []*path.Path
+	for _, p := range b.srv.Paths.Paths() {
+		if hasPrefix(p.PathName(), "Active Path") {
+			active = append(active, p)
+		}
+	}
+	if len(active) < 2 {
+		t.Fatalf("%d live active paths, want at least 2", len(active))
+	}
+	table := path.SpawnOptsForPath(active[0]).Allowed
+	for _, p := range active[1:] {
+		if path.SpawnOptsForPath(p).Allowed != table {
+			t.Fatalf("%s and %s cross the same domains but hold different tables", active[0].PathName(), p.PathName())
+		}
+	}
+	p := active[0]
+	doms := p.Domains()
+	if len(doms) < 3 {
+		t.Fatalf("active path crosses %d domains, want at least 3", len(doms))
+	}
+	top, bottom := doms[0].ID(), doms[len(doms)-1].ID()
+	if _, ok := table.Get(lib.PairKey(uint32(top), uint32(bottom))); ok {
+		t.Fatalf("table allows %s -> %s", doms[0].Name(), doms[len(doms)-1].Name())
+	}
+	escaped := false
+	p.Spawn("probe", func(ctx *kernel.Ctx) {
+		ctx.Cross(top, func() {
+			ctx.Cross(bottom, func() { escaped = true })
+		})
+	})
+	b.srv.Run(10 * sim.CyclesPerMillisecond)
+	if escaped || p.Alive() {
+		t.Fatalf("non-adjacent crossing: escaped=%v, path alive=%v", escaped, p.Alive())
 	}
 }

@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -91,7 +93,7 @@ func TestYieldInterleavesThreads(t *testing.T) {
 func TestSemaphoreBlocksAndWakes(t *testing.T) {
 	k := newKernel(t, Config{})
 	owner := k.NewOwner("p", core.PathOwner)
-	sem := k.NewSemaphore(owner, "s", 0)
+	sem := k.NewSemaphore(owner, 0)
 	var got []string
 	k.Spawn(owner, "consumer", func(ctx *Ctx) {
 		if err := sem.P(ctx); err != nil {
@@ -116,7 +118,7 @@ func TestSemaphoreBlocksAndWakes(t *testing.T) {
 func TestSemaphoreCountingSemantics(t *testing.T) {
 	k := newKernel(t, Config{})
 	owner := k.NewOwner("p", core.PathOwner)
-	sem := k.NewSemaphore(owner, "s", 2)
+	sem := k.NewSemaphore(owner, 2)
 	passed := 0
 	k.Spawn(owner, "w", func(ctx *Ctx) {
 		for i := 0; i < 2; i++ {
@@ -138,7 +140,7 @@ func TestSemaphoreDestroyUnblocksForeignWaiters(t *testing.T) {
 	k := newKernel(t, Config{})
 	semOwner := k.NewOwner("semOwner", core.PathOwner)
 	foreign := k.NewOwner("foreign", core.PathOwner)
-	sem := k.NewSemaphore(semOwner, "s", 0)
+	sem := k.NewSemaphore(semOwner, 0)
 	var gotErr error
 	k.Spawn(foreign, "waiter", func(ctx *Ctx) {
 		gotErr = sem.P(ctx)
@@ -160,7 +162,7 @@ func TestSemaphoreDestroyUnblocksForeignWaiters(t *testing.T) {
 func TestKillBlockedThread(t *testing.T) {
 	k := newKernel(t, Config{})
 	owner := k.NewOwner("p", core.PathOwner)
-	sem := k.NewSemaphore(owner, "s", 0)
+	sem := k.NewSemaphore(owner, 0)
 	reachedAfterP := false
 	th := k.Spawn(owner, "victim", func(ctx *Ctx) {
 		_ = sem.P(ctx)
@@ -236,7 +238,7 @@ func TestRunawayDetectionAndContainment(t *testing.T) {
 func TestDestroyOwnerReclaimsEverything(t *testing.T) {
 	k := newKernel(t, Config{Accounting: true})
 	owner := k.NewOwner("p", core.PathOwner)
-	sem := k.NewSemaphore(owner, "s", 0)
+	sem := k.NewSemaphore(owner, 0)
 	k.RegisterEvent(owner, "ev", 1<<40, 0, func(ctx *Ctx) {})
 	if _, err := k.Pages().Alloc(owner, 3); err != nil {
 		t.Fatal(err)
@@ -274,7 +276,7 @@ func TestOrderlyTeardownCyclesFold(t *testing.T) {
 	m := obs.NewSampler()
 	k := newKernel(t, Config{Accounting: true, Metrics: m})
 	owner := k.NewOwner("p", core.PathOwner)
-	k.NewSemaphore(owner, "s", 0)
+	k.NewSemaphore(owner, 0)
 	k.RegisterEvent(owner, "ev", 1<<40, 0, func(ctx *Ctx) {})
 	k.Spawn(owner, "w", func(ctx *Ctx) { ctx.Use(5_000) }, SpawnOpts{})
 	k.RunFor(100_000)
@@ -379,7 +381,7 @@ func TestLedgerConservation(t *testing.T) {
 	before := k.Ledger().Snapshot(k.Engine().Now())
 	o1 := k.NewOwner("p1", core.PathOwner)
 	o2 := k.NewOwner("p2", core.PathOwner)
-	sem := k.NewSemaphore(o1, "s", 0)
+	sem := k.NewSemaphore(o1, 0)
 	k.Spawn(o1, "a", func(ctx *Ctx) {
 		ctx.Use(123_456)
 		sem.V(ctx)
@@ -573,7 +575,7 @@ func TestAccountingTaxOnlyWhenEnabled(t *testing.T) {
 		k := New(eng, cost.Default(), Config{Accounting: accounting})
 		defer k.Stop()
 		owner := k.NewOwner("p", core.PathOwner)
-		sem := k.NewSemaphore(owner, "s", 1)
+		sem := k.NewSemaphore(owner, 1)
 		k.Spawn(owner, "w", func(ctx *Ctx) {
 			for i := 0; i < 100; i++ {
 				_ = sem.P(ctx)
@@ -655,5 +657,80 @@ func TestOpStrings(t *testing.T) {
 		if op.String() == "" {
 			t.Fatalf("op %d has no name", op)
 		}
+	}
+}
+
+// A thread that blocks on and is woken from one semaphore, again and
+// again, allocates nothing: waiters link through the threads.
+func TestSemaphoreBlockWakeDoesNotAllocate(t *testing.T) {
+	k := newKernel(t, Config{Accounting: true})
+	owner := k.NewOwner("p", core.PathOwner)
+	sem := k.NewSemaphore(owner, 0)
+	wakes := 0
+	k.Spawn(owner, "waiter", func(ctx *Ctx) {
+		for sem.P(ctx) == nil {
+			wakes++
+		}
+	}, SpawnOpts{})
+	k.RunFor(100_000) // the first block
+	allocs := testing.AllocsPerRun(100, func() {
+		sem.Signal(owner)
+		k.RunFor(100_000)
+	})
+	if allocs != 0 {
+		t.Fatalf("a block/wake cycle allocates %v objects, want 0", allocs)
+	}
+	if wakes != 101 || sem.Waiters() != 1 || sem.Count() != 0 {
+		t.Fatalf("wakes=%d waiters=%d count=%d, want 101, 1, 0", wakes, sem.Waiters(), sem.Count())
+	}
+}
+
+// Waiters wake in the order they blocked; a killed waiter leaves the
+// list from the middle or the tail without disturbing the rest.
+func TestSemaphoreWakesInBlockOrder(t *testing.T) {
+	k := newKernel(t, Config{})
+	owner := k.NewOwner("p", core.PathOwner)
+	sem := k.NewSemaphore(owner, 0)
+	var woke []string
+	spawn := func(name string) *Thread {
+		th := k.Spawn(owner, name, func(ctx *Ctx) {
+			if sem.P(ctx) == nil {
+				woke = append(woke, name)
+			}
+		}, SpawnOpts{})
+		k.RunFor(100_000) // blocks before the next one spawns
+		return th
+	}
+	spawn("a")
+	b := spawn("b")
+	spawn("c")
+	d := spawn("d")
+	k.KillThread(b)
+	k.KillThread(d)
+	spawn("e")
+	if sem.Waiters() != 3 {
+		t.Fatalf("waiters = %d, want 3", sem.Waiters())
+	}
+	for i := 0; i < 3; i++ {
+		sem.Signal(owner)
+	}
+	k.RunFor(1_000_000)
+	if got := strings.Join(woke, " "); got != "a c e" {
+		t.Fatalf("woke %q, want \"a c e\"", got)
+	}
+	if sem.Waiters() != 0 || sem.Count() != 0 || k.LiveThreads() != 0 {
+		t.Fatalf("waiters=%d count=%d live threads=%d", sem.Waiters(), sem.Count(), k.LiveThreads())
+	}
+}
+
+// threadSizeClass is the Go allocator size class a Thread fits in; one
+// thread per path makes a byte over it cost every connection.
+const threadSizeClass = 224
+
+// TestThreadFitsSizeClass guards the size of the thread control block,
+// which holds its Ctx and scheduler state inline.
+func TestThreadFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Thread{}); n > threadSizeClass {
+		t.Fatalf("unsafe.Sizeof(Thread{}) = %d bytes, over the %d-byte size class", n, threadSizeClass)
 	}
 }

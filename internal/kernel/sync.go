@@ -20,22 +20,23 @@ var ErrDestroyed = errors.New("kernel: object destroyed")
 // Semaphore is an Escort semaphore (§3.2): owned by a path or protection
 // domain; threads blocked on it need not belong to the owner; destroying
 // it unblocks every thread that does not belong to the owner (the
-// owner's threads are being destroyed anyway).
+// owner's threads are being destroyed anyway). Blocked threads wait in
+// FIFO order on a list linked through the threads themselves, so
+// blocking and waking never allocate.
 type Semaphore struct {
-	k         *Kernel
-	owner     *core.Owner
-	name      string
-	count     int
-	waiters   []*Thread
-	node      lib.Node
-	destroyed bool
+	k          *Kernel
+	owner      *core.Owner
+	count      int
+	head, tail *Thread // waiters, oldest first, linked by Thread.semNext
+	node       lib.Node
+	destroyed  bool
 }
 
 // NewSemaphore creates a semaphore charged to owner.
 //
 //escort:coldpath constructor: creation is charged (ChargeSemaphore + kmem), not packet path
-func (k *Kernel) NewSemaphore(owner *core.Owner, name string, initial int) *Semaphore {
-	s := &Semaphore{k: k, owner: owner, name: name, count: initial}
+func (k *Kernel) NewSemaphore(owner *core.Owner, initial int) *Semaphore {
+	s := &Semaphore{k: k, owner: owner, count: initial}
 	s.node.Value = s
 	owner.ChargeSemaphore()
 	owner.ChargeKmem(semKmem)
@@ -48,7 +49,13 @@ func (k *Kernel) NewSemaphore(owner *core.Owner, name string, initial int) *Sema
 func (s *Semaphore) Owner() *core.Owner { return s.owner }
 
 // Waiters returns the number of blocked threads.
-func (s *Semaphore) Waiters() int { return len(s.waiters) }
+func (s *Semaphore) Waiters() int {
+	n := 0
+	for t := s.head; t != nil; t = t.semNext {
+		n++
+	}
+	return n
+}
 
 // Count returns the available count.
 func (s *Semaphore) Count() int { return s.count }
@@ -64,11 +71,8 @@ func (s *Semaphore) P(c *Ctx) error {
 		s.count--
 		return nil
 	}
-	t := c.t
-	s.waiters = append(s.waiters, t) //escort:coldpath waiter list shrinks on wake; the backing array amortizes to steady state
-	t.sem = s
-	c.block()
-	t.sem = nil
+	s.push(c.t)
+	c.block() // whoever wakes the thread unlinks it first
 	if s.destroyed {
 		return ErrDestroyed
 	}
@@ -92,10 +96,8 @@ func (s *Semaphore) signal() {
 	if s.destroyed {
 		return
 	}
-	for len(s.waiters) > 0 {
-		t := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		t.sem = nil
+	for s.head != nil {
+		t := s.pop()
 		if t.state == threadDead {
 			continue
 		}
@@ -105,12 +107,45 @@ func (s *Semaphore) signal() {
 	s.count++
 }
 
+// push appends t to the waiter list.
+func (s *Semaphore) push(t *Thread) {
+	t.sem = s
+	if s.tail == nil {
+		s.head = t
+	} else {
+		s.tail.semNext = t
+	}
+	s.tail = t
+}
+
+// pop unlinks and returns the oldest waiter; the list must be non-empty.
+func (s *Semaphore) pop() *Thread {
+	t := s.head
+	s.head = t.semNext
+	if s.head == nil {
+		s.tail = nil
+	}
+	t.semNext, t.sem = nil, nil
+	return t
+}
+
+// removeWaiter unlinks t, wherever it waits in the list.
 func (s *Semaphore) removeWaiter(t *Thread) {
-	for i, w := range s.waiters {
-		if w == t {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
+	var prev *Thread
+	for w := s.head; w != nil; prev, w = w, w.semNext {
+		if w != t {
+			continue
 		}
+		if prev == nil {
+			s.head = t.semNext
+		} else {
+			prev.semNext = t.semNext
+		}
+		if s.tail == t {
+			s.tail = prev
+		}
+		t.semNext, t.sem = nil, nil
+		return
 	}
 }
 
@@ -132,11 +167,8 @@ func (s *Semaphore) release() {
 		return
 	}
 	s.destroyed = true
-	waiters := s.waiters
-	s.waiters = nil
-	for _, t := range waiters {
-		t.sem = nil
-		if t.state != threadDead {
+	for s.head != nil {
+		if t := s.pop(); t.state != threadDead {
 			s.k.makeRunnable(t)
 		}
 	}

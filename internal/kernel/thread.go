@@ -16,7 +16,7 @@ import (
 // threadKmem is the kernel memory charged for a thread control block.
 const threadKmem = 512
 
-type threadState int
+type threadState uint8
 
 const (
 	threadNew threadState = iota
@@ -75,7 +75,7 @@ type Fn func(ctx *Ctx)
 // (§3.2). Threads carry one stack per domain they have entered plus a
 // kernel-resident stack recording in-progress crossings.
 type Thread struct {
-	k     *Kernel
+	ctx   Ctx // the environment handed to the body: the kernel and this thread
 	name  string
 	owner *core.Owner
 
@@ -86,19 +86,20 @@ type Thread struct {
 
 	state         threadState
 	killed        bool
+	refunded      bool      // kmem/stack charges already returned
+	curDomain     domain.ID // the protection domain executing now
 	sinceYield    sim.Cycles
 	usedThisSlice sim.Cycles
 
-	curDomain  domain.ID
 	crossDepth int          // depth of the kernel-resident crossing stack
 	stacks     []domain.ID  // domains with a materialized stack
 	stackBuf   [8]domain.ID // stacks' inline backing
 	allowed    *lib.Hash    // path's allowed-crossings table (nil for domain threads)
 	node       lib.Node     // owner thread-list tracking
 	sem        *Semaphore   // where blocked, if anywhere
+	semNext    *Thread      // the next waiter on sem
 	onKilled   func()       // test hook
-	refunded   bool         // kmem/stack charges already returned
-	schedState *sched.State // per-thread queue state bound to the owner's Share
+	sched      sched.State  // per-thread queue state bound to the owner's Share
 }
 
 // Name returns the thread's name.
@@ -121,13 +122,13 @@ func (t *Thread) CrossDepth() int { return t.crossDepth }
 // SchedState implements sched.Entity: each thread has its own queue
 // state, but it draws on its owner's Share, so an owner's threads
 // collectively receive the owner's allocation.
-func (t *Thread) SchedState() *sched.State { return t.schedState }
+func (t *Thread) SchedState() *sched.State { return &t.sched }
 
 // ReleaseOwned implements core.Tracked: owner teardown kills the thread
 // and returns its kmem/stack charges while the owner can still receive
 // refunds (the owner is marked dead only after ReleaseAll completes).
 func (t *Thread) ReleaseOwned(kill bool) {
-	t.k.KillThread(t)
+	t.ctx.k.KillThread(t)
 	t.refundCharges()
 }
 
@@ -188,15 +189,15 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 		return nil, fmt.Errorf("kernel: spawn %q: %w", name, fault.ErrInjected)
 	}
 	t := &Thread{ //escort:coldpath thread construction: spawn is charged (ThreadSpawn + kmem + stack), not packet path
-		k:          k,
-		name:       name,
-		owner:      owner,
-		hand:       make(chan yieldKind), //escort:coldpath spawn construction, as above
-		state:      threadNew,
-		curDomain:  domain.KernelID,
-		allowed:    opts.Allowed,
-		schedState: sched.NewState(OwnerShare(owner)),
+		name:      name,
+		owner:     owner,
+		hand:      make(chan yieldKind), //escort:coldpath spawn construction, as above
+		state:     threadNew,
+		curDomain: domain.KernelID,
+		allowed:   opts.Allowed,
+		sched:     sched.MakeState(OwnerShare(owner)),
 	}
+	t.ctx = Ctx{k: k, t: t}
 	t.node.Value = t
 	t.stacks = t.stackBuf[:0]
 	owner.ChargeKmem(threadKmem)
@@ -230,7 +231,7 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 		if t.killed {
 			panic(killSentinel)
 		}
-		fn(&Ctx{k: k, t: t})
+		fn(&t.ctx)
 	}()
 
 	k.makeRunnable(t)
@@ -369,7 +370,7 @@ func (c *Ctx) Sleep(d sim.Cycles) {
 func wakeSleeper(a any) {
 	t := a.(*Thread)
 	if t.state == threadBlocked {
-		t.k.makeRunnable(t)
+		t.ctx.k.makeRunnable(t)
 	}
 }
 

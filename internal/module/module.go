@@ -125,7 +125,8 @@ type PathBuilder interface {
 	Handle() StageHandle
 	// Stages returns the stages created so far (earlier modules), so a
 	// stage can bind to a neighbor's extended interface (HTTP finding the
-	// file-access interface of FS).
+	// file-access interface of FS). The slice is valid only during the
+	// CreateStage call.
 	Stages() []Stage
 	// NodeAt returns the graph node of the i-th stage created so far
 	// (to learn a neighbor's protection domain for crossing calls).
@@ -156,6 +157,14 @@ type PathRef interface {
 	// worker thread (module code runs nested inside crossings, where a
 	// direct destroy would unwind itself).
 	RequestDestroy()
+}
+
+// KillHook is module-level per-path state that pathKill must reclaim,
+// since a kill runs no destructors. A path takes one, through an
+// OnKill(KillHook) method (the TCP connection registers itself), and
+// calls PathKilled while the path's owner can still receive refunds.
+type KillHook interface {
+	PathKilled()
 }
 
 // PathFactory creates paths; implemented by the path manager and used by

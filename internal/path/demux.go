@@ -58,6 +58,7 @@ func (mgr *Manager) demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 			if !node.ConnectedTo(v.Next) {
 				k.Burn(&node.Domain().Owner, cycles)
 				mgr.DemuxRejects++
+				//escort:coldpath miswired graph: a module named a successor it has no edge to
 				return nil, module.Reject("demux: no edge " + cur + "->" + v.Next)
 			}
 			cur = v.Next

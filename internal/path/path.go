@@ -12,6 +12,7 @@
 package path
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -43,17 +44,18 @@ var (
 	ErrNoEdge    = errors.New("path: modules not connected in graph")
 )
 
-type workItem struct {
-	m       *msg.Msg
-	ctlIdx  int
-	ctl     func(ctx *kernel.Ctx, st module.Stage)
-	destroy bool
+// The work queue holds three kinds of item, none boxed per call: an
+// inbound *msg.Msg as it arrived, a *ctlItem for EnqueueControl, and
+// destroyReq for RequestDestroy.
+type ctlItem struct {
+	idx int
+	fn  func(ctx *kernel.Ctx, st module.Stage)
 }
 
-type domHook struct {
-	d  *domain.Domain
-	id int
-}
+type destroyRequest struct{}
+
+// destroyReq is the one destroy request every path queues.
+var destroyReq = new(destroyRequest)
 
 // StageRec pairs a graph node with the stage the module contributed.
 type StageRec struct {
@@ -67,15 +69,16 @@ type StageRec struct {
 // queues, input and output at each end; this path has one inbound work
 // queue, since outbound messages run the stages on the sender's thread.
 // The stage, handle and domain lists live in inline arrays for paths of
-// up to inlineStages modules. Everything the path holds comes back
-// through Manager.reclaim; the ledger keeps every dead owner, and with
-// it the whole Path, so reclaim also releases the queue's ring.
+// up to inlineStages modules, and the allowed-crossings table is shared
+// by every path over the same domain chain. Everything the path holds
+// comes back through Manager.reclaim, which also releases the queue's
+// ring: a module or a dying thread may still reference a dead Path.
 type Path struct {
 	Owner core.Owner
 
 	name    string
 	mgr     *Manager
-	allowed *lib.Hash
+	allowed *lib.Hash // shared with every path over the same domain chain; read-only
 	stages  []StageRec
 	handles []stageHandle
 	doms    []*domain.Domain // distinct domains crossed, in stage order
@@ -83,10 +86,11 @@ type Path struct {
 	workSem *kernel.Semaphore
 
 	alive        bool
-	destroyAsked bool   // RequestDestroy found the queue full
-	staticKmem   uint64 // path struct + crossings hash charge
-	domHooks     []domHook
-	killHooks    []func() // run by reclaim under kill, before the owner dies
+	destroyAsked bool            // RequestDestroy found the queue full
+	ctlQueued    bool            // ctl sits in the work queue
+	staticKmem   uint64          // path struct + crossings hash charge
+	killHook     module.KillHook // run by reclaim under kill, before the owner dies
+	ctl          ctlItem         // the control item queued when none is pending
 
 	stageBuf  [inlineStages]StageRec
 	handleBuf [inlineStages]stageHandle
@@ -143,13 +147,18 @@ func (p *Path) Spawn(name string, fn func(ctx *kernel.Ctx)) {
 // progress) from an idle one.
 func (p *Path) PendingWork() int { return p.work.Len() }
 
-// OnKill registers fn to run if the path is summarily killed or its
+// OnKill registers h to run if the path is summarily killed or its
 // create fails, while the path's owner can still receive refunds.
 // Module-level per-path state that is charged but not kernel-tracked
 // (the TCP module's TCBs) registers here so pathKill reclaims 100% of
-// the owner's resources. Hooks do not run on orderly destroy — module
-// destructors own that.
-func (p *Path) OnKill(fn func()) { p.killHooks = append(p.killHooks, fn) }
+// the owner's resources. A path holds one hook; the hook does not run
+// on orderly destroy — module destructors own that.
+func (p *Path) OnKill(h module.KillHook) {
+	if p.killHook != nil {
+		panic("path: second kill hook on " + p.name)
+	}
+	p.killHook = h
+}
 
 // Domains returns the distinct protection domains the path crosses, in
 // stage order. The slice is the path's own; callers must not modify it.
@@ -160,7 +169,7 @@ func (p *Path) findDomains() {
 	p.doms = p.domBuf[:0]
 	for _, rec := range p.stages {
 		if d := rec.Node.Domain(); !slices.Contains(p.doms, d) {
-			p.doms = append(p.doms, d)
+			p.doms = append(p.doms, d) //escort:coldpath inline for up to inlineStages domains
 		}
 	}
 }
@@ -176,7 +185,7 @@ func (p *Path) EnqueueIn(m *msg.Msg) error {
 	}
 	k := p.mgr.k
 	k.Burn(&p.Owner, k.Model().QueueOp)
-	if err := p.work.Enqueue(&workItem{m: m}); err != nil {
+	if err := p.work.Enqueue(m); err != nil {
 		p.Drops++
 		m.Free()
 		return ErrQueueFull
@@ -197,9 +206,18 @@ func (p *Path) EnqueueControl(idx int, fn func(ctx *kernel.Ctx, st module.Stage)
 	}
 	k := p.mgr.k
 	k.Burn(&p.Owner, k.Model().QueueOp)
-	if err := p.work.Enqueue(&workItem{ctlIdx: idx, ctl: fn}); err != nil {
+	item := &p.ctl
+	if p.ctlQueued {
+		item = &ctlItem{} //escort:coldpath a second control item while the path's own one waits (an RTO behind the SYN-ACK)
+	}
+	item.idx, item.fn = idx, fn
+	if err := p.work.Enqueue(item); err != nil {
+		item.fn = nil
 		p.Drops++
 		return ErrQueueFull
+	}
+	if item == &p.ctl {
+		p.ctlQueued = true
 	}
 	p.workSem.Signal(&p.Owner)
 	return nil
@@ -217,7 +235,7 @@ func (p *Path) RequestDestroy() {
 	if !p.alive || p.destroyAsked {
 		return
 	}
-	if err := p.work.Enqueue(&workItem{destroy: true}); err != nil {
+	if err := p.work.Enqueue(destroyReq); err != nil {
 		p.destroyAsked = true
 	}
 	p.workSem.Signal(&p.Owner)
@@ -238,19 +256,23 @@ func (p *Path) worker(ctx *kernel.Ctx) {
 			}
 			continue
 		}
-		item := v.(*workItem)
-		switch {
-		case item.destroy:
+		switch item := v.(type) {
+		case *destroyRequest:
 			p.mgr.Destroy(ctx, p)
 			return
-		case item.m != nil:
+		case *msg.Msg:
 			p.Delivered++
-			_ = p.deliverFrom(ctx, len(p.stages)-1, module.Up, item.m)
-			item.m.Free()
-		case item.ctl != nil:
-			rec := p.stages[item.ctlIdx]
+			_ = p.deliverFrom(ctx, len(p.stages)-1, module.Up, item)
+			item.Free()
+		case *ctlItem:
+			rec, fn := p.stages[item.idx], item.fn
+			item.fn = nil
+			if item == &p.ctl {
+				p.ctlQueued = false
+			}
+			//escort:coldpath Cross runs the closure before it returns and keeps no reference: it stays on the stack
 			ctx.Cross(rec.Node.Domain().ID(), func() {
-				item.ctl(ctx, rec.Stage)
+				fn(ctx, rec.Stage)
 			})
 		}
 		// One work item per slice: a well-designed Escort thread yields
@@ -325,8 +347,8 @@ func (h *stageHandle) Above() module.Stage {
 }
 
 // builder implements module.PathBuilder during incremental creation.
-// One builder serves a whole create; node and handle move to each new
-// stage in turn.
+// Each Manager has one, since creates never nest; node and handle move
+// to each new stage in turn.
 type builder struct {
 	p        *Path
 	node     *module.Node
@@ -340,8 +362,9 @@ func (b *builder) PathOwner() *core.Owner     { return &b.p.Owner }
 func (b *builder) Node() *module.Node         { return b.node }
 func (b *builder) Handle() module.StageHandle { return b.handle }
 
-// Stages returns the stages opened so far. The list only grows, and
-// the returned slice is capped at its length, so a caller may keep it.
+// Stages returns the stages opened so far. The slice is the builder's
+// and is valid only during the CreateStage call; the next create
+// reuses its backing.
 func (b *builder) Stages() []module.Stage {
 	return b.stages[:len(b.stages):len(b.stages)]
 }
@@ -361,6 +384,14 @@ type Manager struct {
 	classifier FrameClassifier
 	demuxCtx   module.DemuxCtx // shared by every demux; modules only read it
 
+	b builder // the create in progress; b.p is nil between creates
+	// crossings holds one allowed-crossings table per distinct domain
+	// chain, keyed by the stages' domain IDs in stage order. Domain IDs
+	// are never reused, so a table stays right for as long as its chain
+	// can be built; paths only read it.
+	crossings map[string]*lib.Hash
+	watched   map[domain.ID]bool // domains whose destroy hook is armed
+
 	// DemuxRejects counts messages dropped during demultiplexing.
 	DemuxRejects uint64
 	// PatternHits and PatternMisses count classifier outcomes when a
@@ -371,14 +402,18 @@ type Manager struct {
 }
 
 // NewManager returns a path manager over the given graph.
+//
+//escort:coldpath constructor, once per server
 func NewManager(g *module.Graph) *Manager {
 	return &Manager{
-		k:        g.Kernel(),
-		graph:    g,
-		byOwner:  make(map[*core.Owner]*Path),
-		tracer:   g.Kernel().Tracer(),
-		failKmem: g.Kernel().FaultSet().Point("kmem.alloc"),
-		demuxCtx: module.DemuxCtx{Graph: g},
+		k:         g.Kernel(),
+		graph:     g,
+		byOwner:   make(map[*core.Owner]*Path),
+		crossings: make(map[string]*lib.Hash),
+		watched:   make(map[domain.ID]bool),
+		tracer:    g.Kernel().Tracer(),
+		failKmem:  g.Kernel().FaultSet().Point("kmem.alloc"),
+		demuxCtx:  module.DemuxCtx{Graph: g},
 	}
 }
 
@@ -449,7 +484,7 @@ func (mgr *Manager) Create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		began = k.Engine().Now()
 	}
 
-	p := &Path{
+	p := &Path{ //escort:coldpath the path object, the owner a connection's charges land on: creation is charged (PathCreate + kmem)
 		Owner: core.Owner{Name: name, Type: core.PathOwner},
 		name:  name,
 		mgr:   mgr,
@@ -464,16 +499,12 @@ func (mgr *Manager) Create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	// Creation cost is charged to the path being created: Table 1 shows
 	// the passive path's per-connection share staying small even though
 	// it triggers active-path creation.
-	charge := func(c sim.Cycles) {
-		k.Burn(&p.Owner, c)
-	}
-	_ = ctx
-	charge(model.PathCreate + k.AccountingTax())
+	k.Burn(&p.Owner, model.PathCreate+k.AccountingTax())
 
 	// Incremental open walk, bounded so a miswired graph (a cycle in the
 	// open chain) fails loudly instead of building an endless path.
-	b := &builder{p: p}
-	b.stages = b.stageBuf[:0]
+	b := mgr.beginBuild(p)
+	defer mgr.endBuild()
 	cur := start
 	for {
 		if len(p.stages) >= maxPathLen {
@@ -488,16 +519,16 @@ func (mgr *Manager) Create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		// A handle stays valid when a path longer than inlineStages
 		// moves handles to the heap: it is immutable, so a module holding
 		// a pointer into the old array sees the same path and index.
-		p.handles = append(p.handles, stageHandle{p: p, idx: len(p.stages)})
+		p.handles = append(p.handles, stageHandle{p: p, idx: len(p.stages)}) //escort:coldpath inline for up to inlineStages stages
 		b.node, b.handle = node, &p.handles[len(p.stages)]
-		charge(model.PathOpenPerModule)
+		k.Burn(&p.Owner, model.PathOpenPerModule)
 		st, next, err := node.Mod().CreateStage(b, attrs)
 		if err != nil {
 			mgr.reclaim(p, true)
 			return nil, fmt.Errorf("path: open %q: %w", cur, err)
 		}
-		p.stages = append(p.stages, StageRec{Node: node, Stage: st})
-		b.stages = append(b.stages, st)
+		p.stages = append(p.stages, StageRec{Node: node, Stage: st}) //escort:coldpath inline for up to inlineStages stages
+		b.stages = append(b.stages, st)                              //escort:coldpath as above
 		if next == "" {
 			break
 		}
@@ -508,23 +539,16 @@ func (mgr *Manager) Create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		cur = next
 	}
 
-	// Allowed protection-domain crossings: adjacent stage pairs, both
-	// directions (the ICMP example crosses the same domain twice).
-	p.allowed = lib.NewHash(8)
-	for i := 1; i < len(p.stages); i++ {
-		a := p.stages[i-1].Node.Domain().ID()
-		b := p.stages[i].Node.Domain().ID()
-		if a != b {
-			p.allowed.Put(lib.PairKey(uint32(a), uint32(b)), true)
-			p.allowed.Put(lib.PairKey(uint32(b), uint32(a)), true)
-		}
-	}
+	// Each path is charged for its allowed-crossings table as if it
+	// held its own copy.
+	p.allowed = mgr.crossingsFor(p.stages)
 	hashKmem := uint64(p.allowed.MemSize())
 	p.Owner.ChargeKmem(hashKmem)
 	p.staticKmem += hashKmem
 
-	p.workSem = k.NewSemaphore(&p.Owner, name+":work", 0)
+	p.workSem = k.NewSemaphore(&p.Owner, 0)
 	for i := 0; i < workerCount; i++ {
+		//escort:coldpath the worker's name, which traces show, is built once per path
 		if _, err := k.SpawnChecked(&p.Owner, name+":worker", p.worker, SpawnOptsForPath(p)); err != nil {
 			// A path without its worker pool would hang on arrival;
 			// reclaim it instead.
@@ -538,26 +562,83 @@ func (mgr *Manager) Create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 	p.findDomains()
 
 	// A destroyed protection domain takes every path crossing it down
-	// with it (§2.4). Hooks are deregistered when the path dies first.
+	// with it (§2.4).
 	for _, d := range p.doms {
-		if d.Privileged() {
-			continue
+		if !d.Privileged() && !mgr.watched[d.ID()] {
+			mgr.watch(d)
 		}
-		id := d.AddDestroyHook(func() {
-			if p.alive {
-				mgr.Kill(p)
-			}
-		})
-		p.domHooks = append(p.domHooks, domHook{d: d, id: id})
 	}
 
 	p.alive = true
-	mgr.order = append(mgr.order, p)
+	mgr.order = append(mgr.order, p) //escort:coldpath live-path list grows to the most paths alive at once; dropPath shrinks it in place
 	mgr.byOwner[&p.Owner] = p
 	if tr != nil {
 		tr.PathCreate(name, len(p.stages), began, k.Engine().Now())
 	}
 	return p, nil
+}
+
+// watch arms d's destroy hook: kill every live path crossing d, in
+// creation order.
+//
+//escort:coldpath once per domain, at the first path crossing it
+func (mgr *Manager) watch(d *domain.Domain) {
+	mgr.watched[d.ID()] = true
+	d.AddDestroyHook(func() {
+		for _, p := range mgr.Paths() {
+			if p.alive && slices.Contains(p.doms, d) {
+				mgr.Kill(p)
+			}
+		}
+	})
+}
+
+// beginBuild readies the Manager's builder for a create of p.
+func (mgr *Manager) beginBuild(p *Path) *builder {
+	b := &mgr.b
+	if b.p != nil {
+		panic("path: nested create of " + p.name + " inside " + b.p.name)
+	}
+	b.p = p
+	b.stages = b.stageBuf[:0]
+	return b
+}
+
+// endBuild clears the builder, so it keeps no finished or failed path
+// alive.
+func (mgr *Manager) endBuild() { mgr.b = builder{} }
+
+// crossingsFor returns the allowed-crossings table of a path over
+// stages: adjacent stage pairs in different domains, both directions
+// (the ICMP example crosses the same domain twice). The table is built
+// on the first path over a domain chain and shared by every later one.
+func (mgr *Manager) crossingsFor(stages []StageRec) *lib.Hash {
+	var buf [4 * maxPathLen]byte
+	key := buf[:0]
+	for _, rec := range stages {
+		key = binary.LittleEndian.AppendUint32(key, uint32(rec.Node.Domain().ID()))
+	}
+	if h, ok := mgr.crossings[string(key)]; ok {
+		return h
+	}
+	return mgr.buildCrossings(string(key), stages)
+}
+
+// buildCrossings builds and records the table for a new domain chain.
+//
+//escort:coldpath once per distinct domain chain, not per path
+func (mgr *Manager) buildCrossings(key string, stages []StageRec) *lib.Hash {
+	h := lib.NewHash(8)
+	for i := 1; i < len(stages); i++ {
+		a := stages[i-1].Node.Domain().ID()
+		b := stages[i].Node.Domain().ID()
+		if a != b {
+			h.Put(lib.PairKey(uint32(a), uint32(b)), true)
+			h.Put(lib.PairKey(uint32(b), uint32(a)), true)
+		}
+	}
+	mgr.crossings[key] = h
+	return h
 }
 
 // SpawnOptsForPath builds the spawn options for a thread executing on
@@ -582,22 +663,16 @@ func (mgr *Manager) Destroy(ctx *kernel.Ctx, p *Path) {
 	}
 	model := mgr.k.Model()
 	for _, rec := range p.stages {
-		rec := rec
-		charge := func(c sim.Cycles) {
-			if ctx != nil {
-				ctx.Use(c)
-			} else {
-				mgr.k.Burn(mgr.k.KernelOwner(), c)
-			}
-		}
-		charge(model.PathDestroyPerStage)
-		if ctx != nil {
-			ctx.Cross(rec.Node.Domain().ID(), func() {
-				rec.Stage.Destroy(ctx)
-			})
-		} else {
+		if ctx == nil {
+			mgr.k.Burn(mgr.k.KernelOwner(), model.PathDestroyPerStage)
 			rec.Stage.Destroy(nil)
+			continue
 		}
+		ctx.Use(model.PathDestroyPerStage)
+		//escort:coldpath Cross runs the closure before it returns and keeps no reference: it stays on the stack
+		ctx.Cross(rec.Node.Domain().ID(), func() {
+			rec.Stage.Destroy(ctx)
+		})
 	}
 	mgr.reclaim(p, false)
 	if tr != nil {
@@ -632,13 +707,10 @@ func (mgr *Manager) Kill(p *Path) sim.Cycles {
 // then sweeps every crossed domain at its own expense. The owner dies
 // with its books at zero.
 func (mgr *Manager) reclaim(p *Path, kill bool) {
-	if kill {
-		for _, fn := range p.killHooks {
-			fn()
-		}
+	if kill && p.killHook != nil {
+		p.killHook.PathKilled()
 	}
-	p.killHooks = nil
-	p.dropDomainHooks()
+	p.killHook = nil
 	p.drainQueue()
 	p.releaseDomainCharges(kill)
 	p.Owner.RefundKmem(p.staticKmem)
@@ -646,23 +718,14 @@ func (mgr *Manager) reclaim(p *Path, kill bool) {
 	mgr.dropPath(p)
 }
 
-// dropDomainHooks deregisters the path's domain destroy hooks.
-func (p *Path) dropDomainHooks() {
-	for _, h := range p.domHooks {
-		if !h.d.Destroyed() {
-			h.d.RemoveDestroyHook(h.id)
-		}
-	}
-	p.domHooks = nil
-}
-
 // drainQueue frees the queued messages and releases the queue's ring.
 func (p *Path) drainQueue() {
 	p.work.Flush(func(v any) {
-		if item, ok := v.(*workItem); ok && item.m != nil {
-			item.m.Free()
+		if m, ok := v.(*msg.Msg); ok {
+			m.Free()
 		}
 	})
+	p.ctl.fn = nil
 }
 
 // releaseDomainCharges frees the path's heap objects in every crossed

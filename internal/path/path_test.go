@@ -3,6 +3,7 @@ package path
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -23,9 +24,12 @@ type fakeMod struct {
 	consume   bool   // stop forwarding at this stage
 	reply     bool   // on Up delivery, send a reply back Down
 	openErr   error
+	quiet     bool   // count deliveries without recording them
+	nested    func() // called from CreateStage
 
 	opened    module.PathRef // path of the last CreateStage call
 	delivered []string       // "up:<payload>" etc, across all stages
+	seen      int            // deliveries, across all stages
 	destroyed int
 }
 
@@ -40,6 +44,9 @@ func (f *fakeMod) Init(*module.InitCtx) error { return nil }
 
 func (f *fakeMod) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
 	f.opened = pb.Handle().Path()
+	if f.nested != nil {
+		f.nested()
+	}
 	if f.openErr != nil {
 		return nil, "", f.openErr
 	}
@@ -59,7 +66,10 @@ func (f *fakeMod) Demux(dc *module.DemuxCtx, m *msg.Msg) module.Verdict {
 
 func (s *fakeStage) Deliver(ctx *kernel.Ctx, dir module.Direction, m *msg.Msg) (bool, error) {
 	ctx.Use(100)
-	s.m.delivered = append(s.m.delivered, fmt.Sprintf("%s:%s", dir, m.Bytes()))
+	s.m.seen++
+	if !s.m.quiet {
+		s.m.delivered = append(s.m.delivered, fmt.Sprintf("%s:%s", dir, m.Bytes()))
+	}
 	if s.m.reply && dir == module.Up {
 		reply := msg.FromBytes(s.o, []byte("reply"))
 		if err := s.h.SendDown(ctx, reply); err != nil {
@@ -593,8 +603,8 @@ func TestRequestDestroyKeepsQueueOrder(t *testing.T) {
 	}
 }
 
-// Teardown releases the work queue's ring: the ledger keeps every dead
-// owner, and with it the Path.
+// Teardown releases the work queue's ring, since a module or a dying
+// thread may still hold the dead Path.
 func TestTeardownReleasesQueueStorage(t *testing.T) {
 	app, mid, dev := chain()
 	appFirst(app, mid, dev)
@@ -637,7 +647,7 @@ func TestCreateDestroyAllocs(t *testing.T) {
 	app, mid, dev := chain()
 	appFirst(app, mid, dev)
 	e := buildEnv(t, false, app, mid, dev)
-	const ceiling = 19
+	const ceiling = 14
 	allocs := testing.AllocsPerRun(100, func() {
 		p, err := e.mgr.Create(nil, "p0", "app", lib.Attrs{})
 		if err != nil {
@@ -648,5 +658,179 @@ func TestCreateDestroyAllocs(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Fatalf("create+destroy allocates %v objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// Messages and control items leave the work queue in the order they
+// entered it, whether a control item sits in the path's own slot or,
+// with that slot taken, on the heap.
+func TestWorkQueueKeepsOrderAcrossItemKinds(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, false, app, mid, dev)
+	p := createPath(t, e)
+	ctl := func(name string) {
+		t.Helper()
+		err := p.EnqueueControl(2, func(*kernel.Ctx, module.Stage) {
+			dev.delivered = append(dev.delivered, name)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := func(payload string) {
+		t.Helper()
+		if err := p.EnqueueIn(msg.FromBytes(e.k.KernelOwner(), []byte(payload))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in("m1")
+	ctl("c1")
+	ctl("c2")
+	in("m2")
+	ctl("c3")
+	e.k.RunFor(100_000_000)
+	ctl("c4") // the path's own slot is free again
+	in("m3")
+	e.k.RunFor(100_000_000)
+	if got := fmt.Sprint(dev.delivered); got != "[up:m1 c1 c2 up:m2 c3 c4 up:m3]" {
+		t.Fatalf("dev saw %s", got)
+	}
+}
+
+// An inbound message handed to a path and carried up its stages by the
+// worker allocates nothing, and neither does a control item whose
+// function captures nothing (the SYN-ACK continuation).
+func TestEnqueueAndDeliverDoNotAllocate(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	for _, f := range []*fakeMod{app, mid, dev} {
+		f.quiet = true
+	}
+	e := buildEnv(t, false, app, mid, dev)
+	p := createPath(t, e)
+	const runs = 100
+	msgs := make([]*msg.Msg, runs+1) // AllocsPerRun warms up with one extra run
+	for i := range msgs {
+		msgs[i] = msg.FromBytes(e.k.KernelOwner(), []byte("pkt"))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := p.EnqueueIn(msgs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if err := p.EnqueueControl(1, countControl); err != nil {
+			t.Fatal(err)
+		}
+		e.k.RunFor(1_000_000)
+	})
+	if allocs != 0 {
+		t.Fatalf("enqueue, control and delivery allocate %v objects, want 0", allocs)
+	}
+	if p.Delivered != runs+1 || controls != runs+1 || app.seen != runs+1 {
+		t.Fatalf("delivered %d, controls %d, reached app %d; want %d each", p.Delivered, controls, app.seen, runs+1)
+	}
+}
+
+var controls int
+
+func countControl(*kernel.Ctx, module.Stage) { controls++ }
+
+// Paths over the same domain chain share one allowed-crossings table,
+// still charged to each path, and the shared table still refuses a
+// crossing between two domains the chain does not make adjacent.
+func TestPathsShareCrossingTable(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, true, app, mid, dev)
+	p1, p2 := createPath(t, e), createPath(t, e)
+	if p1.allowed != p2.allowed {
+		t.Fatal("two paths over one domain chain built two crossing tables")
+	}
+	if n := p1.allowed.Len(); n != 4 {
+		t.Fatalf("crossing table has %d entries, want 4 (two adjacent pairs, both ways)", n)
+	}
+	want := uint64(pathKmem + p1.allowed.MemSize())
+	for _, p := range []*Path{p1, p2} {
+		if got := p.staticKmem; got != want {
+			t.Fatalf("%s static kmem = %d, want %d", p.name, got, want)
+		}
+	}
+	doms := e.k.Domains()
+	appD, _ := doms.ByName("app")
+	midD, _ := doms.ByName("mid")
+	devD, _ := doms.ByName("dev")
+	var faulted *kernel.Thread
+	e.k.OnProtFault = func(th *kernel.Thread) { faulted = th }
+	adjacent, escaped := false, false
+	p2.Spawn("probe", func(ctx *kernel.Ctx) {
+		ctx.Cross(appD.ID(), func() {
+			ctx.Cross(midD.ID(), func() { adjacent = true })
+			ctx.Cross(devD.ID(), func() { escaped = true }) // app and dev are not adjacent
+		})
+	})
+	e.k.RunFor(10_000_000)
+	if !adjacent {
+		t.Fatal("adjacent crossing app -> mid refused")
+	}
+	if escaped || faulted == nil || faulted.Owner() != &p2.Owner {
+		t.Fatalf("non-adjacent crossing app -> dev: escaped=%v faulted=%v", escaped, faulted)
+	}
+}
+
+// A destroyed domain kills every live path crossing it, in creation
+// order, through one hook per domain; paths that died earlier are
+// skipped and paths that do not cross it live on.
+func TestDomainDestructionKillsPathsInCreationOrder(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, true, app, mid, dev)
+	var killed []string
+	var paths []*Path
+	for i := 0; i < 4; i++ {
+		p, err := e.mgr.Create(nil, fmt.Sprintf("p%d", i), "app", lib.Attrs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.OnKill(killRecorder{p.name, &killed})
+		paths = append(paths, p)
+	}
+	e.mgr.Destroy(nil, paths[1])
+	d, _ := e.k.Domains().ByName("mid")
+	e.k.Domains().Destroy(d)
+	if fmt.Sprint(killed) != "[p0 p2 p3]" {
+		t.Fatalf("kill hooks ran for %v, want [p0 p2 p3]", killed)
+	}
+	if e.mgr.Live() != 0 || e.mgr.Kills != 3 {
+		t.Fatalf("live paths %d, kills %d", e.mgr.Live(), e.mgr.Kills)
+	}
+}
+
+type killRecorder struct {
+	name string
+	log  *[]string
+}
+
+func (r killRecorder) PathKilled() { *r.log = append(*r.log, r.name) }
+
+// Creates never nest: a module that creates a path from its open
+// function panics, and the manager's builder is free again afterwards.
+func TestNestedCreatePanics(t *testing.T) {
+	app, mid, dev := chain()
+	appFirst(app, mid, dev)
+	e := buildEnv(t, false, app, mid, dev)
+	mid.nested = func() { _, _ = e.mgr.Create(nil, "inner", "app", lib.Attrs{}) }
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "nested create") {
+				t.Fatalf("nested create: recovered %v", r)
+			}
+		}()
+		_, _ = e.mgr.Create(nil, "outer", "app", lib.Attrs{})
+	}()
+	mid.nested = nil
+	if p := createPath(t, e); !p.Alive() {
+		t.Fatal("create after a nested-create panic failed")
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// conn is the server-side TCP control block, stored in the active
-// path's TCP stage (path-local state — a stage in the paper's terms).
+// conn is the server-side TCP control block. It is itself the active
+// path's TCP stage (path-local state — a stage in the paper's terms)
+// and the path's kill hook.
 type conn struct {
 	m    *Module
 	path module.PathRef
@@ -58,16 +59,10 @@ type conn struct {
 	bytesOut uint64
 }
 
-// activeStage is the TCP stage of an active (connection) path.
-type activeStage struct {
-	c *conn
-}
-
 // Deliver implements module.Stage. Upward: run the state machine and
 // forward in-order payload to HTTP. Downward: accept response data from
 // HTTP into the send buffer and pump segments within the window.
-func (s *activeStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (bool, error) {
-	c := s.c
+func (c *conn) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (bool, error) {
 	model := c.m.k.Model()
 	if dir == module.Down {
 		// Response data from HTTP: per-byte work is charged at
@@ -84,9 +79,13 @@ func (s *activeStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg
 // Destroy implements module.Stage: the destructor releases the
 // connection's module-level state (conn-table entry, SYN_RECVD slot) —
 // the resources the paper says destructors return to the domain.
-func (s *activeStage) Destroy(*kernel.Ctx) {
-	s.c.release()
+func (c *conn) Destroy(*kernel.Ctx) {
+	c.release()
 }
+
+// PathKilled implements module.KillHook: the path was killed, or its
+// create failed after the TCB was made.
+func (c *conn) PathKilled() { c.m.reapKilled(c) }
 
 // input processes one inbound segment.
 func (c *conn) input(ctx *kernel.Ctx, mm *msg.Msg) (bool, error) {

@@ -248,12 +248,16 @@ func (m *Module) masterTick(ctx *kernel.Ctx) {
 		ctx.Use(model.TCPTimerPerConn)
 		c := v.(*conn)
 		if c.expired(now) || wire.SeqLT(c.sndUna, c.sndNxt) && now > c.rtoAt {
-			_ = c.path.EnqueueControl(c.stageIdx, func(ctx *kernel.Ctx, _ module.Stage) {
-				c.timer(ctx)
-			})
+			_ = c.path.EnqueueControl(c.stageIdx, connTimer)
 		}
 	})
 }
+
+// connTimer runs a connection's timeout processing on its path's thread.
+func connTimer(ctx *kernel.Ctx, st module.Stage) { st.(*conn).timer(ctx) }
+
+// connSynAck sends a new connection's SYN-ACK on its path's thread.
+func connSynAck(ctx *kernel.Ctx, st module.Stage) { st.(*conn).sendSynAck(ctx) }
 
 // reapKilled is the kill hook of a connection's path (pathKill, or a
 // create that failed after the TCB was made): report an open, established
@@ -382,13 +386,13 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 	pb.PathOwner().ChargeKmem(tcbKmem) //escort:held TCB; refunded by close at connection teardown
 	// pathKill runs no destructors, so the kill hook closes the
 	// connection: the refund needs the owner still live.
-	if kp, ok := c.path.(interface{ OnKill(func()) }); ok {
-		kp.OnKill(func() { m.reapKilled(c) })
+	if kp, ok := c.path.(interface{ OnKill(module.KillHook) }); ok {
+		kp.OnKill(c)
 	}
 	// Connection setup work (TCB init, sequence selection) belongs to
 	// the connection's own path.
 	m.k.Burn(pb.PathOwner(), m.k.Model().TCPConnSetup)
-	return &activeStage{c: c}, m.ipName, nil
+	return c, m.ipName, nil
 }
 
 // Demux implements module.Module (§2.2, §4.4.1): established
@@ -591,9 +595,7 @@ func (s *passiveStage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Ms
 	}
 	// The SYN-ACK is sent by the active path's own thread, so its cycles
 	// are charged to the connection.
-	return false, ap.EnqueueControl(idx, func(ctx *kernel.Ctx, st module.Stage) {
-		st.(*activeStage).c.sendSynAck(ctx)
-	})
+	return false, ap.EnqueueControl(idx, connSynAck)
 }
 
 // Destroy implements module.Stage: deregister the listener.

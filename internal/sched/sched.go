@@ -48,12 +48,19 @@ type State struct {
 	inQueue bool
 }
 
-// NewState returns a State drawing on share.
-func NewState(share *Share) *State {
+// MakeState returns a State drawing on share, for embedding by value
+// (a kernel thread holds its State inline).
+func MakeState(share *Share) State {
 	if share == nil {
 		share = &Share{}
 	}
-	return &State{share: share}
+	return State{share: share}
+}
+
+// NewState returns a State drawing on share.
+func NewState(share *Share) *State {
+	st := MakeState(share)
+	return &st
 }
 
 // Share returns the owner allocation this entity draws on.

@@ -74,7 +74,7 @@ func (s *stage) ReadBlocks(ctx *kernel.Ctx, n int) error {
 	m.Reads++
 	m.BytesRead += uint64(n)
 
-	sem := k.NewSemaphore(ctx.Owner(), "diskio", 0)
+	sem := k.NewSemaphore(ctx.Owner(), 0)
 	now := k.Engine().Now()
 	start := m.busyUntil
 	if start < now {
