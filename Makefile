@@ -65,6 +65,12 @@ FUZZ_TARGETS = \
 	FuzzPuzzleSolved:./internal/proto/wire \
 	FuzzPuzzleRoundTrip:./internal/proto/wire \
 	FuzzTCPFrameRoundTrip:./internal/proto/wire \
+	FuzzARPFrameRoundTrip:./internal/proto/wire \
+	FuzzParseEth:./internal/proto/wire \
+	FuzzParseARP:./internal/proto/wire \
+	FuzzParseIPv4:./internal/proto/wire \
+	FuzzParseTCP:./internal/proto/wire \
+	FuzzParsePacket:./internal/proto/wire \
 	FuzzConnLifecycle:./internal/proto/tcp
 
 fuzz-smoke:

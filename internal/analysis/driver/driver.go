@@ -20,8 +20,6 @@ package driver
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/token"
 	"io"
 	"path/filepath"
 	"sort"
@@ -263,14 +261,4 @@ func relPath(dir, name string) string {
 		return rel
 	}
 	return name
-}
-
-// FileOf returns the *ast.File in pass containing pos (nil if absent).
-func FileOf(pass *analysis.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -20,6 +20,11 @@
 //   - Cold branches: a CFG block from which every path exits through a
 //     non-nil error return or a panic is setup/teardown, not packet
 //     path (allocation-on-failure is fine — the connection is dying).
+//     An error return counts as non-nil only when that is provable
+//     from the return itself: a fmt.Errorf or errors.New call, a
+//     composite literal, a package-level sentinel, or a variable
+//     returned inside an `if v != nil` branch on that same variable.
+//     `return err` with err possibly nil is a hot exit.
 //   - Observability guards: allocations inside `if tr != nil { ... }`
 //     bodies, where the guarded value is an obs type, are zero-cost
 //     when tracing is disabled (the obsguard analyzer enforces that
@@ -123,6 +128,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 // error return or a panic: allocation there prices failure, not the
 // packet path. Computed as a reverse-postorder fixpoint over the CFG.
 func (c *checker) coldBlocks(fd *ast.FuncDecl, g *cfg.Graph) map[*cfg.Block]bool {
+	nonNil := c.nonNilBranches(fd)
 	retErr := false
 	if res := fd.Type.Results; res != nil && len(res.List) > 0 {
 		last := res.List[len(res.List)-1]
@@ -142,10 +148,7 @@ func (c *checker) coldBlocks(fd *ast.FuncDecl, g *cfg.Graph) map[*cfg.Block]bool
 			return true, false // success or bare return: hot exit
 		}
 		last := b.Return.Results[len(b.Return.Results)-1]
-		if tv, ok := c.pass.TypesInfo.Types[last]; ok && tv.IsNil() {
-			return true, false
-		}
-		return true, true
+		return true, c.provablyNonNil(last, b.Return.Pos(), nonNil)
 	}
 	cold := map[*cfg.Block]bool{}
 	// Iterate to fixpoint: cold(b) = own cold exit, or (has successors
@@ -177,6 +180,80 @@ func (c *checker) coldBlocks(fd *ast.FuncDecl, g *cfg.Graph) map[*cfg.Block]bool
 		}
 	}
 	return cold
+}
+
+// provablyNonNil reports whether the returned error e cannot be nil:
+// a constructor call (fmt.Errorf, errors.New), a composite literal, a
+// package-level sentinel, or a variable returned at pos inside an
+// `if v != nil` branch on that variable.
+func (c *checker) provablyNonNil(e ast.Expr, pos token.Pos, nonNil map[types.Object][]posRange) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+			if fn, _ := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func); fn != nil && fn.Pkg() != nil {
+				name := fn.Pkg().Path() + "." + fn.Name()
+				return name == "fmt.Errorf" || name == "errors.New"
+			}
+		}
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		_, lit := ast.Unparen(x.X).(*ast.CompositeLit)
+		return x.Op == token.AND && lit
+	case *ast.SelectorExpr:
+		return isSentinel(c.pass.TypesInfo.Uses[x.Sel])
+	case *ast.Ident:
+		v := c.pass.TypesInfo.Uses[x]
+		if isSentinel(v) {
+			return true
+		}
+		for _, r := range nonNil[v] {
+			if r.lo <= pos && pos < r.hi {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// isSentinel reports a package-level variable, such as ErrPathDead.
+func isSentinel(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// nonNilBranches maps each variable to the bodies of `if v != nil`
+// statements (alone or as a conjunct) that test it.
+func (c *checker) nonNilBranches(fd *ast.FuncDecl) map[types.Object][]posRange {
+	out := map[types.Object][]posRange{}
+	var conds func(e ast.Expr, body *ast.BlockStmt)
+	conds = func(e ast.Expr, body *ast.BlockStmt) {
+		be, ok := ast.Unparen(e).(*ast.BinaryExpr)
+		if !ok {
+			return
+		}
+		switch be.Op {
+		case token.LAND:
+			conds(be.X, body)
+			conds(be.Y, body)
+		case token.NEQ:
+			for _, pair := range [2][2]ast.Expr{{be.X, be.Y}, {be.Y, be.X}} {
+				id, isID := ast.Unparen(pair[0]).(*ast.Ident)
+				if nilSide, ok := c.pass.TypesInfo.Types[pair[1]]; isID && ok && nilSide.IsNil() {
+					if v := c.pass.TypesInfo.Uses[id]; v != nil {
+						out[v] = append(out[v], posRange{body.Pos(), body.End()})
+					}
+				}
+			}
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if ifs, ok := n.(*ast.IfStmt); ok {
+			conds(ifs.Cond, ifs.Body)
+		}
+		return true
+	})
+	return out
 }
 
 // ---- observability guard ranges ----

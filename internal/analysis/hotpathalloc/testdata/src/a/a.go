@@ -2,7 +2,10 @@
 // as hot and its own types as observability types (ObsPath = "a").
 package a
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 type tracer struct{ n int }
 
@@ -22,6 +25,61 @@ func coldError(fail bool) error {
 		return fmt.Errorf("boom %d", 7)
 	}
 	return nil
+}
+
+var errSentinel = fmt.Errorf("sentinel")
+
+type errT struct{}
+
+func (*errT) Error() string { return "errT" }
+
+// passErr ends in `return err`, but err is nil on the success path, so
+// the allocation before it is on the hot path.
+func passErr(f func() error) error {
+	err := f()
+	xs := make([]int, 4) // want `make allocates a slice`
+	_ = xs
+	return err
+}
+
+// passErrAfterCheck returns err outside its nil check: still hot.
+func passErrAfterCheck(f func() error) error {
+	err := f()
+	if err != nil {
+		_ = err
+	}
+	_ = make([]int, 4) // want `make allocates a slice`
+	return err
+}
+
+// coldReturns end in errors provably non-nil: a checked variable, a
+// sentinel, a constructor and a composite literal.
+func coldChecked(f func() error) error {
+	if err := f(); err != nil {
+		_ = make([]int, 4)
+		return err
+	}
+	return nil
+}
+
+func coldSentinel(fail, eof bool) error {
+	if eof {
+		_ = make([]int, 4)
+		return io.EOF
+	}
+	if fail {
+		_ = make([]int, 4)
+		return errSentinel
+	}
+	return nil
+}
+
+func coldConstructed(fail bool) (int, error) {
+	if fail {
+		_ = make([]int, 4)
+		return 0, &errT{}
+	}
+	return 1, nil
 }
 
 // guarded allocations are zero-cost when tracing is disabled.

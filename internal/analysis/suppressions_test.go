@@ -29,12 +29,13 @@ import (
 // coldpath claims on the frame path: frame delivery and Sleep's wakeup
 // schedule no closures, and frame storage is recycled. Semaphore
 // waiters link through the threads, so blocking claims nothing. The
-// path package's 14 claims are its per-path objects (the Path, the
+// path package's 15 claims are its per-path objects (the Path, the
 // worker's name, inline stage/handle/domain lists that grow only past
 // eight), one live-path list, a second control item while the path's
 // own is queued, the constructor, the per-chain crossing table and
-// per-domain destroy hook, two Cross closures that stay on the stack,
-// and a miswired-graph reject reason.
+// per-domain destroy hook, three Cross closures that stay on the stack
+// (the worker's, Destroy's and deliverFrom's), and a miswired-graph
+// reject reason. The kernel's ACL is a fixed table and claims nothing.
 func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
 		"held":     4,

@@ -121,9 +121,10 @@ type Owner struct {
 	// objects charged to this owner, supporting O(objects) teardown.
 	tracked [numTrackClasses]lib.List
 
-	// Scheduling (Figure 4 part 3). The concrete contents depend on the
-	// configured scheduler; see internal/sched.State.
-	Sched SchedState
+	// Scheduling (Figure 4 part 3): the owner's *sched.Share, set by the
+	// kernel on first scheduling contact. It is held as any so core
+	// stays dependency-free.
+	Sched any
 
 	Limits Limits
 
@@ -137,13 +138,6 @@ type Owner struct {
 	// OnOveruse, when non-nil, is invoked by charge helpers that detect a
 	// limit violation; the kernel points this at its containment routine.
 	OnOveruse func(o *Owner, what string)
-}
-
-// SchedState is the scheduler-specific third part of the Owner structure.
-// It is declared here (rather than importing internal/sched) to keep core
-// dependency-free; internal/sched defines the concrete satisfying type.
-type SchedState interface {
-	ResetSched()
 }
 
 // NewOwner returns a live owner.

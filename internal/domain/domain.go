@@ -46,9 +46,6 @@ func (d *Domain) Privileged() bool { return d.privileged }
 // Heap returns the domain's sub-page allocator.
 func (d *Domain) Heap() *mem.Heap { return d.heap }
 
-// Destroyed reports whether the domain has been torn down.
-func (d *Domain) Destroyed() bool { return d.destroyed }
-
 // Name returns the owner name.
 func (d *Domain) Name() string { return d.Owner.Name }
 
@@ -117,9 +114,6 @@ func (r *Registry) ByName(name string) (*Domain, bool) {
 
 // All returns every domain in creation order.
 func (r *Registry) All() []*Domain { return r.domains }
-
-// Count returns the number of domains (including the kernel's).
-func (r *Registry) Count() int { return len(r.domains) }
 
 // Destroy tears a domain down: dependent paths die first (via hooks),
 // the owner's tracked objects are released, and the heap's pages return

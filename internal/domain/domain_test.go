@@ -19,8 +19,8 @@ func TestRegistryKernelDomain(t *testing.T) {
 	if !k.Privileged() || k.ID() != KernelID {
 		t.Fatal("kernel domain not privileged with ID 0")
 	}
-	if r.Count() != 1 {
-		t.Fatalf("count = %d", r.Count())
+	if len(r.domains) != 1 {
+		t.Fatalf("count = %d", len(r.domains))
 	}
 	if len(ledger.Live()) != 1 {
 		t.Fatal("kernel domain owner not registered in ledger")
@@ -82,7 +82,7 @@ func TestDestroyReclaimsHeapPages(t *testing.T) {
 	if kalloc.InUse() != 0 {
 		t.Fatalf("pages leaked: %d in use", kalloc.InUse())
 	}
-	if !d.Destroyed() || !d.Owner.Dead() {
+	if !d.destroyed || !d.Owner.Dead() {
 		t.Fatal("domain not marked destroyed")
 	}
 	r.Destroy(d) // idempotent

@@ -49,19 +49,6 @@ const (
 	KindAccountingPD
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindScout:
-		return "Scout"
-	case KindAccounting:
-		return "Accounting"
-	case KindAccountingPD:
-		return "Accounting_PD"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Default addressing for the Figure 7 testbed.
 var (
 	// ServerIP is 10.0.0.1; the 10.0.0.0/8 network is the trusted subnet.
@@ -452,9 +439,6 @@ func domFor2(k *kernel.Kernel, kind Kind, name string) string {
 // Run advances the server's kernel (and with it the whole simulation)
 // by d cycles.
 func (s *Server) Run(d sim.Cycles) { s.K.RunFor(d) }
-
-// Completed returns the number of connections served to completion.
-func (s *Server) Completed() uint64 { return s.TCP.Completed }
 
 // Stop unwinds the kernel's threads (test hygiene) after taking a
 // final metrics sample so the exported series covers the whole run.

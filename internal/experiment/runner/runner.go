@@ -27,21 +27,14 @@ import (
 // worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Map runs fn(i) for every i in [0, n) on up to workers concurrent
+// MapErr runs fn(i) for every i in [0, n) on up to workers concurrent
 // goroutines and returns the results in index order. workers <= 1 runs
 // serially on the calling goroutine; any setting produces identical
-// results. A panic in fn is re-raised on the caller, tagged with the
-// lowest panicking index so even failures are deterministic.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	run(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr is Map for point functions that can fail. All points run to
-// completion; the error returned is the one from the lowest failing
-// index, regardless of completion order, so error reporting is as
-// deterministic as the results.
+// results. All points run to completion; the error returned is the one
+// from the lowest failing index, regardless of completion order, so
+// error reporting is as deterministic as the results. A panic in fn is
+// re-raised on the caller, tagged with the lowest panicking index so
+// even failures are deterministic.
 func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)

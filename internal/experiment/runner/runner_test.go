@@ -10,7 +10,7 @@ import (
 
 func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got := Map(100, workers, func(i int) int { return i * i })
+		got, _ := MapErr(100, workers, func(i int) (int, error) { return i * i, nil })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, v, i*i)
@@ -21,9 +21,9 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 
 func TestMapRunsEveryPointOnce(t *testing.T) {
 	var counts [200]atomic.Int32
-	Map(len(counts), 8, func(i int) struct{} {
+	MapErr(len(counts), 8, func(i int) (struct{}, error) {
 		counts[i].Add(1)
-		return struct{}{}
+		return struct{}{}, nil
 	})
 	for i := range counts {
 		if n := counts[i].Load(); n != 1 {
@@ -74,16 +74,16 @@ func TestMapPanicReportsLowestIndex(t *testing.T) {
 			t.Fatalf("panic %v, want lowest panicking index 2", r)
 		}
 	}()
-	Map(10, 4, func(i int) int {
+	MapErr(10, 4, func(i int) (int, error) {
 		if i == 2 || i == 6 {
 			panic(fmt.Sprintf("boom %d", i))
 		}
-		return i
+		return i, nil
 	})
 }
 
 func TestMapZeroPoints(t *testing.T) {
-	if got := Map(0, 8, func(i int) int { return i }); len(got) != 0 {
+	if got, _ := MapErr(0, 8, func(i int) (int, error) { return i, nil }); len(got) != 0 {
 		t.Fatalf("got %v, want empty", got)
 	}
 }

@@ -59,12 +59,6 @@ type NetStats struct {
 	FlapDropped, PartitionDropped                      uint64
 }
 
-// Total returns the total number of injected faults.
-func (s NetStats) Total() uint64 {
-	return s.Dropped + s.Corrupted + s.Duplicated + s.Reordered +
-		s.Delayed + s.FlapDropped + s.PartitionDropped
-}
-
 // NetInjector interposes on netsim delivery: it wraps the Segment each
 // NIC attaches to and perturbs frames per its NetConfig, drawing all
 // randomness from one dedicated seeded generator and all timing from

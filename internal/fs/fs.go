@@ -39,8 +39,6 @@ type Reader interface {
 	// ReadInode returns the file's contents as a message charged to the
 	// calling path's owner.
 	ReadInode(ctx *kernel.Ctx, ino Inode) (*msg.Msg, error)
-	// ReadFile is Resolve followed by ReadInode.
-	ReadFile(ctx *kernel.Ctx, name string) (*msg.Msg, error)
 }
 
 // Module is the file system.
@@ -148,15 +146,6 @@ func (s *stage) Resolve(ctx *kernel.Ctx, name string) (Inode, error) {
 	return ino, nil
 }
 
-// ReadFile implements Reader: Resolve then ReadInode.
-func (s *stage) ReadFile(ctx *kernel.Ctx, name string) (*msg.Msg, error) {
-	ino, err := s.Resolve(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return s.ReadInode(ctx, ino)
-}
-
 // ReadInode implements Reader.
 func (s *stage) ReadInode(ctx *kernel.Ctx, ino Inode) (*msg.Msg, error) {
 	m := s.mod
@@ -247,9 +236,6 @@ func (m *Module) dropBuf(ctx *kernel.Ctx, name string) {
 		m.iom.Unlock(ctx, hold)
 	}
 }
-
-// Cached reports whether a file is in the block cache (tests).
-func (m *Module) Cached(name string) bool { return m.cached[name] }
 
 // Deliver implements module.Stage (no message flow through FS in this
 // configuration; file access uses the Reader interface).

@@ -16,7 +16,7 @@ import (
 )
 
 // env builds a two-module graph (scsi -> fs) with a path through it, so
-// ReadFile can be exercised from a real path thread.
+// the Reader interface can be exercised from a real path thread.
 type env struct {
 	k    *kernel.Kernel
 	fs   *fs.Module
@@ -55,8 +55,8 @@ func newEnv(t *testing.T, budget int, perDomain bool) *env {
 	return &env{k: k, fs: fsMod, scsi: scsiMod, p: p}
 }
 
-// read runs ReadFile on the path's thread, returning the content length
-// and the virtual time the read itself took.
+// read resolves name and reads its inode on the path's thread,
+// returning the content length and the virtual time the read took.
 func (e *env) read(t *testing.T, name string) (int, sim.Cycles, error) {
 	t.Helper()
 	var n int
@@ -70,7 +70,10 @@ func (e *env) read(t *testing.T, name string) (int, sim.Cycles, error) {
 			Len() int
 			Free()
 		}
-		m, err = reader.ReadFile(ctx, name)
+		var ino fs.Inode
+		if ino, err = reader.Resolve(ctx, name); err == nil {
+			m, err = reader.ReadInode(ctx, ino)
+		}
 		took = ctx.Now() - start
 		if err == nil {
 			n = m.Len()
@@ -164,7 +167,12 @@ func TestDiskSerializesRequests(t *testing.T) {
 	for _, name := range []string{"/a", "/b"} {
 		name := name
 		e.p.Spawn("r", func(ctx *kernel.Ctx) {
-			if _, err := reader.ReadFile(ctx, name); err == nil {
+			ino, err := reader.Resolve(ctx, name)
+			if err != nil {
+				return
+			}
+			if m, err := reader.ReadInode(ctx, ino); err == nil {
+				m.Free()
 				done++
 			}
 		})

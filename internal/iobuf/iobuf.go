@@ -8,14 +8,14 @@
 //   - A buffer allocated for a path is mapped read/write in the current
 //     domain and read-only in the other domains along the path, up to and
 //     including an optional termination domain.
-//   - Holding (locking) a buffer freezes it: all write permission is
-//     revoked so the contents can be validated once and trusted.
-//   - Unlocking decrements the reference count; at zero the buffer is
-//     freed or parked in a cache, and a later allocation with the same
-//     mapping set reuses it without cleaning.
 //   - A buffer can be associated with a second owner (a web cache being
 //     the canonical user); the second owner is fully charged — the paper
 //     accepts that more resources are charged than used.
+//   - Association locks the buffer: all write permission is revoked so
+//     the contents can be validated once and trusted.
+//   - Unlocking decrements the reference count; at zero the buffer is
+//     freed or parked in a cache, and a later allocation with the same
+//     mapping set reuses it without cleaning.
 //
 // The MMU is simulated: ReadAt/WriteAt check the mapping table and fail
 // the way a protection fault would.
@@ -84,7 +84,6 @@ type MapSpec struct {
 // holds the ID of the domain allowed to write; here that is the writer
 // field, cleared when the buffer is frozen by a lock.
 type Buffer struct {
-	id       uint64
 	mgr      *Manager
 	pages    int
 	blk      *mem.Block
@@ -94,12 +93,11 @@ type Buffer struct {
 	refcnt   int
 	mappings map[domain.ID]Perm
 	freed    bool
-	cached   bool
 }
 
 // Hold is an owner's reference to a buffer: the object tracked on the
-// owner's iobufferlock list (Figure 4). Alloc, Lock, and Associate all
-// create holds; releasing the last hold frees or caches the buffer.
+// owner's iobufferlock list (Figure 4). Alloc and Associate create
+// holds; releasing the last hold frees or caches the buffer.
 type Hold struct {
 	buf      *Buffer
 	owner    *core.Owner
@@ -110,15 +108,11 @@ type Hold struct {
 // Buffer returns the held buffer.
 func (h *Hold) Buffer() *Buffer { return h.buf }
 
-// Owner returns the charged owner.
-func (h *Hold) Owner() *core.Owner { return h.owner }
-
 // Manager allocates and caches IOBuffers. Physical pages are owned by
 // the kernel (which is "ultimately responsible" for them); each hold
 // charges its owner's page counter in full.
 type Manager struct {
 	k      *kernel.Kernel
-	nextID uint64
 	cache  []*Buffer
 	tracer *obs.Tracer // resolved once from the kernel; nil when disabled
 
@@ -137,12 +131,6 @@ type Manager struct {
 func NewManager(k *kernel.Kernel) *Manager {
 	return &Manager{k: k, tracer: k.Tracer(), failGrant: k.FaultSet().Point("iobuf.grant")}
 }
-
-// CacheStats reports buffer-cache hits and misses.
-func (m *Manager) CacheStats() (hits, misses uint64) { return m.hits, m.misses }
-
-// CacheLen reports the number of parked buffers.
-func (m *Manager) CacheLen() int { return len(m.cache) }
 
 func (m *Manager) charge(ctx *kernel.Ctx, owner *core.Owner, c sim.Cycles) {
 	if ctx != nil {
@@ -181,9 +169,7 @@ func (m *Manager) Alloc(ctx *kernel.Ctx, owner *core.Owner, npages int, spec Map
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrExhausted, err)
 		}
-		m.nextID++
 		b = &Buffer{ //escort:coldpath cache miss: fresh buffer construction, amortized by the parked-buffer cache
-			id:       m.nextID,
 			mgr:      m,
 			pages:    npages,
 			data:     make([]byte, npages*mem.PageSize), //escort:coldpath cache miss, as above
@@ -225,24 +211,6 @@ func (b *Buffer) hold(owner *core.Owner) *Hold {
 	owner.ChargePages(uint64(b.pages))
 	owner.Track(core.TrackIOBufferLocks, &h.node)
 	return h
-}
-
-// Lock freezes the buffer for owner: the reference count rises, all
-// write permission is revoked (the writer-domain word is cleared), and
-// the contents can be checked once and trusted thereafter.
-func (m *Manager) Lock(ctx *kernel.Ctx, b *Buffer, owner *core.Owner) (*Hold, error) {
-	if b.freed {
-		return nil, ErrFreed
-	}
-	m.charge(ctx, owner, m.k.Model().IOBufLock+m.k.AccountingTax())
-	b.frozen = true
-	if b.mappings[b.writer] == PermRW {
-		b.mappings[b.writer] = PermRO
-	}
-	if tr := m.tracer; tr != nil {
-		tr.IOBufLock(owner.Name, m.k.Engine().Now())
-	}
-	return b.hold(owner), nil
 }
 
 // Associate maps a pre-existing buffer for a second owner (the web-cache
@@ -326,7 +294,6 @@ func (m *Manager) park(b *Buffer) {
 	}
 	b.frozen = false
 	if len(m.cache) < cacheLimit {
-		b.cached = true
 		m.cache = append(m.cache, b) //escort:coldpath bounded: the guard above caps the cache at cacheLimit
 		return
 	}
@@ -349,7 +316,6 @@ func (m *Manager) fromCache(npages int, spec MapSpec) *Buffer {
 		}
 		if mappingsMatch(b.mappings, want) {
 			m.cache = append(m.cache[:i], m.cache[i+1:]...)
-			b.cached = false
 			return b
 		}
 	}
@@ -390,37 +356,6 @@ func mappingsMatch(m map[domain.ID]Perm, want []domain.ID) bool {
 	}
 	return true
 }
-
-// FlushCache frees all parked buffers (tests and memory pressure).
-func (m *Manager) FlushCache() {
-	for _, b := range m.cache {
-		b.cached = false
-		m.reclaim(b)
-	}
-	m.cache = nil
-}
-
-// ID returns the buffer identity.
-func (b *Buffer) ID() uint64 { return b.id }
-
-// Pages returns the buffer size in pages.
-func (b *Buffer) Pages() int { return b.pages }
-
-// Size returns the buffer size in bytes.
-func (b *Buffer) Size() int { return b.pages * mem.PageSize }
-
-// Refcnt returns the kernel reference count.
-func (b *Buffer) Refcnt() int { return b.refcnt }
-
-// Frozen reports whether write permission has been revoked by a lock.
-func (b *Buffer) Frozen() bool { return b.frozen }
-
-// Writer returns the domain currently allowed to write (meaningless when
-// frozen).
-func (b *Buffer) Writer() domain.ID { return b.writer }
-
-// Mapping returns the simulated mapping permission for a domain.
-func (b *Buffer) Mapping(d domain.ID) Perm { return b.mappings[d] }
 
 // WriteAt writes into the buffer from the given domain, enforcing the
 // simulated MMU: the domain must hold the read/write mapping and the

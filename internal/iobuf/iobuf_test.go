@@ -10,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/domain"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -35,13 +36,13 @@ func TestAllocMappingRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := h.Buffer()
-	if b.Mapping(dTCP.ID()) != PermRW {
+	if b.mappings[dTCP.ID()] != PermRW {
 		t.Fatal("current domain not mapped rw")
 	}
-	if b.Mapping(dIP.ID()) != PermRO || b.Mapping(dETH.ID()) != PermRO {
+	if b.mappings[dIP.ID()] != PermRO || b.mappings[dETH.ID()] != PermRO {
 		t.Fatal("path domains not mapped ro")
 	}
-	if b.Mapping(domain.KernelID) != PermNone {
+	if b.mappings[domain.KernelID] != PermNone {
 		t.Fatal("unrelated domain mapped")
 	}
 	if path.Counters.Pages != 1 {
@@ -63,10 +64,10 @@ func TestTerminationDomainTruncatesMappings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Buffer().Mapping(d2.ID()) != PermRO {
+	if h.Buffer().mappings[d2.ID()] != PermRO {
 		t.Fatal("termination domain itself must be mapped")
 	}
-	if h.Buffer().Mapping(d3.ID()) != PermNone {
+	if h.Buffer().mappings[d3.ID()] != PermNone {
 		t.Fatal("domain beyond termination must not be mapped")
 	}
 }
@@ -107,25 +108,26 @@ func TestLockFreezesWrites(t *testing.T) {
 	if err := b.WriteAt(dTCP.ID(), 0, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	lk, err := m.Lock(nil, b, other)
+	// A second hold, taken by association, locks the buffer.
+	lk, err := m.Associate(nil, b, other, MapSpec{Current: dTCP.ID()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Frozen() {
+	if !b.frozen {
 		t.Fatal("lock did not freeze buffer")
 	}
 	if err := b.WriteAt(dTCP.ID(), 0, []byte("v2")); !errors.Is(err, ErrFrozen) {
 		t.Fatalf("write after lock err = %v, want ErrFrozen", err)
 	}
-	if b.Refcnt() != 2 {
-		t.Fatalf("refcnt = %d, want 2", b.Refcnt())
+	if b.refcnt != 2 {
+		t.Fatalf("refcnt = %d, want 2", b.refcnt)
 	}
 	if other.Counters.Pages != 1 {
 		t.Fatal("locker not fully charged")
 	}
 	m.Unlock(nil, lk)
-	if b.Refcnt() != 1 {
-		t.Fatalf("refcnt after unlock = %d", b.Refcnt())
+	if b.refcnt != 1 {
+		t.Fatalf("refcnt after unlock = %d", b.refcnt)
 	}
 	if other.Counters.Pages != 0 {
 		t.Fatal("locker charge not refunded")
@@ -140,8 +142,8 @@ func TestLastUnlockParksInCache(t *testing.T) {
 	b := h.Buffer()
 	copy(b.Bytes(), []byte("cached-content"))
 	m.Unlock(nil, h)
-	if m.CacheLen() != 1 {
-		t.Fatalf("cache len = %d", m.CacheLen())
+	if len(m.cache) != 1 {
+		t.Fatalf("cache len = %d", len(m.cache))
 	}
 	// Same mapping set and size: must reuse the same buffer, uncleaned.
 	h2, _ := m.Alloc(nil, path, 2, MapSpec{Current: dTCP.ID()})
@@ -151,9 +153,8 @@ func TestLastUnlockParksInCache(t *testing.T) {
 	if !bytes.HasPrefix(h2.Buffer().Bytes(), []byte("cached-content")) {
 		t.Fatal("reused buffer was cleaned")
 	}
-	hits, _ := m.CacheStats()
-	if hits != 1 {
-		t.Fatalf("hits = %d", hits)
+	if m.hits != 1 {
+		t.Fatalf("hits = %d", m.hits)
 	}
 	// Writable again after reuse.
 	if err := h2.Buffer().WriteAt(dTCP.ID(), 0, []byte("x")); err != nil {
@@ -172,9 +173,8 @@ func TestCacheMissOnDifferentMappings(t *testing.T) {
 	if h2.Buffer() == h.Buffer() {
 		t.Fatal("cache reused buffer with mismatched mappings")
 	}
-	_, misses := m.CacheStats()
-	if misses != 2 {
-		t.Fatalf("misses = %d, want 2", misses)
+	if m.misses != 2 {
+		t.Fatalf("misses = %d, want 2", m.misses)
 	}
 }
 
@@ -202,10 +202,10 @@ func TestAssociateSecondOwnerFullyCharged(t *testing.T) {
 		t.Fatalf("charges: cache=%d path=%d, want 2 and 2",
 			cacheOwner.Counters.Pages, pathOwner.Counters.Pages)
 	}
-	if b.Mapping(dTCP.ID()) != PermRO {
+	if b.mappings[dTCP.ID()] != PermRO {
 		t.Fatal("association did not extend mappings")
 	}
-	if !b.Frozen() {
+	if !b.frozen {
 		t.Fatal("association must include locking")
 	}
 	var buf [4]byte
@@ -222,14 +222,14 @@ func TestOwnerTeardownReleasesHolds(t *testing.T) {
 	path := k.NewOwner("p", core.PathOwner)
 	h, _ := m.Alloc(nil, path, 1, MapSpec{Current: d.ID()})
 	b := h.Buffer()
-	if b.Refcnt() != 1 {
+	if b.refcnt != 1 {
 		t.Fatal("setup")
 	}
 	k.DestroyOwner(path, true)
-	if b.Refcnt() != 0 {
-		t.Fatalf("refcnt = %d after owner teardown", b.Refcnt())
+	if b.refcnt != 0 {
+		t.Fatalf("refcnt = %d after owner teardown", b.refcnt)
 	}
-	if m.CacheLen() != 1 {
+	if len(m.cache) != 1 {
 		t.Fatal("buffer not parked after teardown")
 	}
 }
@@ -252,11 +252,20 @@ func TestLockFreedBufferFails(t *testing.T) {
 	k, m := newEnv(t)
 	d := k.Domains().Create("tcp")
 	path := k.NewOwner("p", core.PathOwner)
+	// Fill the cache with parked buffers of another size, so the next
+	// buffer released is freed, not parked.
+	var parked []*Hold
+	for i := 0; i < cacheLimit; i++ {
+		h, _ := m.Alloc(nil, path, 2, MapSpec{Current: d.ID()})
+		parked = append(parked, h)
+	}
+	for _, h := range parked {
+		m.Unlock(nil, h)
+	}
 	h, _ := m.Alloc(nil, path, 1, MapSpec{Current: d.ID()})
 	b := h.Buffer()
 	m.Unlock(nil, h)
-	m.FlushCache() // buffer now actually freed
-	if _, err := m.Lock(nil, b, path); !errors.Is(err, ErrFreed) {
+	if _, err := m.Associate(nil, b, path, MapSpec{Current: d.ID()}); !errors.Is(err, ErrFreed) {
 		t.Fatalf("lock freed buffer err = %v", err)
 	}
 	if err := b.ReadAt(d.ID(), 0, make([]byte, 1)); !errors.Is(err, ErrFreed) {
@@ -282,7 +291,7 @@ func TestBoundsChecks(t *testing.T) {
 	path := k.NewOwner("p", core.PathOwner)
 	h, _ := m.Alloc(nil, path, 1, MapSpec{Current: d.ID()})
 	b := h.Buffer()
-	if err := b.WriteAt(d.ID(), b.Size()-1, []byte("xy")); err == nil {
+	if err := b.WriteAt(d.ID(), b.pages*mem.PageSize-1, []byte("xy")); err == nil {
 		t.Fatal("out-of-bounds write succeeded")
 	}
 	if err := b.ReadAt(d.ID(), -1, make([]byte, 1)); err == nil {
@@ -317,16 +326,19 @@ func TestCacheBoundedAndReclaims(t *testing.T) {
 	for _, h := range holds {
 		m.Unlock(nil, h)
 	}
-	if m.CacheLen() > 64 {
-		t.Fatalf("cache len = %d exceeds limit", m.CacheLen())
+	if len(m.cache) > 64 {
+		t.Fatalf("cache len = %d exceeds limit", len(m.cache))
 	}
-	m.FlushCache()
-	if k.Pages().FreePages() != free0 {
-		t.Fatalf("pages leaked: %d != %d", k.Pages().FreePages(), free0)
+	parked := 0
+	for _, b := range m.cache {
+		parked += b.pages
+	}
+	if k.Pages().FreePages() != free0-parked {
+		t.Fatalf("pages leaked: %d free, want %d (%d parked)", k.Pages().FreePages(), free0-parked, parked)
 	}
 }
 
-// TestHoldRefcountProperty: arbitrary alloc/lock/unlock interleavings
+// TestHoldRefcountProperty: arbitrary alloc/associate/unlock interleavings
 // keep the buffer refcount equal to the live hold count and never lose
 // pages.
 func TestHoldRefcountProperty(t *testing.T) {
@@ -348,7 +360,7 @@ func TestHoldRefcountProperty(t *testing.T) {
 				live = append(live, h)
 			case op%3 == 1:
 				src := live[int(op)%len(live)]
-				h, err := m.Lock(nil, src.Buffer(), owner)
+				h, err := m.Associate(nil, src.Buffer(), owner, MapSpec{Current: d.ID()})
 				if err != nil {
 					continue
 				}
@@ -364,7 +376,7 @@ func TestHoldRefcountProperty(t *testing.T) {
 				counts[h.Buffer()]++
 			}
 			for b, n := range counts {
-				if b.Refcnt() != n {
+				if b.refcnt != n {
 					return false
 				}
 			}

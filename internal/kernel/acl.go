@@ -127,56 +127,18 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// ACL is the first of Escort's four policy-enforcement levels (§2.5): a
-// role-based access control list guarding the kernel. A role is the pair
-// (owner type of the calling thread, current protection domain); the
-// default grants everything to the privileged domain and everything
-// except policy-setting operations to unprivileged domains.
-type ACL struct {
-	denied map[aclKey]bool
-}
-
-type aclKey struct {
-	dom domain.ID
-	op  Op
-}
-
-// NewACL returns the default ACL: policy-setting syscalls (owner limits,
-// scheduler shares) are denied to unprivileged domains.
-//
-//escort:coldpath constructor, once per kernel
-func NewACL() *ACL {
-	a := &ACL{denied: make(map[aclKey]bool)}
-	return a
-}
-
-// privilegedOnly lists syscalls only the kernel domain may issue by
-// default.
-var privilegedOnly = map[Op]bool{
+// privilegedOnly is the ACL, the first of Escort's four
+// policy-enforcement levels (§2.5): a fixed role table guarding the
+// kernel. The privileged domain may issue every syscall; unprivileged
+// domains may issue every syscall except the policy-setting ones
+// marked here.
+var privilegedOnly = [NumOps]bool{
 	OpOwnerSetLimits:   true,
 	OpSchedSetShare:    true,
 	OpSchedSetPriority: true,
 	OpSchedSetDeadline: true,
 	OpPathKill:         true,
 	OpThreadStop:       true,
-}
-
-// Deny forbids a domain the given syscall.
-func (a *ACL) Deny(d domain.ID, op Op) { a.denied[aclKey{d, op}] = true }
-
-// Allow re-grants a domain the given syscall (clears Deny and the
-// privileged-only default for that domain).
-func (a *ACL) Allow(d domain.ID, op Op) { a.denied[aclKey{d, op}] = false }
-
-// Check reports whether the domain may issue the syscall.
-func (a *ACL) Check(d domain.ID, op Op) bool {
-	if v, explicit := a.denied[aclKey{d, op}]; explicit {
-		return !v
-	}
-	if d == domain.KernelID {
-		return true
-	}
-	return !privilegedOnly[op]
 }
 
 // Syscall charges the kernel-entry cost and checks the ACL against the
@@ -190,7 +152,7 @@ func (c *Ctx) Syscall(op Op) error {
 		began = c.k.eng.Now()
 	}
 	c.Use(c.k.model.Syscall + c.k.AccountingTax())
-	denied := !c.k.acl.Check(c.t.curDomain, op)
+	denied := c.t.curDomain != domain.KernelID && privilegedOnly[op]
 	if tr != nil {
 		tr.Syscall(uint32(c.t.curDomain), c.t.owner.Name, op.String(), began, c.k.eng.Now(), denied)
 	}

@@ -68,7 +68,6 @@ type Kernel struct {
 	domains *domain.Registry
 	tlb     *domain.TLB
 	sch     sched.Scheduler
-	acl     *ACL
 
 	tracer  *obs.Tracer  // nil when tracing is disabled
 	metrics *obs.Metrics // nil when metrics are disabled
@@ -126,7 +125,6 @@ func New(eng *sim.Engine, model *cost.Model, cfg Config) *Kernel {
 		ledger:  &core.Ledger{},
 		tlb:     domain.NewTLB(),
 		sch:     sched.New(cfg.Scheduler),
-		acl:     NewACL(),
 		tracer:  cfg.Tracer,
 		metrics: cfg.Metrics,
 
@@ -186,12 +184,6 @@ func (k *Kernel) Domains() *domain.Registry { return k.domains }
 // TLB returns the simulated TLB.
 func (k *Kernel) TLB() *domain.TLB { return k.tlb }
 
-// Scheduler returns the configured thread scheduler.
-func (k *Kernel) Scheduler() sched.Scheduler { return k.sch }
-
-// ACL returns the role-based access control list.
-func (k *Kernel) ACL() *ACL { return k.acl }
-
 // Tracer returns the configured event tracer; nil (which every obs
 // method accepts) when tracing is disabled. Subsystems resolve this
 // once at construction so the disabled path is a single pointer test.
@@ -211,18 +203,6 @@ func (k *Kernel) FaultCounters() *obs.FaultRegistry { return k.faultCounters }
 
 // KernelOwner returns the privileged domain's owner.
 func (k *Kernel) KernelOwner() *core.Owner { return k.kernelOwner }
-
-// IdleOwner returns the idle pseudo-owner.
-func (k *Kernel) IdleOwner() *core.Owner { return k.idleOwner }
-
-// SoftclockOwner returns the softclock pseudo-owner.
-func (k *Kernel) SoftclockOwner() *core.Owner { return k.softclockOwner }
-
-// Ticks returns the softclock tick count (milliseconds of virtual time).
-func (k *Kernel) Ticks() uint64 { return k.ticks }
-
-// Current returns the running thread, or nil in interrupt/kernel context.
-func (k *Kernel) Current() *Thread { return k.current }
 
 // NewOwner creates and registers a path-or-auxiliary owner with the
 // kernel-wide default limits applied.

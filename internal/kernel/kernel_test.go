@@ -110,8 +110,8 @@ func TestSemaphoreBlocksAndWakes(t *testing.T) {
 	if len(got) != 2 || got[0] != "produced" || got[1] != "consumed" {
 		t.Fatalf("order = %v", got)
 	}
-	if sem.Count() != 0 || sem.Waiters() != 0 {
-		t.Fatalf("sem state count=%d waiters=%d", sem.Count(), sem.Waiters())
+	if sem.count != 0 || waiters(sem) != 0 {
+		t.Fatalf("sem state count=%d waiters=%d", sem.count, waiters(sem))
 	}
 }
 
@@ -146,8 +146,8 @@ func TestSemaphoreDestroyUnblocksForeignWaiters(t *testing.T) {
 		gotErr = sem.P(ctx)
 	}, SpawnOpts{})
 	k.RunFor(100_000) // waiter blocks
-	if sem.Waiters() != 1 {
-		t.Fatalf("waiters = %d", sem.Waiters())
+	if waiters(sem) != 1 {
+		t.Fatalf("waiters = %d", waiters(sem))
 	}
 	sem.Destroy()
 	k.RunFor(1_000_000)
@@ -177,7 +177,7 @@ func TestKillBlockedThread(t *testing.T) {
 	if k.LiveThreads() != 0 {
 		t.Fatalf("live threads = %d; killed thread goroutine leaked", k.LiveThreads())
 	}
-	if sem.Waiters() != 0 {
+	if waiters(sem) != 0 {
 		t.Fatal("killed thread left on semaphore wait queue")
 	}
 }
@@ -337,29 +337,20 @@ func TestRepeatingEvent(t *testing.T) {
 	k := newKernel(t, Config{})
 	owner := k.NewOwner("p", core.PathOwner)
 	count := 0
-	ev := k.RegisterEvent(owner, "tick", 50_000, 50_000, func(ctx *Ctx) { count++ })
+	k.RegisterEvent(owner, "tick", 50_000, 50_000, func(ctx *Ctx) { count++ })
 	k.RunFor(475_000)
 	if count < 8 || count > 9 {
 		t.Fatalf("repeating event fired %d times in 475k cycles at 50k period, want 8-9", count)
-	}
-	ev.Cancel()
-	before := count
-	k.RunFor(500_000)
-	if count != before {
-		t.Fatal("canceled event kept firing")
-	}
-	if owner.Counters.Events != 0 {
-		t.Fatal("event not refunded after cancel")
 	}
 }
 
 func TestSoftclockChargesKernel(t *testing.T) {
 	k := newKernel(t, Config{})
 	k.RunFor(10 * sim.CyclesPerMillisecond)
-	if k.Ticks() < 9 || k.Ticks() > 11 {
-		t.Fatalf("ticks = %d after 10ms, want ~10", k.Ticks())
+	if k.ticks < 9 || k.ticks > 11 {
+		t.Fatalf("ticks = %d after 10ms, want ~10", k.ticks)
 	}
-	if k.SoftclockOwner().Counters.Cycles == 0 {
+	if k.softclockOwner.Counters.Cycles == 0 {
 		t.Fatal("softclock cycles not charged")
 	}
 }
@@ -367,7 +358,7 @@ func TestSoftclockChargesKernel(t *testing.T) {
 func TestIdleChargedToIdleOwner(t *testing.T) {
 	k := newKernel(t, Config{})
 	k.RunFor(sim.CyclesPerMillisecond)
-	idle := k.IdleOwner().Counters.Cycles
+	idle := k.idleOwner.Counters.Cycles
 	if idle == 0 {
 		t.Fatal("no idle cycles charged on an empty system")
 	}
@@ -497,33 +488,24 @@ func TestCrossUnwindOnKill(t *testing.T) {
 	if !owner.Dead() {
 		t.Fatal("runaway in nested domain not contained")
 	}
-	if th.CrossDepth() != 0 {
-		t.Fatalf("crossing stack depth = %d after unwind", th.CrossDepth())
+	if th.crossDepth != 0 {
+		t.Fatalf("crossing stack depth = %d after unwind", th.crossDepth)
 	}
 	if k.LiveThreads() != 0 {
 		t.Fatal("goroutine leaked")
 	}
 }
 
+// TestACLDefaultsAndDeny checks the role table: unprivileged domains
+// are denied exactly the policy-setting syscalls.
 func TestACLDefaultsAndDeny(t *testing.T) {
-	k := newKernel(t, Config{})
-	d := k.Domains().Create("http")
-	if !k.ACL().Check(domain.KernelID, OpPathKill) {
-		t.Fatal("kernel denied a privileged op")
+	if privilegedOnly[OpPathCreate] {
+		t.Fatal("unprivileged domains denied pathCreate")
 	}
-	if k.ACL().Check(d.ID(), OpPathKill) {
-		t.Fatal("unprivileged domain allowed pathKill by default")
-	}
-	if !k.ACL().Check(d.ID(), OpPathCreate) {
-		t.Fatal("unprivileged domain denied pathCreate by default")
-	}
-	k.ACL().Deny(d.ID(), OpPathCreate)
-	if k.ACL().Check(d.ID(), OpPathCreate) {
-		t.Fatal("explicit deny ignored")
-	}
-	k.ACL().Allow(d.ID(), OpPathKill)
-	if !k.ACL().Check(d.ID(), OpPathKill) {
-		t.Fatal("explicit allow ignored")
+	for _, op := range []Op{OpOwnerSetLimits, OpSchedSetShare, OpSchedSetPriority, OpSchedSetDeadline, OpPathKill, OpThreadStop} {
+		if !privilegedOnly[op] {
+			t.Fatalf("unprivileged domains allowed %s", op)
+		}
 	}
 }
 
@@ -531,41 +513,23 @@ func TestSyscallEnforcesACL(t *testing.T) {
 	k := newKernel(t, Config{})
 	d := k.Domains().Create("http")
 	owner := k.NewOwner("p", core.PathOwner)
-	var err1, err2 error
+	var err0, err1, err2 error
 	k.Spawn(owner, "w", func(ctx *Ctx) {
+		err0 = ctx.Syscall(OpPathKill) // kernel domain: allowed
 		ctx.Cross(d.ID(), func() {
 			err1 = ctx.Syscall(OpPathKill)   // privileged-only: denied
 			err2 = ctx.Syscall(OpPathCreate) // allowed
 		})
 	}, SpawnOpts{Allowed: lib.NewHash(4)})
 	k.RunFor(10_000_000)
+	if err0 != nil {
+		t.Fatalf("err0 = %v, want nil", err0)
+	}
 	if !errors.Is(err1, ErrAccessDenied) {
 		t.Fatalf("err1 = %v, want ErrAccessDenied", err1)
 	}
 	if err2 != nil {
 		t.Fatalf("err2 = %v, want nil", err2)
-	}
-}
-
-func TestHandoffCreatesThreadUnderTargetOwner(t *testing.T) {
-	k := newKernel(t, Config{})
-	a := k.NewOwner("a", core.PathOwner)
-	b := k.NewOwner("b", core.PathOwner)
-	var handoffOwner *core.Owner
-	done := false
-	k.Spawn(a, "w", func(ctx *Ctx) {
-		ctx.Handoff(b, "continuation", func(ctx2 *Ctx) {
-			handoffOwner = ctx2.Owner()
-			ctx2.Use(1000)
-			done = true
-		})
-	}, SpawnOpts{})
-	k.RunFor(10_000_000)
-	if !done || handoffOwner != b {
-		t.Fatalf("handoff owner = %v done=%v", handoffOwner, done)
-	}
-	if b.Counters.Cycles < 1000 {
-		t.Fatal("handoff work not charged to target owner")
 	}
 }
 
@@ -680,8 +644,8 @@ func TestSemaphoreBlockWakeDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a block/wake cycle allocates %v objects, want 0", allocs)
 	}
-	if wakes != 101 || sem.Waiters() != 1 || sem.Count() != 0 {
-		t.Fatalf("wakes=%d waiters=%d count=%d, want 101, 1, 0", wakes, sem.Waiters(), sem.Count())
+	if wakes != 101 || waiters(sem) != 1 || sem.count != 0 {
+		t.Fatalf("wakes=%d waiters=%d count=%d, want 101, 1, 0", wakes, waiters(sem), sem.count)
 	}
 }
 
@@ -708,8 +672,8 @@ func TestSemaphoreWakesInBlockOrder(t *testing.T) {
 	k.KillThread(b)
 	k.KillThread(d)
 	spawn("e")
-	if sem.Waiters() != 3 {
-		t.Fatalf("waiters = %d, want 3", sem.Waiters())
+	if waiters(sem) != 3 {
+		t.Fatalf("waiters = %d, want 3", waiters(sem))
 	}
 	for i := 0; i < 3; i++ {
 		sem.Signal(owner)
@@ -718,8 +682,8 @@ func TestSemaphoreWakesInBlockOrder(t *testing.T) {
 	if got := strings.Join(woke, " "); got != "a c e" {
 		t.Fatalf("woke %q, want \"a c e\"", got)
 	}
-	if sem.Waiters() != 0 || sem.Count() != 0 || k.LiveThreads() != 0 {
-		t.Fatalf("waiters=%d count=%d live threads=%d", sem.Waiters(), sem.Count(), k.LiveThreads())
+	if waiters(sem) != 0 || sem.count != 0 || k.LiveThreads() != 0 {
+		t.Fatalf("waiters=%d count=%d live threads=%d", waiters(sem), sem.count, k.LiveThreads())
 	}
 }
 
@@ -733,4 +697,13 @@ func TestThreadFitsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Thread{}); n > threadSizeClass {
 		t.Fatalf("unsafe.Sizeof(Thread{}) = %d bytes, over the %d-byte size class", n, threadSizeClass)
 	}
+}
+
+// waiters counts the threads blocked on s.
+func waiters(s *Semaphore) int {
+	n := 0
+	for t := s.head; t != nil; t = t.semNext {
+		n++
+	}
+	return n
 }

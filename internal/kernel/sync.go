@@ -45,21 +45,6 @@ func (k *Kernel) NewSemaphore(owner *core.Owner, initial int) *Semaphore {
 	return s
 }
 
-// Owner returns the charged owner.
-func (s *Semaphore) Owner() *core.Owner { return s.owner }
-
-// Waiters returns the number of blocked threads.
-func (s *Semaphore) Waiters() int {
-	n := 0
-	for t := s.head; t != nil; t = t.semNext {
-		n++
-	}
-	return n
-}
-
-// Count returns the available count.
-func (s *Semaphore) Count() int { return s.count }
-
 // P decrements the semaphore, blocking while it is zero. It returns
 // ErrDestroyed when the semaphore is destroyed while (or before) waiting.
 func (s *Semaphore) P(c *Ctx) error {
@@ -241,15 +226,6 @@ func (e *KEvent) fire() {
 		e.owner.Untrack(core.TrackEvents, &e.node)
 		e.retire()
 	}
-}
-
-// Cancel disarms the event. Idempotent.
-func (e *KEvent) Cancel() {
-	if e.canceled {
-		return
-	}
-	e.owner.Untrack(core.TrackEvents, &e.node)
-	e.retire()
 }
 
 // ReleaseOwned implements core.Tracked.

@@ -59,13 +59,10 @@ func (y yieldKind) String() string {
 }
 
 // killSentinel is the panic value used to unwind a killed thread's
-// goroutine; exitSentinel unwinds a voluntary Ctx.Exit.
+// goroutine.
 type sentinel int
 
-const (
-	killSentinel sentinel = iota
-	exitSentinel
-)
+const killSentinel sentinel = 0
 
 // Fn is the body of a thread.
 type Fn func(ctx *Ctx)
@@ -108,16 +105,8 @@ func (t *Thread) Name() string { return t.name }
 // Owner returns the thread's owner.
 func (t *Thread) Owner() *core.Owner { return t.owner }
 
-// Killed reports whether the thread has been marked for termination.
-func (t *Thread) Killed() bool { return t.killed }
-
 // CurrentDomain returns the protection domain the thread is executing in.
 func (t *Thread) CurrentDomain() domain.ID { return t.curDomain }
-
-// CrossDepth returns the depth of the kernel-resident crossing stack.
-// Each Cross frame holds the domain it returns to; the thread keeps
-// the depth.
-func (t *Thread) CrossDepth() int { return t.crossDepth }
 
 // SchedState implements sched.Entity: each thread has its own queue
 // state, but it draws on its owner's Share, so an owner's threads
@@ -213,18 +202,14 @@ func (k *Kernel) SpawnChecked(owner *core.Owner, name string, fn Fn, opts SpawnO
 		<-t.hand
 		defer func() {
 			if r := recover(); r != nil {
-				if s, ok := r.(sentinel); ok {
-					if s == killSentinel {
-						if t.onKilled != nil {
-							t.onKilled()
-						}
-						t.hand <- yieldKilled
-						return
-					}
-					t.hand <- yieldExited
-					return
+				if r != killSentinel {
+					panic(r)
 				}
-				panic(r)
+				if t.onKilled != nil {
+					t.onKilled()
+				}
+				t.hand <- yieldKilled
+				return
 			}
 			t.hand <- yieldExited
 		}()
@@ -343,12 +328,6 @@ func (c *Ctx) Yield() {
 	c.checkKilled()
 }
 
-// Exit terminates the thread voluntarily.
-func (c *Ctx) Exit() {
-	c.checkCurrent("Exit")
-	panic(exitSentinel)
-}
-
 // block parks the thread; some other context must makeRunnable it.
 func (c *Ctx) block() {
 	c.checkCurrent("block")
@@ -372,17 +351,6 @@ func wakeSleeper(a any) {
 	if t.state == threadBlocked {
 		t.ctx.k.makeRunnable(t)
 	}
-}
-
-// Handoff spawns a new thread under target executing fn — Escort's
-// threadHandoff, the sanctioned way for execution to migrate between
-// owners (§3.2). The calling thread continues.
-func (c *Ctx) Handoff(target *core.Owner, name string, fn Fn) *Thread {
-	c.checkCurrent("Handoff")
-	if err := c.Syscall(OpThreadHandoff); err != nil {
-		return nil
-	}
-	return c.k.Spawn(target, name, fn, SpawnOpts{})
 }
 
 // Cross invokes fn in the target protection domain, performing the

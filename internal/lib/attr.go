@@ -1,10 +1,6 @@
 package lib
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Attrs is the attribute set passed to pathCreate (§2.2): invariants for
 // the path such as the peer's address and port, the document root, or the
@@ -25,16 +21,6 @@ const (
 	AttrParentPath = "tcp.parentPath"
 	AttrQoSRateBps = "qos.rateBps"
 )
-
-// Clone returns a shallow copy, so path creation can extend the caller's
-// attributes without mutating them.
-func (a Attrs) Clone() Attrs {
-	out := make(Attrs, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
 
 // String returns attributes under key as a string; ok is false when absent
 // or of another type.
@@ -59,40 +45,6 @@ func (a Attrs) Uint32(key string) (uint32, bool) {
 func (a Attrs) Bool(key string) bool {
 	v, _ := a[key].(bool)
 	return v
-}
-
-// Format renders the set deterministically for logs and tests.
-func (a Attrs) Format() string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%v", k, a[k])
-	}
-	return b.String()
-}
-
-// Participant is a participant address: the (host, port) naming used by
-// Scout's network modules to identify an endpoint of a path.
-type Participant struct {
-	Host uint32 // IPv4 address in host byte order
-	Port uint16
-}
-
-// Key packs the participant into a hash key.
-func (p Participant) Key() uint64 {
-	return uint64(p.Host)<<16 | uint64(p.Port)
-}
-
-// String renders dotted-quad:port.
-func (p Participant) String() string {
-	return fmt.Sprintf("%s:%d", FormatIPv4(p.Host), p.Port)
 }
 
 // FormatIPv4 renders a host-order IPv4 address in dotted-quad form.

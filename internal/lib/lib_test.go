@@ -10,24 +10,29 @@ func TestListPushRemove(t *testing.T) {
 	a, b, c := &Node{Value: "a"}, &Node{Value: "b"}, &Node{Value: "c"}
 	l.PushBack(a)
 	l.PushBack(b)
-	l.PushFront(c)
+	l.PushBack(c)
 	if l.Len() != 3 {
 		t.Fatalf("len = %d, want 3", l.Len())
 	}
-	if l.Front() != c {
-		t.Fatal("PushFront did not place node at head")
+	if l.Front() != a {
+		t.Fatal("first PushBack is not the head")
 	}
 	l.Remove(b)
-	if b.InList() {
-		t.Fatal("removed node still reports InList")
+	if b.list != nil {
+		t.Fatal("removed node still linked")
 	}
 	var got []string
-	l.Each(func(n *Node) { got = append(got, n.Value.(string)) })
-	if len(got) != 2 || got[0] != "c" || got[1] != "a" {
-		t.Fatalf("list contents %v, want [c a]", got)
+	for n := l.Front(); n != nil; n = n.next {
+		got = append(got, n.Value.(string))
+	}
+	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
+		t.Fatalf("list contents %v, want [a c]", got)
 	}
 }
 
+// TestListRemoveDuringEach walks the list the way owner teardown does,
+// taking the head each time, while every release also unlinks a
+// sibling further down.
 func TestListRemoveDuringEach(t *testing.T) {
 	var l List
 	nodes := make([]*Node, 10)
@@ -35,9 +40,22 @@ func TestListRemoveDuringEach(t *testing.T) {
 		nodes[i] = &Node{Value: i}
 		l.PushBack(nodes[i])
 	}
-	l.Each(func(n *Node) { l.Remove(n) })
-	if l.Len() != 0 {
-		t.Fatalf("len = %d after removing all during Each, want 0", l.Len())
+	var got []int
+	for n := l.Front(); n != nil; n = l.Front() {
+		l.Remove(n)
+		i := n.Value.(int)
+		got = append(got, i)
+		if i+5 < len(nodes) {
+			l.Remove(nodes[i+5])
+		}
+	}
+	if l.Len() != 0 || len(got) != 5 {
+		t.Fatalf("len = %d after draining, visited %v", l.Len(), got)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("visited %v, want [0 1 2 3 4]", got)
+		}
 	}
 }
 
@@ -73,16 +91,23 @@ func TestListRemoveUnlinkedIsNoop(t *testing.T) {
 	}
 }
 
+// TestListPopFront drains the list from the head: Front is nil when
+// empty and unlinking the head each time yields push order.
 func TestListPopFront(t *testing.T) {
 	var l List
-	if l.PopFront() != nil {
-		t.Fatal("PopFront on empty list should return nil")
+	if l.Front() != nil {
+		t.Fatal("Front on empty list should return nil")
 	}
 	a, b := &Node{Value: 1}, &Node{Value: 2}
 	l.PushBack(a)
 	l.PushBack(b)
-	if l.PopFront() != a || l.PopFront() != b || l.PopFront() != nil {
-		t.Fatal("PopFront order wrong")
+	var got []*Node
+	for n := l.Front(); n != nil; n = l.Front() {
+		l.Remove(n)
+		got = append(got, n)
+	}
+	if len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatal("pop order wrong")
 	}
 }
 
@@ -111,14 +136,13 @@ func TestListMatchesSliceModel(t *testing.T) {
 			}
 		}
 		i := 0
-		okAll := true
-		l.Each(func(n *Node) {
+		for n := l.Front(); n != nil; n = n.next {
 			if i >= len(model) || model[i] != n {
-				okAll = false
+				return false
 			}
 			i++
-		})
-		return okAll && i == len(model)
+		}
+		return i == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -304,8 +328,8 @@ func TestQueueGrowWhileWrapped(t *testing.T) {
 func TestQueueLazyRingKeepsBound(t *testing.T) {
 	for _, bound := range []int{1, 3, 128} {
 		q := NewQueue(bound)
-		if q.Cap() != bound || q.Slots() != 0 {
-			t.Fatalf("bound %d: new queue cap=%d slots=%d", bound, q.Cap(), q.Slots())
+		if q.bound != bound || q.Slots() != 0 {
+			t.Fatalf("bound %d: new queue cap=%d slots=%d", bound, q.bound, q.Slots())
 		}
 		for i := 0; i < bound; i++ {
 			if err := q.Enqueue(i); err != nil {
@@ -315,12 +339,12 @@ func TestQueueLazyRingKeepsBound(t *testing.T) {
 		if err := q.Enqueue(bound); err != ErrQueueFull {
 			t.Fatalf("bound %d: enqueue past the bound: %v", bound, err)
 		}
-		if q.Slots() != bound || q.Cap() != bound {
-			t.Fatalf("bound %d: full queue slots=%d cap=%d", bound, q.Slots(), q.Cap())
+		if q.Slots() != bound || q.bound != bound {
+			t.Fatalf("bound %d: full queue slots=%d cap=%d", bound, q.Slots(), q.bound)
 		}
 		q.Flush(nil)
-		if q.Slots() != 0 || q.Cap() != bound {
-			t.Fatalf("bound %d: flushed queue slots=%d cap=%d", bound, q.Slots(), q.Cap())
+		if q.Slots() != 0 || q.bound != bound {
+			t.Fatalf("bound %d: flushed queue slots=%d cap=%d", bound, q.Slots(), q.bound)
 		}
 		if err := q.Enqueue(7); err != nil {
 			t.Fatalf("bound %d: enqueue after flush: %v", bound, err)
@@ -341,25 +365,6 @@ func TestAttrs(t *testing.T) {
 	}
 	if _, ok := a.Int(AttrTrustClass); ok {
 		t.Fatal("type-mismatched accessor returned ok")
-	}
-	b := a.Clone()
-	b[AttrLocalPort] = 8080
-	if v, _ := a.Int(AttrLocalPort); v != 80 {
-		t.Fatal("Clone is not independent")
-	}
-	if a.Format() == "" {
-		t.Fatal("Format returned empty string")
-	}
-}
-
-func TestParticipant(t *testing.T) {
-	p := Participant{Host: IPv4(192, 168, 1, 10), Port: 80}
-	if p.String() != "192.168.1.10:80" {
-		t.Fatalf("String = %q", p.String())
-	}
-	q := Participant{Host: IPv4(192, 168, 1, 10), Port: 81}
-	if p.Key() == q.Key() {
-		t.Fatal("distinct participants share a key")
 	}
 }
 

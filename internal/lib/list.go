@@ -2,7 +2,7 @@
 // into every protection domain (§2.3): intrusive doubly-linked lists (the
 // Owner structure's tracking lists), a hash table (per-path allowed
 // protection-domain crossings), bounded queues, attribute sets, and
-// participant addresses. The paper's message library lives in
+// IPv4 address helpers. The paper's message library lives in
 // internal/msg; heaps live with the code that needs them.
 package lib
 
@@ -15,9 +15,6 @@ type Node struct {
 	list       *List
 	Value      any
 }
-
-// InList reports whether the node is currently linked.
-func (n *Node) InList() bool { return n.list != nil }
 
 // List is an intrusive doubly-linked list with O(1) insert and remove.
 // The zero value is an empty list.
@@ -48,23 +45,6 @@ func (l *List) PushBack(n *Node) {
 	l.length++
 }
 
-// PushFront links n at the head.
-func (l *List) PushFront(n *Node) {
-	if n.list != nil {
-		panic("lib: node already in a list")
-	}
-	n.list = l
-	n.next = l.head
-	n.prev = nil
-	if l.head != nil {
-		l.head.prev = n
-	} else {
-		l.tail = n
-	}
-	l.head = n
-	l.length++
-}
-
 // Remove unlinks n. Removing a node that is not on this list is a no-op
 // when it is on no list, and panics when it is on a different list.
 func (l *List) Remove(n *Node) {
@@ -90,23 +70,3 @@ func (l *List) Remove(n *Node) {
 
 // Front returns the head node, or nil when empty.
 func (l *List) Front() *Node { return l.head }
-
-// PopFront unlinks and returns the head node, or nil when empty.
-func (l *List) PopFront() *Node {
-	n := l.head
-	if n != nil {
-		l.Remove(n)
-	}
-	return n
-}
-
-// Each calls fn for every node. fn may remove the node it is given (the
-// iteration captures next before calling), which is exactly the pattern
-// owner teardown uses.
-func (l *List) Each(fn func(*Node)) {
-	for n := l.head; n != nil; {
-		next := n.next
-		fn(n)
-		n = next
-	}
-}

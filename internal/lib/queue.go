@@ -41,11 +41,8 @@ func NewQueue(capacity int) *Queue {
 // Len returns the number of queued items.
 func (q *Queue) Len() int { return q.count }
 
-// Cap returns the queue capacity: the bound, not the current ring size.
-func (q *Queue) Cap() int { return q.bound }
-
 // Slots returns the ring slots currently allocated: zero before the
-// first Enqueue and after Flush, never more than Cap.
+// first Enqueue and after Flush, never more than the bound.
 func (q *Queue) Slots() int { return len(q.items) }
 
 // Enqueue appends v, or returns ErrQueueFull.

@@ -98,15 +98,6 @@ func (s *Server) cpu(c sim.Cycles, fn func()) {
 	s.Eng.AtTime(s.busyUntil, fn)
 }
 
-// BusyFraction reports CPU utilization so far.
-func (s *Server) BusyFraction() float64 {
-	now := s.Eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(s.busyTotal) / float64(now)
-}
-
 // KillProcess models Table 2's Linux row: the cycles from a parent
 // issuing a kill signal until waitpid returns.
 func (s *Server) KillProcess() sim.Cycles {

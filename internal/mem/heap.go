@@ -46,11 +46,9 @@ type span struct {
 
 // Obj is a live heap allocation.
 type Obj struct {
-	heap     *Heap
-	owner    *core.Owner // who the bytes are charged to
-	start    int
-	size     int
-	released bool
+	owner *core.Owner // who the bytes are charged to
+	start int
+	size  int
 }
 
 // NewHeap returns an empty heap for the given domain owner.
@@ -64,15 +62,6 @@ func NewHeap(domain *core.Owner, kalloc *Allocator) *Heap {
 
 // Allocated returns the live object byte count.
 func (h *Heap) Allocated() int { return h.allocated }
-
-// BackingPages returns the number of pages the heap holds.
-func (h *Heap) BackingPages() int {
-	n := 0
-	for _, b := range h.blocks {
-		n += b.Pages()
-	}
-	return n
-}
 
 // Alloc carves size bytes, charged to chargeTo. When chargeTo is the
 // domain itself the bytes stay on the domain's balance; otherwise the
@@ -97,7 +86,7 @@ func (h *Heap) Alloc(size int, chargeTo *core.Owner) (*Obj, error) {
 			return nil, fmt.Errorf("%w: fragmentation prevented %d-byte allocation", ErrHeapExhausted, size)
 		}
 	}
-	o := &Obj{heap: h, owner: chargeTo, start: start, size: size}
+	o := &Obj{owner: chargeTo, start: start, size: size}
 	h.allocated += size
 	// The domain's kmem was charged for the whole backing block at grow
 	// time, so domain-owned objects change nothing; a foreign (path) owner
@@ -115,24 +104,7 @@ func (h *Heap) Alloc(size int, chargeTo *core.Owner) (*Obj, error) {
 	return o, nil
 }
 
-// Size returns the object size in bytes.
-func (o *Obj) Size() int { return o.size }
-
-// Owner returns who the object is charged to.
-func (o *Obj) Owner() *core.Owner { return o.owner }
-
-// Free releases the object. For a path-charged object the charge transfers
-// back to the domain (the paper's destructor semantics). Double free
-// panics.
-func (o *Obj) Free() {
-	if o.released {
-		panic("mem: double free of heap object")
-	}
-	o.heap.release(o)
-}
-
 func (h *Heap) release(o *Obj) {
-	o.released = true
 	h.allocated -= o.size
 	if o.owner != h.domain {
 		o.owner.RefundKmem(uint64(o.size))
@@ -273,16 +245,4 @@ func (h *Heap) insertFree(s span) {
 		h.free[lo-1].size += h.free[lo].size
 		h.free = append(h.free[:lo], h.free[lo+1:]...)
 	}
-}
-
-// FreeSpans returns the number of fragments in the free list (for tests).
-func (h *Heap) FreeSpans() int { return len(h.free) }
-
-// FreeBytes returns the total free bytes in the heap.
-func (h *Heap) FreeBytes() int {
-	n := 0
-	for _, s := range h.free {
-		n += s.size
-	}
-	return n
 }

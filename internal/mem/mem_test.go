@@ -85,27 +85,29 @@ func TestOwnerTeardownReclaimsPages(t *testing.T) {
 func TestHeapAllocFreeRoundTrip(t *testing.T) {
 	a := NewAllocator(8)
 	dom := core.NewOwner("d", core.DomainOwner)
+	path := core.NewOwner("p", core.PathOwner)
 	h := NewHeap(dom, a)
-	o1, err := h.Alloc(100, nil)
-	if err != nil {
+	if _, err := h.Alloc(100, nil); err != nil {
 		t.Fatal(err)
 	}
-	o2, err := h.Alloc(200, dom)
-	if err != nil {
+	if _, err := h.Alloc(200, dom); err != nil {
 		t.Fatal(err)
 	}
 	if h.Allocated() != 300 {
 		t.Fatalf("allocated = %d", h.Allocated())
 	}
 	// Domain kmem = backing bytes (free bytes stay charged to domain).
-	if dom.Counters.Kmem != uint64(h.BackingPages()*PageSize) {
-		t.Fatalf("domain kmem = %d, want %d", dom.Counters.Kmem, h.BackingPages()*PageSize)
+	if dom.Counters.Kmem != uint64(h.spaceEnd) {
+		t.Fatalf("domain kmem = %d, want %d", dom.Counters.Kmem, h.spaceEnd)
 	}
-	o1.Free()
-	o2.Free()
-	if h.Allocated() != 0 {
-		t.Fatalf("allocated after frees = %d", h.Allocated())
+	if _, err := h.Alloc(400, path); err != nil {
+		t.Fatal(err)
 	}
+	h.ReleaseFor(path)
+	if h.Allocated() != 300 {
+		t.Fatalf("allocated after release = %d", h.Allocated())
+	}
+	// Destroy frees the domain's own live objects with the pages.
 	h.Destroy()
 	if a.FreePages() != 8 || dom.Counters.Kmem != 0 || dom.Counters.Pages != 0 {
 		t.Fatalf("destroy did not unwind: free=%d kmem=%d pages=%d",
@@ -119,24 +121,23 @@ func TestHeapChargeTransferToPath(t *testing.T) {
 	path := core.NewOwner("p", core.PathOwner)
 	h := NewHeap(dom, a)
 
-	o, err := h.Alloc(512, path)
-	if err != nil {
+	if _, err := h.Alloc(512, path); err != nil {
 		t.Fatal(err)
 	}
 	if path.Counters.Kmem != 512 {
 		t.Fatalf("path kmem = %d, want 512", path.Counters.Kmem)
 	}
 	// Conservation: domain kmem + path kmem == backed bytes.
-	backed := uint64(h.BackingPages() * PageSize)
+	backed := uint64(h.spaceEnd)
 	if dom.Counters.Kmem+path.Counters.Kmem != backed {
 		t.Fatalf("kmem not conserved: %d + %d != %d", dom.Counters.Kmem, path.Counters.Kmem, backed)
 	}
 	if h.OwedBy(path) != 512 {
 		t.Fatalf("OwedBy = %d", h.OwedBy(path))
 	}
-	o.Free()
+	h.ReleaseFor(path)
 	if path.Counters.Kmem != 0 {
-		t.Fatalf("path kmem after free = %d", path.Counters.Kmem)
+		t.Fatalf("path kmem after release = %d", path.Counters.Kmem)
 	}
 	if dom.Counters.Kmem != backed {
 		t.Fatalf("charge did not transfer back: %d != %d", dom.Counters.Kmem, backed)
@@ -173,23 +174,20 @@ func TestHeapReleaseFor(t *testing.T) {
 func TestHeapGrowsAcrossPages(t *testing.T) {
 	a := NewAllocator(64)
 	dom := core.NewOwner("d", core.DomainOwner)
+	path := core.NewOwner("p", core.PathOwner)
 	h := NewHeap(dom, a)
-	var objs []*Obj
 	for i := 0; i < 100; i++ {
-		o, err := h.Alloc(1000, nil)
-		if err != nil {
+		if _, err := h.Alloc(1000, path); err != nil {
 			t.Fatal(err)
 		}
-		objs = append(objs, o)
 	}
-	if h.BackingPages() < 100*1000/PageSize {
-		t.Fatalf("backing pages = %d, too few", h.BackingPages())
+	if len(h.blocks) < 2 || h.spaceEnd < 100*1000 {
+		t.Fatalf("backing = %d bytes in %d blocks, too few", h.spaceEnd, len(h.blocks))
 	}
-	for _, o := range objs {
-		o.Free()
-	}
-	if h.FreeBytes() != h.BackingPages()*PageSize {
-		t.Fatalf("free bytes = %d, want %d", h.FreeBytes(), h.BackingPages()*PageSize)
+	h.ReleaseFor(path)
+	// The blocks back one contiguous space, so it all coalesces.
+	if len(h.free) != 1 || h.free[0] != (span{0, h.spaceEnd}) {
+		t.Fatalf("free list = %v, want one span of %d bytes", h.free, h.spaceEnd)
 	}
 	h.Destroy()
 }
@@ -197,36 +195,25 @@ func TestHeapGrowsAcrossPages(t *testing.T) {
 func TestHeapCoalescing(t *testing.T) {
 	a := NewAllocator(8)
 	dom := core.NewOwner("d", core.DomainOwner)
+	p1 := core.NewOwner("p1", core.PathOwner)
+	p2 := core.NewOwner("p2", core.PathOwner)
+	p3 := core.NewOwner("p3", core.PathOwner)
 	h := NewHeap(dom, a)
-	o1, _ := h.Alloc(100, nil)
-	o2, _ := h.Alloc(100, nil)
-	o3, _ := h.Alloc(100, nil)
+	h.Alloc(100, p1)
+	h.Alloc(100, p2)
+	h.Alloc(100, p3)
 	// Free in an order that exercises both coalesce directions.
-	o1.Free()
-	o3.Free()
-	spans := h.FreeSpans()
-	o2.Free()
-	if h.FreeSpans() >= spans+1 {
-		t.Fatalf("middle free did not coalesce: %d spans (was %d)", h.FreeSpans(), spans)
+	h.ReleaseFor(p1)
+	h.ReleaseFor(p3)
+	spans := len(h.free)
+	h.ReleaseFor(p2)
+	if len(h.free) >= spans+1 {
+		t.Fatalf("middle free did not coalesce: %d spans (was %d)", len(h.free), spans)
 	}
-	if h.FreeSpans() != 1 {
-		t.Fatalf("spans = %d, want 1 fully-coalesced span", h.FreeSpans())
+	if len(h.free) != 1 {
+		t.Fatalf("spans = %d, want 1 fully-coalesced span", len(h.free))
 	}
 	h.Destroy()
-}
-
-func TestHeapDoubleFreePanics(t *testing.T) {
-	a := NewAllocator(8)
-	dom := core.NewOwner("d", core.DomainOwner)
-	h := NewHeap(dom, a)
-	o, _ := h.Alloc(64, nil)
-	o.Free()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
-		}
-	}()
-	o.Free()
 }
 
 func TestHeapDestroyWithForeignObjectsPanics(t *testing.T) {
@@ -257,7 +244,7 @@ func TestHeapExhaustionError(t *testing.T) {
 	}
 }
 
-// TestHeapKmemConservationProperty: under random alloc/free traffic, the
+// TestHeapKmemConservationProperty: under random alloc/release traffic, the
 // sum of all owners' kmem equals the heap's backed bytes — the paper's
 // "account for virtually 100% of resources" invariant for memory.
 func TestHeapKmemConservationProperty(t *testing.T) {
@@ -270,25 +257,19 @@ func TestHeapKmemConservationProperty(t *testing.T) {
 			core.NewOwner("p2", core.PathOwner),
 		}
 		h := NewHeap(dom, a)
-		var live []*Obj
 		for _, op := range ops {
-			if op%4 != 0 || len(live) == 0 {
+			who := paths[int(op)%len(paths)]
+			if op%4 != 0 {
 				size := int(op%2000) + 1
-				who := paths[int(op)%len(paths)]
 				if op%5 == 0 {
 					who = dom
 				}
-				o, err := h.Alloc(size, who)
-				if err != nil {
-					continue // pool exhausted is fine; invariant must still hold
-				}
-				live = append(live, o)
+				// A full pool is fine; the invariant must still hold.
+				h.Alloc(size, who)
 			} else {
-				i := int(op) % len(live)
-				live[i].Free()
-				live = append(live[:i], live[i+1:]...)
+				h.ReleaseFor(who)
 			}
-			backed := uint64(h.BackingPages() * PageSize)
+			backed := uint64(h.spaceEnd)
 			sum := dom.Counters.Kmem
 			for _, p := range paths {
 				sum += p.Counters.Kmem
@@ -296,7 +277,11 @@ func TestHeapKmemConservationProperty(t *testing.T) {
 			if sum != backed {
 				return false
 			}
-			if h.FreeBytes()+h.Allocated() != int(backed) {
+			free := 0
+			for _, s := range h.free {
+				free += s.size
+			}
+			if free+h.Allocated() != int(backed) {
 				return false
 			}
 		}

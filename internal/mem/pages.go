@@ -74,14 +74,8 @@ func (a *Allocator) Alloc(owner *core.Owner, n int) (*Block, error) {
 	return b, nil
 }
 
-// Pages returns the block's page count.
-func (b *Block) Pages() int { return b.n }
-
 // Bytes returns the block's size in bytes.
 func (b *Block) Bytes() int { return b.n * PageSize }
-
-// Owner returns the charged owner.
-func (b *Block) Owner() *core.Owner { return b.owner }
 
 // Free returns the pages to the kernel and refunds the owner. Double free
 // panics — a silent double free would corrupt the pool invariant.

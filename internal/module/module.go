@@ -104,12 +104,6 @@ type StageHandle interface {
 	// SendDown injects m below this stage (toward the network device),
 	// running the remaining stages on the calling thread.
 	SendDown(ctx *kernel.Ctx, m *msg.Msg) error
-	// SendUp injects m above this stage (toward stage 0).
-	SendUp(ctx *kernel.Ctx, m *msg.Msg) error
-	// Below returns the stage below (higher index), or nil.
-	Below() Stage
-	// Above returns the stage above (lower index), or nil.
-	Above() Stage
 }
 
 // PathBuilder is the incremental path-creation context handed to each
@@ -119,8 +113,6 @@ type PathBuilder interface {
 	Kernel() *kernel.Kernel
 	// PathOwner returns the owner of the path being created.
 	PathOwner() *core.Owner
-	// Node returns the graph node being opened.
-	Node() *Node
 	// Handle returns the stage handle the new stage will occupy.
 	Handle() StageHandle
 	// Stages returns the stages created so far (earlier modules), so a
@@ -140,8 +132,6 @@ type PathRef interface {
 	PathOwner() *core.Owner
 	// PathName returns the path's name.
 	PathName() string
-	// EnqueueIn hands an inbound message (from demux) to the path.
-	EnqueueIn(m *msg.Msg) error
 	// EnqueueControl schedules fn to run on the path's thread, in the
 	// domain of stage idx. TCP timers and handshake continuations use it.
 	EnqueueControl(idx int, fn func(ctx *kernel.Ctx, st Stage)) error

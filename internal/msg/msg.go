@@ -136,9 +136,6 @@ func (m *Msg) Bytes() []byte {
 	return m.b.data[m.head:m.tail]
 }
 
-// Owner returns the owner charged for this message descriptor.
-func (m *Msg) Owner() *core.Owner { return m.owner }
-
 func (m *Msg) check(op string) {
 	if m.freed {
 		panic(fmt.Sprintf("msg: %s on freed message", op))
@@ -264,6 +261,3 @@ func (m *Msg) releaseBacking() {
 		pools[c].Put(b)
 	}
 }
-
-// Refs returns the backing's reference count (for tests).
-func (m *Msg) Refs() int { return m.b.refs }

@@ -76,8 +76,8 @@ func TestSliceSharesBacking(t *testing.T) {
 	if !bytes.Equal(s.Bytes(), []byte("23456")) {
 		t.Fatalf("slice = %q", s.Bytes())
 	}
-	if m.Refs() != 2 {
-		t.Fatalf("refs = %d", m.Refs())
+	if m.b.refs != 2 {
+		t.Fatalf("refs = %d", m.b.refs)
 	}
 	// Slice mutation via Push must not corrupt the original (copy-on-
 	// write when shared).

@@ -214,7 +214,6 @@ func TestDisabledObsAllocatesNothing(t *testing.T) {
 		tr.PathKill("p", 100, 70, 80)
 		tr.Demux("eth0", "found", "p", 80, 90)
 		tr.IOBufAlloc(owner, 2, true, 90)
-		tr.IOBufLock(owner, 90)
 		tr.Policy("synCapDrop", owner, "", 90)
 		m.Bind(nil)
 		m.Poll(100)

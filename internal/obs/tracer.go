@@ -290,17 +290,6 @@ func (t *Tracer) IOBufAlloc(owner string, pages int, hit bool, at sim.Cycles) {
 	t.emit(ev)
 }
 
-// IOBufLock records a buffer lock (write permission revoked so the
-// contents can be validated once and trusted).
-func (t *Tracer) IOBufLock(owner string, at sim.Cycles) {
-	if t == nil {
-		return
-	}
-	ev := event{ph: 'i', cat: "iobuf", name: "lock", pid: 0, ts: at}
-	ev.tid = t.track(0, owner)
-	t.emit(ev)
-}
-
 // Fault records a fault-injection or hardware-loss event as an instant
 // on the owner's (or NIC's) track: kind is "netDrop", "netCorrupt",
 // "netDup", "netDelay", "linkFlap", "partition", "failpoint", or

@@ -113,14 +113,8 @@ func (p *Path) PathOwner() *core.Owner { return &p.Owner }
 // Alive implements module.PathRef.
 func (p *Path) Alive() bool { return p.alive }
 
-// Stages returns the path's stage records.
-func (p *Path) Stages() []StageRec { return p.stages }
-
 // StageAt returns the stage at index i.
 func (p *Path) StageAt(i int) module.Stage { return p.stages[i].Stage }
-
-// Handle returns the stage handle at index i.
-func (p *Path) Handle(i int) module.StageHandle { return &p.handles[i] }
 
 // FindStage implements module.PathRef.
 func (p *Path) FindStage(name string) (int, bool) {
@@ -174,9 +168,9 @@ func (p *Path) findDomains() {
 	}
 }
 
-// EnqueueIn implements module.PathRef: hand an inbound message to the
-// path from interrupt context. The enqueue and wakeup costs are charged
-// to the path — part of the per-datagram cost visible in the SYN-attack
+// EnqueueIn hands an inbound message (from demux) to the path from
+// interrupt context. The enqueue and wakeup costs are charged to the
+// path — part of the per-datagram cost visible in the SYN-attack
 // experiment.
 func (p *Path) EnqueueIn(m *msg.Msg) error {
 	if !p.alive {
@@ -294,6 +288,7 @@ func (p *Path) deliverFrom(ctx *kernel.Ctx, idx int, dir module.Direction, m *ms
 	}
 	rec := p.stages[idx]
 	var err error
+	//escort:coldpath Cross runs the closure before it returns and keeps no reference: it stays on the stack
 	ctx.Cross(rec.Node.Domain().ID(), func() {
 		forward, derr := rec.Stage.Deliver(ctx, dir, m)
 		if derr != nil || !forward {
@@ -325,33 +320,11 @@ func (h *stageHandle) SendDown(ctx *kernel.Ctx, m *msg.Msg) error {
 	return err
 }
 
-// SendUp injects m above this stage and frees it when the chain ends.
-func (h *stageHandle) SendUp(ctx *kernel.Ctx, m *msg.Msg) error {
-	err := h.p.deliverFrom(ctx, h.idx-1, module.Up, m)
-	m.Free()
-	return err
-}
-
-func (h *stageHandle) Below() module.Stage {
-	if h.idx+1 >= len(h.p.stages) {
-		return nil
-	}
-	return h.p.stages[h.idx+1].Stage
-}
-
-func (h *stageHandle) Above() module.Stage {
-	if h.idx == 0 {
-		return nil
-	}
-	return h.p.stages[h.idx-1].Stage
-}
-
 // builder implements module.PathBuilder during incremental creation.
-// Each Manager has one, since creates never nest; node and handle move
-// to each new stage in turn.
+// Each Manager has one, since creates never nest; handle moves to each
+// new stage in turn.
 type builder struct {
 	p        *Path
-	node     *module.Node
 	handle   *stageHandle
 	stages   []module.Stage // p's stages so far, append-only
 	stageBuf [inlineStages]module.Stage
@@ -359,7 +332,6 @@ type builder struct {
 
 func (b *builder) Kernel() *kernel.Kernel     { return b.p.mgr.k }
 func (b *builder) PathOwner() *core.Owner     { return &b.p.Owner }
-func (b *builder) Node() *module.Node         { return b.node }
 func (b *builder) Handle() module.StageHandle { return b.handle }
 
 // Stages returns the stages opened so far. The slice is the builder's
@@ -443,9 +415,6 @@ func (mgr *Manager) PathByOwner(o *core.Owner) *Path {
 // Kernel returns the kernel.
 func (mgr *Manager) Kernel() *kernel.Kernel { return mgr.k }
 
-// Graph returns the module graph.
-func (mgr *Manager) Graph() *module.Graph { return mgr.graph }
-
 // Live returns the number of live paths.
 func (mgr *Manager) Live() int { return len(mgr.byOwner) }
 
@@ -520,7 +489,7 @@ func (mgr *Manager) Create(ctx *kernel.Ctx, name, start string, attrs lib.Attrs)
 		// moves handles to the heap: it is immutable, so a module holding
 		// a pointer into the old array sees the same path and index.
 		p.handles = append(p.handles, stageHandle{p: p, idx: len(p.stages)}) //escort:coldpath inline for up to inlineStages stages
-		b.node, b.handle = node, &p.handles[len(p.stages)]
+		b.handle = &p.handles[len(p.stages)]
 		k.Burn(&p.Owner, model.PathOpenPerModule)
 		st, next, err := node.Mod().CreateStage(b, attrs)
 		if err != nil {

@@ -146,11 +146,11 @@ func TestCreateWalksOpenChain(t *testing.T) {
 	appFirst(app, mid, dev)
 	e := buildEnv(t, false, app, mid, dev)
 	p := createPath(t, e)
-	if len(p.Stages()) != 3 {
-		t.Fatalf("stages = %d", len(p.Stages()))
+	if len(p.stages) != 3 {
+		t.Fatalf("stages = %d", len(p.stages))
 	}
 	names := []string{"app", "mid", "dev"}
-	for i, rec := range p.Stages() {
+	for i, rec := range p.stages {
 		if rec.Node.Name() != names[i] {
 			t.Fatalf("stage %d = %q, want %q", i, rec.Node.Name(), names[i])
 		}
@@ -361,11 +361,11 @@ func TestDestroyRunsDestructorsInInitOrder(t *testing.T) {
 	p := createPath(t, e)
 
 	var order []string
-	app2 := p.Stages()[0].Stage.(*fakeStage)
+	app2 := p.stages[0].Stage.(*fakeStage)
 	_ = app2
 	// Track destroy order via the module counters plus a shared slice.
 	for i, name := range []string{"app", "mid", "dev"} {
-		rec := p.Stages()[i]
+		rec := p.stages[i]
 		fs := rec.Stage.(*fakeStage)
 		orig := fs.m
 		_ = orig
@@ -514,8 +514,8 @@ func TestFilterDropsNonMatchingTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Stages()) != 4 {
-		t.Fatalf("stages = %d, want 4 (filter included)", len(p.Stages()))
+	if len(p.stages) != 4 {
+		t.Fatalf("stages = %d, want 4 (filter included)", len(p.stages))
 	}
 	_ = p.EnqueueIn(msg.FromBytes(k.KernelOwner(), []byte("Allowed")))
 	_ = p.EnqueueIn(msg.FromBytes(k.KernelOwner(), []byte("blocked")))

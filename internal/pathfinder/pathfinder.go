@@ -15,7 +15,6 @@
 package pathfinder
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -265,9 +264,4 @@ func (cl *Classifier) String() string {
 	}
 	dump(cl.root, 0)
 	return b.String()
-}
-
-// Equal reports whether two cells are identical (tests).
-func (c Cell) Equal(o Cell) bool {
-	return c.Offset == o.Offset && bytes.Equal(c.Mask, o.Mask) && bytes.Equal(c.Value, o.Value)
 }

@@ -16,7 +16,6 @@
 package policy
 
 import (
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/lib"
 	"repro/internal/module"
@@ -94,11 +93,6 @@ func QoSOnAccept(tickets uint64) func(module.PathRef) {
 	return func(p module.PathRef) {
 		ReserveShare(p, tickets)
 	}
-}
-
-// LimitRuntime sets an owner's maximum thread runtime without yields.
-func LimitRuntime(o *core.Owner, limit sim.Cycles) {
-	o.Limits.MaxRunCycles = limit
 }
 
 // DemotePriority gives an owner a low priority (the paper's remark:

@@ -147,14 +147,6 @@ func TestDemotePriority(t *testing.T) {
 	}
 }
 
-func TestLimitRuntime(t *testing.T) {
-	o := core.NewOwner("x", core.PathOwner)
-	LimitRuntime(o, 123)
-	if o.Limits.MaxRunCycles != 123 {
-		t.Fatal("limit not set")
-	}
-}
-
 type fakeClock struct{ now sim.Cycles }
 
 func (f *fakeClock) Now() sim.Cycles { return f.now }

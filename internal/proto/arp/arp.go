@@ -70,12 +70,6 @@ func (m *Module) Init(ic *module.InitCtx) error {
 // PathRef returns the ARP path (for pattern registration).
 func (m *Module) PathRef() module.PathRef { return m.path }
 
-// Lookup resolves an IP to a MAC from the cache.
-func (m *Module) Lookup(ip uint32) (netsim.MAC, bool) {
-	mac, ok := m.cache[ip]
-	return mac, ok
-}
-
 // CreateStage implements module.Module.
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
 	return &stage{mod: m, h: pb.Handle()}, m.ethName, nil

@@ -52,9 +52,6 @@ func New(name string, nic *netsim.NIC, ipName, arpName string) *Module {
 	return &Module{name: name, nic: nic, ipName: ipName, arpName: arpName}
 }
 
-// NIC returns the bound device.
-func (m *Module) NIC() *netsim.NIC { return m.nic }
-
 // Name implements module.Module.
 func (m *Module) Name() string { return m.name }
 

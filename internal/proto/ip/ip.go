@@ -70,24 +70,6 @@ func (m *Module) addRoute(r Route) {
 	}
 }
 
-// AddRoute installs an extra route (tests, multi-homed configurations).
-func (m *Module) AddRoute(r Route) { m.addRoute(r) }
-
-// RouteFor returns the interface for a destination (longest prefix).
-func (m *Module) RouteFor(dst uint32) (string, bool) {
-	best := -1
-	var bestMask uint32
-	for i, r := range m.routes {
-		if dst&r.Mask == r.Dest && (best == -1 || r.Mask > bestMask) {
-			best, bestMask = i, r.Mask
-		}
-	}
-	if best == -1 {
-		return "", false
-	}
-	return m.routes[best].Iface, true
-}
-
 // CreateStage implements module.Module.
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
 	st := &stage{mod: m, k: pb.Kernel(), localIP: m.myIP}

@@ -1,6 +1,7 @@
 package ip
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -82,15 +83,15 @@ func TestDemuxRejectsShortAndBadVersion(t *testing.T) {
 
 func TestRoutingTable(t *testing.T) {
 	m, _ := newMod(t)
-	if iface, ok := m.RouteFor(lib.IPv4(10, 0, 0, 77)); !ok || iface != "eth" {
-		t.Fatalf("local route: %q %v", iface, ok)
+	want := []Route{
+		{Dest: lib.IPv4(10, 0, 0, 0), Mask: 0xFFFFFF00, Iface: "eth"}, // local subnet
+		{Dest: 0, Mask: 0, Iface: "eth"},                              // default
 	}
-	if iface, ok := m.RouteFor(lib.IPv4(192, 168, 1, 1)); !ok || iface != "eth" {
-		t.Fatalf("default route: %q %v", iface, ok)
+	if !slices.Equal(m.routes, want) {
+		t.Fatalf("routes = %v, want %v", m.routes, want)
 	}
-	m.AddRoute(Route{Dest: lib.IPv4(172, 16, 0, 0), Mask: 0xFFFF0000, Iface: "eth2"})
-	if iface, _ := m.RouteFor(lib.IPv4(172, 16, 3, 4)); iface != "eth2" {
-		t.Fatalf("longest prefix: %q", iface)
+	if len(m.objs) != len(want) {
+		t.Fatalf("%d heap objects for %d routes", len(m.objs), len(want))
 	}
 }
 

@@ -35,12 +35,6 @@ type Share struct {
 	pass uint64 // stride virtual time, accumulated across the owner
 }
 
-// ResetSched implements core.SchedState.
-func (s *Share) ResetSched() { s.pass = 0 }
-
-// Pass exposes the stride virtual time (for tests).
-func (s *Share) Pass() uint64 { return s.pass }
-
 // State is a schedulable entity's queue bookkeeping, bound to its
 // owner's Share.
 type State struct {
@@ -62,12 +56,6 @@ func NewState(share *Share) *State {
 	st := MakeState(share)
 	return &st
 }
-
-// Share returns the owner allocation this entity draws on.
-func (s *State) Share() *Share { return s.share }
-
-// InQueue reports whether the entity is currently enqueued.
-func (s *State) InQueue() bool { return s.inQueue }
 
 // Scheduler is the kernel's dispatch interface. Entities appear at most
 // once in the queue: Enqueue of a queued entity is a no-op.

@@ -166,8 +166,8 @@ func TestEDFPeriodicDeadlineAdvance(t *testing.T) {
 	a := newEnt("", Share{Deadline: 100, Period: 50})
 	e.Enqueue(a)
 	e.Dequeue()
-	if a.st.Share().Deadline != 150 {
-		t.Fatalf("deadline = %d, want 150", a.st.Share().Deadline)
+	if a.st.share.Deadline != 150 {
+		t.Fatalf("deadline = %d, want 150", a.st.share.Deadline)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestRemoveAndDoubleEnqueue(t *testing.T) {
 			t.Fatalf("%s: len = %d after double enqueue", s.Name(), s.Len())
 		}
 		s.Remove(a)
-		if s.Len() != 0 || a.SchedState().InQueue() {
+		if s.Len() != 0 || a.SchedState().inQueue {
 			t.Fatalf("%s: remove failed", s.Name())
 		}
 		s.Remove(a) // double remove is a no-op

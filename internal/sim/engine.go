@@ -70,14 +70,10 @@ type event struct {
 type Event struct {
 	p   *event
 	gen uint64
-	at  Cycles
 }
 
 // IsZero reports whether the handle is the zero Event (never issued).
 func (h Event) IsZero() bool { return h.p == nil }
-
-// At reports the cycle at which the event was scheduled to fire.
-func (h Event) At() Cycles { return h.at }
 
 // Engine is a single-clock discrete-event simulator. It is not safe for
 // concurrent use; the Escort kernel guarantees only one coroutine touches
@@ -163,7 +159,7 @@ func (e *Engine) AtTimeArg(at Cycles, fn func(any), arg any) Event {
 	e.seq++
 	e.live++
 	e.queue.push(ev)
-	return Event{p: ev, gen: ev.gen, at: at}
+	return Event{p: ev, gen: ev.gen}
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
