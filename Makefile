@@ -71,7 +71,8 @@ FUZZ_TARGETS = \
 	FuzzParseIPv4:./internal/proto/wire \
 	FuzzParseTCP:./internal/proto/wire \
 	FuzzParsePacket:./internal/proto/wire \
-	FuzzConnLifecycle:./internal/proto/tcp
+	FuzzConnLifecycle:./internal/proto/tcp \
+	FuzzDemux:./internal/escort
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -28,7 +28,11 @@
 //	window=DUR       measurement window (default 10s)
 //
 // plus any -faults entry (seed=, drop=, fp:NAME=, watchdog, detector,
-// ...). Durations take us/ms/s suffixes; a bare number is cycles. It
+// ...). Durations take us/ms/s suffixes; a bare number is cycles. An
+// entry the config cannot arm is an error naming it: config=Scout keeps
+// no accounting for penaltybox, watchdog, reaper or detector, and
+// config=Linux reads no syncap=, qos=, pathfinder, penaltybox, defense
+// or fp: entry (network faults and seed= apply to every config). It
 // prints the canonical spec first (a reproducer: -run with it gives the
 // same output), then the window's conn/s, SYN drops, QoS rate and
 // kills, then the window's ledger, one row per owner group. -trace and

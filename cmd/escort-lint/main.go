@@ -16,6 +16,8 @@
 //	obsguard       obs emits go through a pre-resolved pointer behind a
 //	               nil check, with no allocation before the guard
 //	simtime        no wall-clock time APIs inside internal/ packages
+//	writeonly      no unexported struct field that its package only
+//	               writes (assignments, literal keys, self-appends)
 //
 // Usage:
 //
@@ -43,6 +45,7 @@ import (
 	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/obsguard"
 	"repro/internal/analysis/simtime"
+	"repro/internal/analysis/writeonly"
 )
 
 func main() {
@@ -66,6 +69,7 @@ func main() {
 		hotpathalloc.Analyzer,
 		obsguard.Analyzer,
 		simtime.Analyzer,
+		writeonly.Analyzer,
 	}
 	for _, a := range order {
 		byName[a.Name] = a

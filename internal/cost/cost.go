@@ -48,11 +48,6 @@ type Model struct {
 	SemOp   sim.Cycles
 	EventOp sim.Cycles
 
-	// PageAlloc is the kernel page allocator's per-call cost; HeapAlloc
-	// the per-object heap cost.
-	PageAlloc sim.Cycles
-	HeapAlloc sim.Cycles
-
 	// IOBufAlloc/IOBufLock/IOBufMap are IOBuffer operation costs;
 	// IOBufMapPerDomain is added for each domain a mapping touches.
 	IOBufAlloc        sim.Cycles
@@ -88,27 +83,24 @@ type Model struct {
 	// lifecycle costs: creation walks open() down the module chain;
 	// orderly destroy runs destructors per stage; kill reclaims per
 	// tracked object.
-	PathCreate           sim.Cycles
-	PathOpenPerModule    sim.Cycles
-	PathDestroyPerStage  sim.Cycles
-	PathKillBase         sim.Cycles
-	PathKillPerObject    sim.Cycles
-	PathKillPerDomain    sim.Cycles
-	DestructorPerDomain  sim.Cycles
-	TCPConnSetup         sim.Cycles
-	TCPConnTeardown      sim.Cycles
-	TCPTimerPerConn      sim.Cycles
-	SoftclockTick        sim.Cycles
-	TCPMasterEvent       sim.Cycles
-	SchedulerDispatch    sim.Cycles
-	QueueOp              sim.Cycles
-	DiskSeek             sim.Cycles // SCSI average seek+rotational, in cycles
-	DiskPerByte          sim.Cycles // SCSI transfer cost per byte
-	LinuxConnCost        sim.Cycles // Apache/Linux per-connection CPU (whole request)
-	LinuxPerByte         sim.Cycles // Apache/Linux per-payload-byte CPU
-	LinuxKill            sim.Cycles // Table 2: kill signal until waitpid returns
-	LinuxSynCost         sim.Cycles // Linux kernel cost per SYN packet
-	ClientDelayedAckGate sim.Cycles // client delayed-ACK timer (cycles)
+	PathCreate          sim.Cycles
+	PathOpenPerModule   sim.Cycles
+	PathDestroyPerStage sim.Cycles
+	PathKillBase        sim.Cycles
+	PathKillPerObject   sim.Cycles
+	PathKillPerDomain   sim.Cycles
+	TCPConnSetup        sim.Cycles
+	TCPConnTeardown     sim.Cycles
+	TCPTimerPerConn     sim.Cycles
+	SoftclockTick       sim.Cycles
+	TCPMasterEvent      sim.Cycles
+	QueueOp             sim.Cycles
+	DiskSeek            sim.Cycles // SCSI average seek+rotational, in cycles
+	DiskPerByte         sim.Cycles // SCSI transfer cost per byte
+	LinuxConnCost       sim.Cycles // Apache/Linux per-connection CPU (whole request)
+	LinuxPerByte        sim.Cycles // Apache/Linux per-payload-byte CPU
+	LinuxKill           sim.Cycles // Table 2: kill signal until waitpid returns
+	LinuxSynCost        sim.Cycles // Linux kernel cost per SYN packet
 }
 
 // Default returns the calibrated model. Calibration target: base Scout
@@ -128,9 +120,6 @@ func Default() *Model {
 
 		SemOp:   350,
 		EventOp: 500,
-
-		PageAlloc: 900,
-		HeapAlloc: 400,
 
 		IOBufAlloc:        1500,
 		IOBufLock:         400,
@@ -154,7 +143,6 @@ func Default() *Model {
 		PathKillBase:        12000,
 		PathKillPerObject:   1000,
 		PathKillPerDomain:   15000,
-		DestructorPerDomain: 2500,
 
 		TCPConnSetup:    35000,
 		TCPConnTeardown: 12000,
@@ -163,8 +151,7 @@ func Default() *Model {
 		SoftclockTick:  900,
 		TCPMasterEvent: 1500,
 
-		SchedulerDispatch: 600,
-		QueueOp:           250,
+		QueueOp: 250,
 
 		DiskSeek:    8 * 300_000, // 8 ms seek+rotate on the 300 MHz clock
 		DiskPerByte: 30,          // ~10 MB/s sustained transfer
@@ -173,7 +160,5 @@ func Default() *Model {
 		LinuxPerByte:  14,
 		LinuxKill:     11_003, // Table 2 reports this directly
 		LinuxSynCost:  30_000,
-
-		ClientDelayedAckGate: 20 * 300_000, // 20 ms delayed-ACK timer
 	}
 }

@@ -185,14 +185,17 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	if opt.FSCacheBudget == 0 {
 		opt.FSCacheBudget = 16 << 20
 	}
-	if opt.Scheduler == "" {
-		opt.Scheduler = "proportional-share"
-	}
 	accounting := opt.Kind != KindScout
 
 	def := opt.Defense
+	if !accounting {
+		// The penalty box and the path-judging defenses feed on
+		// accounted usage, which base Scout does not keep.
+		def = def.WithoutAccounting()
+		opt.PenaltyBox = false
+	}
 	o := obs.New(opt.Obs)
-	if def.Detector && accounting && o.Metrics == nil {
+	if def.Detector && o.Metrics == nil {
 		// The detector rides the metrics sampler's 10 ms tick. When no
 		// metrics sink is configured, install a sink-less sampler so
 		// arming the detector never changes whether sampling happens —
@@ -231,18 +234,18 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	if opt.PortFilter {
 		tcpDown, ipUp = "portfilter", "portfilter"
 	}
-	s.SCSI = scsi.New("scsi", "fs")
-	s.FS = fs.New("fs", "http", opt.FSCacheBudget)
-	s.HTTP = httpmod.New("http", "tcp")
-	s.TCP = tcpmod.New("tcp", tcpDown, ServerIP)
-	s.IP = ipmod.New("ip", ipUp, "eth", ServerIP)
-	s.ARP = arpmod.New("arp", "eth", ServerIP, ServerMAC)
-	s.ETH = ethmod.New("eth", nic, "ip", "arp")
+	s.SCSI = scsi.New("fs")
+	s.FS = fs.New("http", opt.FSCacheBudget)
+	s.HTTP = httpmod.New("tcp")
+	s.TCP = tcpmod.New(tcpDown, ServerIP)
+	s.IP = ipmod.New(ipUp, "eth", ServerIP)
+	s.ARP = arpmod.New("eth", ServerIP, ServerMAC)
+	s.ETH = ethmod.New(nic, "ip", "arp")
 	if opt.PortFilter {
 		allowPort := func(port uint16) bool {
 			return port == 80 || (opt.QoSRateBps > 0 && port == 81)
 		}
-		s.Filter = module.NewFilter("portfilter", "ip", "tcp",
+		s.Filter = module.NewFilter("ip", "tcp",
 			func(dir module.Direction, m *msg.Msg) bool {
 				if dir == module.Down {
 					return true
@@ -284,17 +287,17 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	g.Add("ip", s.IP, domFor("ip"))
 	g.Add("arp", s.ARP, domFor("arp"))
 	g.Add("eth", s.ETH, domFor("eth"))
-	g.Connect("scsi", "fs", module.FileAccess)
-	g.Connect("fs", "http", module.FileAccess)
-	g.Connect("http", "tcp", module.AIO)
+	g.Connect("scsi", "fs")
+	g.Connect("fs", "http")
+	g.Connect("http", "tcp")
 	if opt.PortFilter {
-		g.Connect("tcp", "portfilter", module.AIO)
-		g.Connect("portfilter", "ip", module.AIO)
+		g.Connect("tcp", "portfilter")
+		g.Connect("portfilter", "ip")
 	} else {
-		g.Connect("tcp", "ip", module.AIO)
+		g.Connect("tcp", "ip")
 	}
-	g.Connect("ip", "eth", module.AIO)
-	g.Connect("arp", "eth", module.AIO)
+	g.Connect("ip", "eth")
+	g.Connect("arp", "eth")
 	s.Graph = g
 
 	mgr := path.NewManager(g)
@@ -307,7 +310,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	if accounting {
 		s.Contain = policy.EnableContainment(k, mgr)
 	}
-	if def.Watchdog && accounting {
+	if def.Watchdog {
 		s.Watchdog = policy.EnableWatchdog(k, mgr, 0)
 	}
 	if def.Shed > 0 {
@@ -324,10 +327,10 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 		// new connection under pressure, admit the ones that pay.
 		s.TCP.Puzzle = &tcpmod.PuzzleGate{Bits: def.PuzzleBits}
 	}
-	if def.Reaper && accounting {
+	if def.Reaper {
 		s.Reaper = policy.EnableSessionReaper(k, mgr, s.TCP, def.ReaperMinAge)
 	}
-	if def.Detector && accounting {
+	if def.Detector {
 		s.Detector = policy.EnableDetector(k, mgr, s.TCP, s.TCP, o.Metrics)
 		s.TCP.ShedSrc = s.Detector.SourceShed
 	}
@@ -339,7 +342,7 @@ func NewServer(eng *sim.Engine, model *cost.Model, seg netsim.Attacher, opt Opti
 	// The penalty passive path registers first so that demultiplexing
 	// prefers it: an offender's SYN must not reach the regular
 	// listeners.
-	if opt.PenaltyBox && accounting {
+	if opt.PenaltyBox {
 		s.Penalty = policy.NewPenaltyBox(eng)
 		s.Penalty.Tracer = o.Tracer
 		s.TCP.OnOffender = s.Penalty.Record

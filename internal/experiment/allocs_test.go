@@ -10,8 +10,8 @@ import (
 // whole Measure, testbed set-up included) rise above the point's
 // ceiling. Each point runs once before it is measured, so the message
 // and frame pools are warm whatever ran before. Measured on this code
-// (go1.24, -cpu 1, 2, 4 and 8, 0–2 GCs per point): Scout 44.0–44.1,
-// Accounting_PD 147.0–148.4, SYN flood 105.9–106.4. A GC empties the
+// (go1.24, -cpu 1, 2, 4 and 8, 0–2 GCs per point): Scout 43.0–43.2,
+// Accounting_PD 145.6–146.9, SYN flood 104.7–105.2. A GC empties the
 // sync.Pools, and refilling them costs ~15, ~26 and ~17 allocations
 // per GC on the three points (measured with collections forced back
 // to back: 157, 88 and 163 GCs added 2.8, 30 and 7 per connection).
@@ -26,9 +26,9 @@ func TestAllocsPerConnectionCeiling(t *testing.T) {
 		spec    string
 		ceiling float64
 	}{
-		{"config=Scout,doc=/doc1,clients=64,warm=0,window=1s", 45},
-		{"config=Accounting_PD,doc=/doc10k,clients=64,warm=0,window=1s", 152},
-		{"config=Accounting,doc=/doc1,clients=64,syn=10000,syncap=64,warm=0,window=1s", 107},
+		{"config=Scout,doc=/doc1,clients=64,warm=0,window=1s", 44},
+		{"config=Accounting_PD,doc=/doc10k,clients=64,warm=0,window=1s", 151},
+		{"config=Accounting,doc=/doc1,clients=64,syn=10000,syncap=64,warm=0,window=1s", 106},
 	}
 	for _, p := range points {
 		r, err := ParseRun(p.spec)

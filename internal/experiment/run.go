@@ -48,16 +48,19 @@ type Run struct {
 // (config=, doc=, clients=, syn=, stream, cgi=), the options
 // (syncap=, qos=, pathfinder, penaltybox), warm= and window= (paper
 // scale by default), and any fault.ParseSpec entry. The grammar is
-// documented with escort-bench's -run flag.
+// documented with escort-bench's -run flag. An entry the config cannot
+// arm is an error (see unarmable); the figure sweeps, which apply one
+// fault spec to every point, do not go through ParseRun.
 func ParseRun(spec string) (Run, error) {
 	paper := PaperScale()
 	r := Run{Warm: paper.Warm, Window: paper.Window}
-	var faults []string
+	var entries, faults []string
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
 			continue
 		}
+		entries = append(entries, entry)
 		key, val, hasVal := strings.Cut(entry, "=")
 		ours, err := r.apply(key, val, hasVal)
 		if err != nil {
@@ -77,7 +80,36 @@ func ParseRun(spec string) (Run, error) {
 	if err := r.check(); err != nil {
 		return Run{}, err
 	}
+	for _, entry := range entries {
+		key, _, _ := strings.Cut(entry, "=")
+		if unarmable(r.Config, key) {
+			return Run{}, fmt.Errorf("experiment: run entry %q: config=%s cannot arm it", entry, r.Config)
+		}
+	}
 	return r, nil
+}
+
+// unarmable reports whether a server of config cfg ignores the run
+// entry key. Base Scout keeps no accounting, which the penalty box,
+// the watchdog, the session reaper and the detector feed on
+// (fault.Defense.WithoutAccounting); the Linux baseline reads none of
+// the Escort server's options, defenses or failpoints.
+func unarmable(cfg Config, key string) bool {
+	switch cfg {
+	case ConfigScout:
+		switch key {
+		case "penaltybox", "watchdog", "reaper", "detector":
+			return true
+		}
+	case ConfigLinux:
+		switch key {
+		case "syncap", "qos", "pathfinder", "penaltybox",
+			"watchdog", "shed", "reaper", "puzzle", "detector":
+			return true
+		}
+		return strings.HasPrefix(key, "fp:")
+	}
+	return false
 }
 
 // apply sets the field key names, reporting false for a key that is

@@ -34,6 +34,13 @@ type Defense struct {
 	Detector bool
 }
 
+// WithoutAccounting returns the defenses a server without resource
+// accounting keeps: shedding and the puzzle gate. The watchdog, the
+// session reaper and the detector judge paths by their accounted usage.
+func (d Defense) WithoutAccounting() Defense {
+	return Defense{Shed: d.Shed, PuzzleBits: d.PuzzleBits}
+}
+
 // defenseEntries parses each defense key of the spec grammar.
 var defenseEntries = map[string]func(d *Defense, val string, hasVal bool) error{
 	"watchdog": func(d *Defense, _ string, hasVal bool) error {

@@ -43,7 +43,6 @@ type Reader interface {
 
 // Module is the file system.
 type Module struct {
-	name     string
 	httpName string
 
 	files   map[string][]byte
@@ -68,9 +67,8 @@ type Module struct {
 
 // New returns a file system whose open walk continues at httpName, with
 // a block cache of budget bytes.
-func New(name, httpName string, budget int) *Module {
+func New(httpName string, budget int) *Module {
 	return &Module{
-		name:     name,
 		httpName: httpName,
 		files:    make(map[string][]byte),
 		inodes:   make(map[string]Inode),
@@ -79,9 +77,6 @@ func New(name, httpName string, budget int) *Module {
 		budget:   budget,
 	}
 }
-
-// Name implements module.Module.
-func (m *Module) Name() string { return m.name }
 
 // AddFile installs a file (configuration time) and assigns its inode.
 func (m *Module) AddFile(name string, content []byte) {
@@ -122,7 +117,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 
 // Demux implements module.Module: the file system is never a network
 // entry.
-func (m *Module) Demux(*module.DemuxCtx, *msg.Msg) module.Verdict {
+func (m *Module) Demux(*msg.Msg) module.Verdict {
 	return module.Reject("fs: not a network module")
 }
 

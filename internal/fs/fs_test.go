@@ -28,8 +28,8 @@ func newEnv(t *testing.T, budget int, perDomain bool) *env {
 	t.Helper()
 	k := kernel.New(sim.New(), cost.Default(), kernel.Config{Accounting: true})
 	t.Cleanup(k.Stop)
-	scsiMod := scsi.New("scsi", "fs")
-	fsMod := fs.New("fs", "", budget)
+	scsiMod := scsi.New("fs")
+	fsMod := fs.New("", budget)
 	fsMod.AddFile("/a", bytes.Repeat([]byte("a"), 4096))
 	fsMod.AddFile("/b", bytes.Repeat([]byte("b"), 4096))
 	fsMod.AddFile("/c", bytes.Repeat([]byte("c"), 4096))
@@ -43,7 +43,7 @@ func newEnv(t *testing.T, budget int, perDomain bool) *env {
 	}
 	g.Add("scsi", scsiMod, scsiDom)
 	g.Add("fs", fsMod, fsDom)
-	g.Connect("scsi", "fs", module.FileAccess)
+	g.Connect("scsi", "fs")
 	mgr := path.NewManager(g)
 	if err := g.Init(mgr, nil); err != nil {
 		t.Fatal(err)

@@ -170,7 +170,6 @@ func (s *Semaphore) release() {
 type KEvent struct {
 	k     *Kernel
 	owner *core.Owner
-	name  string
 	// spawnName is the firing thread's name, built once at registration
 	// so each firing spawns without formatting.
 	spawnName string
@@ -187,7 +186,7 @@ type KEvent struct {
 //
 //escort:coldpath constructor: registration is charged (ChargeEvent + kmem), not packet path
 func (k *Kernel) RegisterEvent(owner *core.Owner, name string, delay, repeat sim.Cycles, fn Fn) *KEvent {
-	e := &KEvent{k: k, owner: owner, name: name, spawnName: "ev:" + name, fn: fn, repeat: repeat}
+	e := &KEvent{k: k, owner: owner, spawnName: "ev:" + name, fn: fn, repeat: repeat}
 	e.node.Value = e
 	owner.ChargeEvent()
 	owner.ChargeKmem(eventKmem)

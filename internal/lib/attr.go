@@ -3,9 +3,9 @@ package lib
 import "fmt"
 
 // Attrs is the attribute set passed to pathCreate (§2.2): invariants for
-// the path such as the peer's address and port, the document root, or the
-// trust class of the source subnet. Modules read the attributes they
-// understand and ignore the rest.
+// the path such as the peer's address and port, or the trust class of
+// the source subnet. Modules read the attributes they understand and
+// ignore the rest.
 type Attrs map[string]any
 
 // Standard attribute keys used by the modules in this repository.
@@ -13,13 +13,8 @@ const (
 	AttrLocalPort  = "tcp.localPort"
 	AttrRemoteIP   = "ip.remote"
 	AttrRemotePort = "tcp.remotePort"
-	AttrLocalIP    = "ip.local"
 	AttrTrustClass = "policy.trustClass" // "trusted" or "untrusted"
-	AttrDocRoot    = "http.docRoot"
-	AttrDevice     = "eth.device"
 	AttrPassive    = "tcp.passive"
-	AttrParentPath = "tcp.parentPath"
-	AttrQoSRateBps = "qos.rateBps"
 )
 
 // String returns attributes under key as a string; ok is false when absent

@@ -19,12 +19,13 @@ type Predicate func(dir Direction, m *msg.Msg) bool
 // Filter is the fourth of Escort's policy-enforcement levels (§2.5): a
 // module interposed on a graph edge whose purpose is to enforce policy
 // rather than provide functionality. Syntactically it is an ordinary
-// module; its stage forwards messages that satisfy the predicate and
-// drops the rest — e.g. narrowing a TCP/IP edge from "receive packets"
-// to "receive packets to port 80". The same vanilla neighbor modules
-// work with or without the filter.
+// module, and, keeping no per-path state, it is its own stage: it
+// forwards messages that satisfy the predicate and drops the rest —
+// e.g. narrowing a TCP/IP edge from "receive packets" to "receive
+// packets to port 80". The same vanilla neighbor modules work with or
+// without the filter.
 type Filter struct {
-	name      string
+	reason    string // demux reject reason, naming the filter's node
 	next      string // next module during path creation (toward the device)
 	demuxNext string // next module during demux (toward the application)
 	pred      Predicate
@@ -34,11 +35,11 @@ type Filter struct {
 	Dropped uint64
 }
 
-// NewFilter returns a filter module named name admitting only messages
-// satisfying pred. Path creation continues at next; demultiplexing —
-// which travels the opposite direction — continues at demuxNext.
-func NewFilter(name, next, demuxNext string, pred Predicate) *Filter {
-	return &Filter{name: name, next: next, demuxNext: demuxNext, pred: pred}
+// NewFilter returns a filter module admitting only messages satisfying
+// pred. Path creation continues at next; demultiplexing — which travels
+// the opposite direction — continues at demuxNext.
+func NewFilter(next, demuxNext string, pred Predicate) *Filter {
+	return &Filter{next: next, demuxNext: demuxNext, pred: pred}
 }
 
 // WithDemuxPredicate sets a distinct predicate for demultiplexing time,
@@ -49,44 +50,41 @@ func (f *Filter) WithDemuxPredicate(pred Predicate) *Filter {
 	return f
 }
 
-// Name implements Module.
-func (f *Filter) Name() string { return f.name }
+// Init implements Module.
+func (f *Filter) Init(ic *InitCtx) error {
+	f.reason = "filtered: " + ic.Node.Name()
+	return nil
+}
 
-// Init implements Module (filters hold no module state).
-func (f *Filter) Init(*InitCtx) error { return nil }
-
-// CreateStage implements Module.
+// CreateStage implements Module: every path shares the filter as its
+// stage.
 func (f *Filter) CreateStage(pb PathBuilder, attrs lib.Attrs) (Stage, string, error) {
-	return &filterStage{f: f}, f.next, nil
+	return f, f.next, nil
 }
 
 // Demux implements Module: the filter applies its predicate during
 // demultiplexing too, so rejected traffic dies as early as possible.
-func (f *Filter) Demux(dc *DemuxCtx, m *msg.Msg) Verdict {
+func (f *Filter) Demux(m *msg.Msg) Verdict {
 	pred := f.demuxPred
 	if pred == nil {
 		pred = f.pred
 	}
 	if !pred(Up, m) {
 		f.Dropped++
-		return Reject("filtered: " + f.name)
+		return Reject(f.reason)
 	}
 	return Continue(f.demuxNext)
 }
 
-type filterStage struct {
-	f *Filter
-}
-
 // Deliver implements Stage.
-func (s *filterStage) Deliver(ctx *kernel.Ctx, dir Direction, m *msg.Msg) (bool, error) {
+func (f *Filter) Deliver(ctx *kernel.Ctx, dir Direction, m *msg.Msg) (bool, error) {
 	ctx.Use(ctx.Kernel().Model().QueueOp)
-	if !s.f.pred(dir, m) {
-		s.f.Dropped++
+	if !f.pred(dir, m) {
+		f.Dropped++
 		return false, ErrFiltered
 	}
 	return true, nil
 }
 
 // Destroy implements Stage.
-func (s *filterStage) Destroy(*kernel.Ctx) {}
+func (f *Filter) Destroy(*kernel.Ctx) {}

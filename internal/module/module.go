@@ -1,10 +1,12 @@
 // Package module implements Scout's unit of configurability (§2.1):
-// modules with well-defined, typed service interfaces, composed into a
-// module graph at build time. Edges define the only channels of
-// communication between protection domains — the second of Escort's four
-// policy-enforcement levels. Filters (§2.5) are modules whose purpose is
-// policy rather than functionality; a generic filter combinator lives in
-// filter.go.
+// modules composed into a module graph at build time. An edge records
+// only that two modules may talk; the Go interfaces a stage binds to
+// (fs.Reader, scsi.BlockReader) are the typed service interfaces, and
+// nothing checks them at configuration time. Edges define the only
+// channels of communication between protection domains — the second of
+// Escort's four policy-enforcement levels. Filters (§2.5) are modules
+// whose purpose is policy rather than functionality; a generic filter
+// combinator lives in filter.go.
 package module
 
 import (
@@ -17,32 +19,6 @@ import (
 	"repro/internal/msg"
 )
 
-// Service types an edge in the module graph. Two modules can only be
-// connected by an edge if they support a common service interface; the
-// graph enforces this at configuration time.
-type Service int
-
-// The service interfaces Escort currently supports (§3.1): asynchronous
-// I/O, name resolution, and file access.
-const (
-	AIO Service = iota
-	NameResolution
-	FileAccess
-)
-
-func (s Service) String() string {
-	switch s {
-	case AIO:
-		return "aio"
-	case NameResolution:
-		return "nameres"
-	case FileAccess:
-		return "fileaccess"
-	default:
-		return fmt.Sprintf("Service(%d)", int(s))
-	}
-}
-
 // Direction orients data flow along a path. Up moves toward stage 0 (the
 // storage end in the web-server graph); Down moves toward the last stage
 // (the network device).
@@ -54,19 +30,11 @@ const (
 	Down
 )
 
-func (d Direction) String() string {
-	if d == Up {
-		return "up"
-	}
-	return "down"
-}
-
 // Module is the unit of program development. Its functions receive the
 // calling environment explicitly (the *kernel.Ctx / builder arguments),
 // since module code can be instantiated in several protection domains.
+// A module learns its configuration name from its graph node at Init.
 type Module interface {
-	// Name returns the module's configuration name.
-	Name() string
 	// Init initializes module-global state (charged to the module's
 	// protection domain). It runs once at boot, in domain order.
 	Init(ic *InitCtx) error
@@ -79,7 +47,7 @@ type Module interface {
 	// Demux classifies an incoming message (§2.2): continue at an
 	// adjacent module, reject, or return the unique path. Demux must be
 	// side-effect free.
-	Demux(dc *DemuxCtx, m *msg.Msg) Verdict
+	Demux(m *msg.Msg) Verdict
 }
 
 // Stage is a module's path-specific state plus its processing functions.
@@ -205,21 +173,12 @@ func Reject(reason string) Verdict { return Verdict{Kind: VerdictReject, Reason:
 // Found returns the identified path.
 func Found(p PathRef) Verdict { return Verdict{Kind: VerdictFound, Path: p} }
 
-// DemuxCtx carries demultiplexing state. Demux runs in interrupt
-// context; the driver charges its cost to the identified path (or to
-// the entry module's domain on reject). Modules must not modify it:
-// the path manager passes the same one to every demux.
-type DemuxCtx struct {
-	Graph *Graph
-}
-
 // Node is a module instance placed in a protection domain.
 type Node struct {
 	name  string
 	mod   Module
 	dom   *domain.Domain
-	graph *Graph
-	edges map[string]Service // neighbor name -> service type
+	edges map[string]struct{} // neighbor names
 }
 
 // Name returns the node's configuration name.
@@ -270,21 +229,21 @@ func (g *Graph) Add(name string, mod Module, domName string) *Node {
 			panic(fmt.Sprintf("module: unknown domain %q for node %q", domName, name))
 		}
 	}
-	n := &Node{name: name, mod: mod, dom: d, graph: g, edges: make(map[string]Service)}
+	n := &Node{name: name, mod: mod, dom: d, edges: make(map[string]struct{})}
 	g.nodes[name] = n
 	g.order = append(g.order, name)
 	return n
 }
 
-// Connect records a typed, bidirectional edge between two nodes. Both
-// must already be in the graph.
-func (g *Graph) Connect(a, b string, svc Service) {
+// Connect records a bidirectional edge between two nodes. Both must
+// already be in the graph.
+func (g *Graph) Connect(a, b string) {
 	na, nb := g.nodes[a], g.nodes[b]
 	if na == nil || nb == nil {
 		panic(fmt.Sprintf("module: connect %q-%q: missing node", a, b))
 	}
-	na.edges[b] = svc
-	nb.edges[a] = svc
+	na.edges[b] = struct{}{}
+	nb.edges[a] = struct{}{}
 }
 
 // Node returns a node by name.

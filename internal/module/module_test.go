@@ -17,7 +17,6 @@ type stubMod struct {
 	initFail error
 }
 
-func (m *stubMod) Name() string { return m.name }
 func (m *stubMod) Init(ic *InitCtx) error {
 	m.inits++
 	return m.initFail
@@ -25,7 +24,7 @@ func (m *stubMod) Init(ic *InitCtx) error {
 func (m *stubMod) CreateStage(PathBuilder, lib.Attrs) (Stage, string, error) {
 	return nil, "", nil
 }
-func (m *stubMod) Demux(*DemuxCtx, *msg.Msg) Verdict { return Reject("stub") }
+func (m *stubMod) Demux(*msg.Msg) Verdict { return Reject("stub") }
 
 func newKernel(t *testing.T) *kernel.Kernel {
 	t.Helper()
@@ -39,7 +38,7 @@ func TestGraphAddConnectLookup(t *testing.T) {
 	g := NewGraph(k)
 	a := g.Add("a", &stubMod{name: "a"}, "")
 	g.Add("b", &stubMod{name: "b"}, "")
-	g.Connect("a", "b", AIO)
+	g.Connect("a", "b")
 	if !a.ConnectedTo("b") {
 		t.Fatal("edge missing")
 	}
@@ -81,7 +80,7 @@ func TestGraphConnectUnknownPanics(t *testing.T) {
 			t.Fatal("Connect to unknown node did not panic")
 		}
 	}()
-	g.Connect("a", "nope", AIO)
+	g.Connect("a", "nope")
 }
 
 func TestGraphUnknownDomainPanics(t *testing.T) {
@@ -138,17 +137,6 @@ func TestMultipleInstantiation(t *testing.T) {
 	}
 }
 
-func TestServiceAndDirectionStrings(t *testing.T) {
-	for _, s := range []Service{AIO, NameResolution, FileAccess, Service(9)} {
-		if s.String() == "" {
-			t.Fatal("empty service string")
-		}
-	}
-	if Up.String() != "up" || Down.String() != "down" {
-		t.Fatal("direction strings")
-	}
-}
-
 func TestVerdictConstructors(t *testing.T) {
 	if v := Continue("x"); v.Kind != VerdictContinue || v.Next != "x" {
 		t.Fatal("Continue")
@@ -162,22 +150,24 @@ func TestVerdictConstructors(t *testing.T) {
 }
 
 func TestFilterPredicateAndCounters(t *testing.T) {
-	f := NewFilter("f", "down", "up", func(dir Direction, m *msg.Msg) bool {
+	f := NewFilter("down", "up", func(dir Direction, m *msg.Msg) bool {
 		return m != nil && m.Len() > 0
 	})
-	if f.Name() != "f" {
-		t.Fatal("name")
+	g := NewGraph(newKernel(t))
+	g.Add("f", f, "")
+	if err := g.Init(nil, nil); err != nil {
+		t.Fatal(err)
 	}
 	o := core.NewOwner("t", core.PathOwner)
 	empty := msg.New(o, 0, 0)
-	if v := f.Demux(nil, empty); v.Kind != VerdictReject {
-		t.Fatal("filter passed empty message at demux")
+	if v := f.Demux(empty); v.Kind != VerdictReject || v.Reason != "filtered: f" {
+		t.Fatalf("filter passed empty message at demux, or its reason does not name its node: %+v", v)
 	}
 	if f.Dropped != 1 {
 		t.Fatalf("dropped = %d", f.Dropped)
 	}
 	full := msg.FromBytes(o, []byte("x"))
-	if v := f.Demux(nil, full); v.Kind != VerdictContinue || v.Next != "up" {
+	if v := f.Demux(full); v.Kind != VerdictContinue || v.Next != "up" {
 		t.Fatal("filter blocked valid message or wrong demux successor")
 	}
 	empty.Free()

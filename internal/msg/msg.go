@@ -90,8 +90,8 @@ func newBacking(owner *core.Owner, n int) *backing {
 // they strip headers, so upper stages (TCP checksum verification, the
 // passive path learning a SYN's source) can still see the addressing.
 type NetInfo struct {
-	SrcMAC, DstMAC uint64
-	SrcIP, DstIP   uint32
+	SrcMAC       uint64
+	SrcIP, DstIP uint32
 }
 
 // Msg is a network message: a window [head, tail) onto a shared backing.

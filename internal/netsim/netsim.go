@@ -258,7 +258,6 @@ type Switch struct {
 }
 
 type swPort struct {
-	nic     *NIC
 	toNIC   medium // switch -> station; its sink is the station's NIC
 	fromNIC medium // station -> switch; its sink is the port
 	sw      *Switch
@@ -275,7 +274,7 @@ func NewSwitch(eng *sim.Engine, bitsPerSec uint64, prop sim.Cycles) *Switch {
 //
 //escort:coldpath topology setup, once per NIC
 func (s *Switch) Attach(n *NIC) {
-	p := &swPort{nic: n, sw: s}
+	p := &swPort{sw: s}
 	p.toNIC = newMedium(s.eng, s.bps, s.prop, n)
 	p.fromNIC = newMedium(s.eng, s.bps, s.prop, p)
 	s.ports = append(s.ports, p)

@@ -36,7 +36,6 @@ func (mgr *Manager) Demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 func (mgr *Manager) demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 	k := mgr.k
 	model := k.Model()
-	dc := &mgr.demuxCtx
 
 	// The device interrupt prologue is part of the per-datagram cost and
 	// is charged with the demux time to the identified path (or to the
@@ -52,7 +51,7 @@ func (mgr *Manager) demux(entry string, m *msg.Msg) (*Path, module.Verdict) {
 		if k.TLB().Touch(node.Domain().ID()) {
 			cycles += model.TLBMissPenalty
 		}
-		v := node.Mod().Demux(dc, m)
+		v := node.Mod().Demux(m)
 		switch v.Kind {
 		case module.VerdictContinue:
 			if !node.ConnectedTo(v.Next) {

@@ -354,7 +354,6 @@ type Manager struct {
 	failKmem *fault.Point // "kmem.alloc" failpoint, resolved once
 
 	classifier FrameClassifier
-	demuxCtx   module.DemuxCtx // shared by every demux; modules only read it
 
 	b builder // the create in progress; b.p is nil between creates
 	// crossings holds one allowed-crossings table per distinct domain
@@ -385,7 +384,6 @@ func NewManager(g *module.Graph) *Manager {
 		watched:   make(map[domain.ID]bool),
 		tracer:    g.Kernel().Tracer(),
 		failKmem:  g.Kernel().FaultSet().Point("kmem.alloc"),
-		demuxCtx:  module.DemuxCtx{Graph: g},
 	}
 }
 

@@ -39,7 +39,6 @@ type fakeStage struct {
 	o *core.Owner
 }
 
-func (f *fakeMod) Name() string               { return f.name }
 func (f *fakeMod) Init(*module.InitCtx) error { return nil }
 
 func (f *fakeMod) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
@@ -53,7 +52,7 @@ func (f *fakeMod) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.St
 	return &fakeStage{m: f, h: pb.Handle(), o: pb.PathOwner()}, f.next, nil
 }
 
-func (f *fakeMod) Demux(dc *module.DemuxCtx, m *msg.Msg) module.Verdict {
+func (f *fakeMod) Demux(m *msg.Msg) module.Verdict {
 	next := f.next
 	if f.demuxNext != "" {
 		next = f.demuxNext
@@ -68,7 +67,11 @@ func (s *fakeStage) Deliver(ctx *kernel.Ctx, dir module.Direction, m *msg.Msg) (
 	ctx.Use(100)
 	s.m.seen++
 	if !s.m.quiet {
-		s.m.delivered = append(s.m.delivered, fmt.Sprintf("%s:%s", dir, m.Bytes()))
+		d := "down"
+		if dir == module.Up {
+			d = "up"
+		}
+		s.m.delivered = append(s.m.delivered, d+":"+string(m.Bytes()))
 	}
 	if s.m.reply && dir == module.Up {
 		reply := msg.FromBytes(s.o, []byte("reply"))
@@ -104,8 +107,8 @@ func buildEnv(t *testing.T, perModuleDomains bool, app, mid, dev *fakeMod) *env 
 	g.Add("app", app, domFor("app"))
 	g.Add("mid", mid, domFor("mid"))
 	g.Add("dev", dev, domFor("dev"))
-	g.Connect("app", "mid", module.AIO)
-	g.Connect("mid", "dev", module.AIO)
+	g.Connect("app", "mid")
+	g.Connect("mid", "dev")
 	mgr := NewManager(g)
 	if err := g.Init(mgr, mgr.DeliverInbound); err != nil {
 		t.Fatal(err)
@@ -300,7 +303,7 @@ func TestDemuxChainIdentifiesPath(t *testing.T) {
 	// Make app's demux return the path.
 	found := &demuxFoundMod{p: p}
 	e.g.Add("classifier", found, "")
-	e.g.Connect("app", "classifier", module.AIO)
+	e.g.Connect("app", "classifier")
 	app.next = "" // irrelevant for demux
 
 	// dev -> mid -> app chain then Found at classifier.
@@ -324,12 +327,11 @@ type demuxFoundMod struct {
 	p *Path
 }
 
-func (d *demuxFoundMod) Name() string               { return "classifier" }
 func (d *demuxFoundMod) Init(*module.InitCtx) error { return nil }
 func (d *demuxFoundMod) CreateStage(module.PathBuilder, lib.Attrs) (module.Stage, string, error) {
 	return nil, "", errors.New("not a path module")
 }
-func (d *demuxFoundMod) Demux(*module.DemuxCtx, *msg.Msg) module.Verdict {
+func (d *demuxFoundMod) Demux(*msg.Msg) module.Verdict {
 	return module.Found(d.p)
 }
 
@@ -491,7 +493,7 @@ func TestFilterDropsNonMatchingTraffic(t *testing.T) {
 	mid.next = "filter"
 	dev.next = ""
 	dev.demuxNext = "filter"
-	filter := module.NewFilter("filter", "dev", "mid", func(dir module.Direction, m *msg.Msg) bool {
+	filter := module.NewFilter("dev", "mid", func(dir module.Direction, m *msg.Msg) bool {
 		return len(m.Bytes()) > 0 && m.Bytes()[0] == 'A'
 	})
 
@@ -502,9 +504,9 @@ func TestFilterDropsNonMatchingTraffic(t *testing.T) {
 	g.Add("mid", mid, "")
 	g.Add("filter", filter, "")
 	g.Add("dev", dev, "")
-	g.Connect("app", "mid", module.AIO)
-	g.Connect("mid", "filter", module.AIO)
-	g.Connect("filter", "dev", module.AIO)
+	g.Connect("app", "mid")
+	g.Connect("mid", "filter")
+	g.Connect("filter", "dev")
 	mgr := NewManager(g)
 	if err := g.Init(mgr, mgr.DeliverInbound); err != nil {
 		t.Fatal(err)

@@ -17,12 +17,11 @@ import (
 // spinMod is a single-module graph whose paths host runaway threads.
 type spinMod struct{}
 
-func (spinMod) Name() string               { return "spin" }
 func (spinMod) Init(*module.InitCtx) error { return nil }
 func (spinMod) CreateStage(pb module.PathBuilder, _ lib.Attrs) (module.Stage, string, error) {
 	return spinStage{}, "", nil
 }
-func (spinMod) Demux(*module.DemuxCtx, *msg.Msg) module.Verdict { return module.Reject("x") }
+func (spinMod) Demux(*msg.Msg) module.Verdict { return module.Reject("x") }
 
 type spinStage struct{}
 

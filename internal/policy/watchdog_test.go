@@ -20,13 +20,12 @@ import (
 // watchdog hunts: pending work, frozen progress.
 type hangMod struct{}
 
-func (hangMod) Name() string               { return "hang" }
 func (hangMod) Init(*module.InitCtx) error { return nil }
 func (hangMod) CreateStage(pb module.PathBuilder, _ lib.Attrs) (module.Stage, string, error) {
 	sem := pb.Kernel().NewSemaphore(pb.PathOwner(), 0)
 	return hangStage{sem: sem}, "", nil
 }
-func (hangMod) Demux(*module.DemuxCtx, *msg.Msg) module.Verdict { return module.Reject("x") }
+func (hangMod) Demux(*msg.Msg) module.Verdict { return module.Reject("x") }
 
 type hangStage struct{ sem *kernel.Semaphore }
 

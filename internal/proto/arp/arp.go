@@ -1,9 +1,13 @@
 // Package arp implements the ARP module of Figure 1. Incoming ARP
 // traffic is demultiplexed to a dedicated ARP path (created at module
 // init — demux itself stays side-effect free, as the paper requires);
-// the path's stage learns sender bindings into the module's cache (the
-// canonical module-global state, charged to the module's protection
-// domain) and answers requests for the local address.
+// the path's stage learns sender addresses and answers requests for the
+// local address. The ARP cache exists as its charge: each newly learned
+// address takes one entry's bytes from the module's domain heap (the
+// canonical module-global state). Nothing looks a MAC up — replies
+// answer the request's sender, and transmit paths carry their peer's
+// MAC as a path attribute — so the module keeps only the set of
+// addresses it has charged for.
 package arp
 
 import (
@@ -11,7 +15,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/lib"
-	"repro/internal/mem"
 	"repro/internal/module"
 	"repro/internal/msg"
 	"repro/internal/netsim"
@@ -25,14 +28,12 @@ const entryKmem = 32
 
 // Module is the ARP resolver for one interface.
 type Module struct {
-	name    string
 	ethName string
 	myIP    uint32
 	myMAC   netsim.MAC
 
 	node  *module.Node
-	cache map[uint32]netsim.MAC
-	objs  map[uint32]*mem.Obj // heap charge per entry
+	known map[uint32]struct{} // learned addresses, each charged entryKmem
 	path  module.PathRef
 
 	// Replies and Learned count protocol activity.
@@ -42,24 +43,20 @@ type Module struct {
 
 // New returns an ARP module for the interface with the given address
 // pair, sending replies through the eth module named ethName.
-func New(name, ethName string, myIP uint32, myMAC netsim.MAC) *Module {
+func New(ethName string, myIP uint32, myMAC netsim.MAC) *Module {
 	return &Module{
-		name:    name,
 		ethName: ethName,
 		myIP:    myIP,
 		myMAC:   myMAC,
-		cache:   make(map[uint32]netsim.MAC),
-		objs:    make(map[uint32]*mem.Obj),
+		known:   make(map[uint32]struct{}),
 	}
 }
 
-// Name implements module.Module.
-func (m *Module) Name() string { return m.name }
-
-// Init implements module.Module: create the ARP path ([arp, eth]).
+// Init implements module.Module: create the ARP path ([arp, eth]),
+// which starts at the module's own node.
 func (m *Module) Init(ic *module.InitCtx) error {
 	m.node = ic.Node
-	p, err := ic.Paths.CreatePath(nil, "ARP Path", m.name, lib.Attrs{ethmod.AttrRaw: true})
+	p, err := ic.Paths.CreatePath(nil, "ARP Path", ic.Node.Name(), lib.Attrs{ethmod.AttrRaw: true})
 	if err != nil {
 		return fmt.Errorf("arp: creating ARP path: %w", err)
 	}
@@ -77,7 +74,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 
 // Demux implements module.Module: all ARP traffic belongs to the ARP
 // path.
-func (m *Module) Demux(dc *module.DemuxCtx, mm *msg.Msg) module.Verdict {
+func (m *Module) Demux(mm *msg.Msg) module.Verdict {
 	if m.path == nil || !m.path.Alive() {
 		return module.Reject("arp: no ARP path")
 	}
@@ -102,7 +99,7 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 	if err != nil {
 		return false, err
 	}
-	m.learn(a.SenderIP, a.SenderMAC)
+	m.learn(a.SenderIP)
 	if a.Op == wire.ARPRequest && a.TargetIP == m.myIP {
 		m.Replies++
 		reply := msg.New(&m.node.Domain().Owner, 0, wire.EthLen+wire.ARPLen)
@@ -121,17 +118,19 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 	return false, nil
 }
 
-func (m *Module) learn(ip uint32, mac netsim.MAC) {
+// learn charges a newly seen sender's cache entry to the module's
+// domain heap, where it stays for the module's lifetime.
+func (m *Module) learn(ip uint32) {
 	if ip == 0 {
 		return
 	}
-	if _, known := m.cache[ip]; !known {
-		if obj, err := m.node.Domain().Heap().Alloc(entryKmem, nil); err == nil {
-			m.objs[ip] = obj
-		}
-		m.Learned++
+	if _, known := m.known[ip]; known {
+		return
 	}
-	m.cache[ip] = mac
+	m.known[ip] = struct{}{}
+	// An exhausted heap leaves the entry uncharged but still learned.
+	_, _ = m.node.Domain().Heap().Alloc(entryKmem, nil)
+	m.Learned++
 }
 
 // Destroy implements module.Stage. The cache is module state, not path

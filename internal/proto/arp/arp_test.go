@@ -7,6 +7,7 @@ import (
 	"repro/internal/escort"
 	"repro/internal/lib"
 	"repro/internal/netsim"
+	"repro/internal/proto/arp"
 	"repro/internal/proto/wire"
 	"repro/internal/sim"
 )
@@ -72,20 +73,27 @@ func TestARPRequestAnswered(t *testing.T) {
 	}
 }
 
+// arpHeap returns the bytes allocated in the ARP module's domain heap,
+// where each learned address is charged.
+func arpHeap(srv *escort.Server) int {
+	return srv.Graph.MustNode("arp").Domain().Heap().Allocated()
+}
+
 func TestARPLearnsSenders(t *testing.T) {
-	eng, hub, srv := newServer(t)
+	_, hub, srv := newServer(t)
 	probe := netsim.NewNIC("probe", 0x77)
 	hub.Attach(probe)
+	before := arpHeap(srv)
+	// Two requests from one sender: one entry, charged once.
+	probe.Send(arpFrame(wire.ARPRequest, 0x77, lib.IPv4(10, 0, 7, 8), escort.ServerIP))
 	probe.Send(arpFrame(wire.ARPRequest, 0x77, lib.IPv4(10, 0, 7, 8), escort.ServerIP))
 	srv.Run(100 * sim.CyclesPerMillisecond)
-	mac, ok := srv.ARP.Lookup(lib.IPv4(10, 0, 7, 8))
-	if !ok || mac != 0x77 {
-		t.Fatalf("cache: %v %v", mac, ok)
+	if srv.ARP.Learned != 1 {
+		t.Fatalf("learned = %d, want 1", srv.ARP.Learned)
 	}
-	if srv.ARP.Learned == 0 {
-		t.Fatal("learn counter")
+	if got := arpHeap(srv) - before; got != arp.EntryKmem {
+		t.Fatalf("cache charge = %d bytes, want %d", got, arp.EntryKmem)
 	}
-	_ = eng
 }
 
 func TestARPIgnoresRequestsForOthers(t *testing.T) {
@@ -100,7 +108,7 @@ func TestARPIgnoresRequestsForOthers(t *testing.T) {
 		t.Fatalf("server answered an ARP request for someone else (%d frames)", got)
 	}
 	// Sender still learned (gratuitous learning).
-	if _, ok := srv.ARP.Lookup(lib.IPv4(10, 0, 7, 7)); !ok {
+	if srv.ARP.Learned != 1 {
 		t.Fatal("sender not learned from ignored request")
 	}
 	_ = eng

@@ -28,12 +28,10 @@ const (
 
 // Module is the Ethernet driver bound to one simulated NIC.
 type Module struct {
-	name    string
 	nic     *netsim.NIC
 	ipName  string // demux successor for IPv4
 	arpName string // demux successor for ARP
 
-	node    *module.Node
 	inbound module.InboundFn
 	tracer  *obs.Tracer        // resolved once at Init; nil when tracing is off
 	faults  *obs.FaultRegistry // per-owner fault counters; nil-safe
@@ -46,24 +44,21 @@ type Module struct {
 	TxDrops uint64
 }
 
-// New returns a driver named name for nic, demultiplexing IPv4 traffic
-// to ipName and ARP traffic to arpName.
-func New(name string, nic *netsim.NIC, ipName, arpName string) *Module {
-	return &Module{name: name, nic: nic, ipName: ipName, arpName: arpName}
+// New returns a driver for nic, demultiplexing IPv4 traffic to ipName
+// and ARP traffic to arpName.
+func New(nic *netsim.NIC, ipName, arpName string) *Module {
+	return &Module{nic: nic, ipName: ipName, arpName: arpName}
 }
-
-// Name implements module.Module.
-func (m *Module) Name() string { return m.name }
 
 // Init implements module.Module: it registers the receive interrupt
 // handler. Each received frame costs the interrupt prologue (charged to
-// the driver's domain) and is then demultiplexed; the demux machinery
-// charges the identified path.
+// the driver's domain) and is then demultiplexed from the driver's own
+// node; the demux machinery charges the identified path.
 func (m *Module) Init(ic *module.InitCtx) error {
+	name := ic.Node.Name()
 	if m.nic == nil {
-		return fmt.Errorf("eth: module %q has no device", m.name)
+		return fmt.Errorf("eth: module %q has no device", name)
 	}
-	m.node = ic.Node
 	m.inbound = ic.Inbound
 	m.tracer = ic.K.Tracer()
 	m.faults = ic.K.FaultCounters()
@@ -72,7 +67,7 @@ func (m *Module) Init(ic *module.InitCtx) error {
 		m.RxInterrupts++
 		mm := msg.FromBytes(domOwner, f.Data)
 		if m.inbound != nil {
-			m.inbound(m.name, mm)
+			m.inbound(name, mm)
 		} else {
 			mm.Free()
 		}
@@ -95,7 +90,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 }
 
 // Demux implements module.Module: dispatch on EtherType.
-func (m *Module) Demux(dc *module.DemuxCtx, mm *msg.Msg) module.Verdict {
+func (m *Module) Demux(mm *msg.Msg) module.Verdict {
 	h, err := wire.ParseEth(mm.Bytes())
 	if err != nil {
 		return module.Reject("eth: " + err.Error())
@@ -127,7 +122,7 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 		if err != nil {
 			return false, err
 		}
-		mm.Net.SrcMAC, mm.Net.DstMAC = uint64(h.Src), uint64(h.Dst)
+		mm.Net.SrcMAC = uint64(h.Src)
 		mm.Pop(wire.EthLen)
 		return true, nil
 	}

@@ -35,7 +35,6 @@ const StreamChunk = 10 * 1024
 
 // Module is the HTTP server module.
 type Module struct {
-	name    string
 	tcpName string
 
 	// Requests, CGIRequests, NotFound, StreamsStarted count server
@@ -53,12 +52,9 @@ type Module struct {
 }
 
 // New returns an HTTP module whose open walk continues at tcpName.
-func New(name, tcpName string) *Module {
-	return &Module{name: name, tcpName: tcpName}
+func New(tcpName string) *Module {
+	return &Module{tcpName: tcpName}
 }
-
-// Name implements module.Module.
-func (m *Module) Name() string { return m.name }
 
 // Init implements module.Module.
 func (m *Module) Init(*module.InitCtx) error { return nil }
@@ -88,7 +84,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 
 // Demux implements module.Module: HTTP is above TCP and never a demux
 // entry in this configuration.
-func (m *Module) Demux(*module.DemuxCtx, *msg.Msg) module.Verdict {
+func (m *Module) Demux(*msg.Msg) module.Verdict {
 	return module.Reject("http: not a demux module")
 }
 

@@ -29,14 +29,11 @@ func TestParseRequestLine(t *testing.T) {
 // the escort integration suite, which drives real conversations through
 // a full path; see internal/escort/escort_test.go.
 func TestCounters(t *testing.T) {
-	m := New("http", "tcp")
-	if m.Name() != "http" {
-		t.Fatal("name")
-	}
+	m := New("tcp")
 	if err := m.Init(nil); err != nil {
 		t.Fatal(err)
 	}
-	if v := m.Demux(nil, nil); v.Reason == "" {
+	if v := m.Demux(nil); v.Reason == "" {
 		t.Fatal("demux of non-entry module must reject with a reason")
 	}
 }

@@ -3,7 +3,9 @@
 // charged to any single flow, so its memory is charged to the protection
 // domain running the module, and a path executing IP code can read it —
 // which is exactly why destroying the IP domain must destroy every path
-// crossing it.
+// crossing it. The simulated server has one interface and routes
+// nothing, so the table exists as its charge: Init takes two routes'
+// bytes (the local subnet and the default) from the domain's heap.
 package ip
 
 import (
@@ -11,33 +13,22 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/lib"
-	"repro/internal/mem"
 	"repro/internal/module"
 	"repro/internal/msg"
 	"repro/internal/proto/wire"
 	"repro/internal/sim"
 )
 
-// Route is one routing-table entry.
-type Route struct {
-	Dest, Mask uint32
-	Iface      string
-}
-
 // routeKmem approximates one route's heap footprint.
 const routeKmem = 48
 
 // Module is the IP module.
 type Module struct {
-	name    string
 	tcpName string // demux successor
 	ethName string // open-walk successor
 	myIP    uint32
 
-	node   *module.Node
-	routes []Route
-	objs   []*mem.Obj
-	ident  uint16
+	ident uint16
 
 	// Forwarded counts inbound datagrams passed upward; BadHeader counts
 	// verification failures.
@@ -47,27 +38,18 @@ type Module struct {
 
 // New returns an IP module for address myIP: demux continues at tcpName
 // and path creation continues at ethName.
-func New(name, tcpName, ethName string, myIP uint32) *Module {
-	return &Module{name: name, tcpName: tcpName, ethName: ethName, myIP: myIP}
+func New(tcpName, ethName string, myIP uint32) *Module {
+	return &Module{tcpName: tcpName, ethName: ethName, myIP: myIP}
 }
 
-// Name implements module.Module.
-func (m *Module) Name() string { return m.name }
-
-// Init implements module.Module: build the routing table in the
-// domain's heap.
+// Init implements module.Module: charge the routing table's two routes
+// (the local subnet and the default) to the domain's heap.
 func (m *Module) Init(ic *module.InitCtx) error {
-	m.node = ic.Node
-	m.addRoute(Route{Dest: m.myIP & 0xFFFFFF00, Mask: 0xFFFFFF00, Iface: m.ethName})
-	m.addRoute(Route{Dest: 0, Mask: 0, Iface: m.ethName}) // default
+	heap := ic.Node.Domain().Heap()
+	// An exhausted heap leaves a route uncharged; IP looks no route up.
+	_, _ = heap.Alloc(routeKmem, nil)
+	_, _ = heap.Alloc(routeKmem, nil)
 	return nil
-}
-
-func (m *Module) addRoute(r Route) {
-	m.routes = append(m.routes, r)
-	if obj, err := m.node.Domain().Heap().Alloc(routeKmem, nil); err == nil {
-		m.objs = append(m.objs, obj)
-	}
 }
 
 // CreateStage implements module.Module.
@@ -81,7 +63,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 
 // Demux implements module.Module: verify the header cheaply and pass
 // TCP datagrams for our address onward.
-func (m *Module) Demux(dc *module.DemuxCtx, mm *msg.Msg) module.Verdict {
+func (m *Module) Demux(mm *msg.Msg) module.Verdict {
 	b := mm.Bytes()
 	if len(b) < wire.EthLen+wire.IPv4Len {
 		return module.Reject("ip: short datagram")
@@ -118,9 +100,9 @@ func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (boo
 			s.mod.BadHeader++
 			return false, err
 		}
-		if int(h.TotalLen) > mm.Len() {
+		if int(h.TotalLen) < wire.IPv4Len || int(h.TotalLen) > mm.Len() {
 			s.mod.BadHeader++
-			return false, fmt.Errorf("ip: total length %d exceeds %d", h.TotalLen, mm.Len())
+			return false, fmt.Errorf("ip: total length %d outside [%d, %d]", h.TotalLen, wire.IPv4Len, mm.Len())
 		}
 		mm.Trim(int(h.TotalLen)) // drop link-layer padding
 		mm.Net.SrcIP, mm.Net.DstIP = h.Src, h.Dst

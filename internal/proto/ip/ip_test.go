@@ -1,7 +1,6 @@
 package ip
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -20,7 +19,7 @@ func newMod(t *testing.T) (*Module, *kernel.Kernel) {
 	t.Helper()
 	k := kernel.New(sim.New(), cost.Default(), kernel.Config{})
 	t.Cleanup(k.Stop)
-	m := New("ip", "tcp", "eth", myIP)
+	m := New("tcp", "eth", myIP)
 	g := module.NewGraph(k)
 	g.Add("ip", m, "")
 	if err := g.Init(nil, nil); err != nil {
@@ -42,7 +41,7 @@ func frame(dst uint32, proto byte) *msg.Msg {
 func TestDemuxAcceptsOurTCP(t *testing.T) {
 	m, _ := newMod(t)
 	f := frame(myIP, wire.ProtoTCP)
-	if v := m.Demux(nil, f); v.Kind != module.VerdictContinue || v.Next != "tcp" {
+	if v := m.Demux(f); v.Kind != module.VerdictContinue || v.Next != "tcp" {
 		t.Fatalf("verdict = %+v", v)
 	}
 	f.Free()
@@ -51,7 +50,7 @@ func TestDemuxAcceptsOurTCP(t *testing.T) {
 func TestDemuxRejectsForeignAddress(t *testing.T) {
 	m, _ := newMod(t)
 	f := frame(lib.IPv4(10, 0, 0, 99), wire.ProtoTCP)
-	if v := m.Demux(nil, f); v.Kind != module.VerdictReject {
+	if v := m.Demux(f); v.Kind != module.VerdictReject {
 		t.Fatalf("verdict = %+v", v)
 	}
 	f.Free()
@@ -60,7 +59,7 @@ func TestDemuxRejectsForeignAddress(t *testing.T) {
 func TestDemuxRejectsNonTCP(t *testing.T) {
 	m, _ := newMod(t)
 	f := frame(myIP, 17) // UDP
-	if v := m.Demux(nil, f); v.Kind != module.VerdictReject {
+	if v := m.Demux(f); v.Kind != module.VerdictReject {
 		t.Fatalf("verdict = %+v", v)
 	}
 	f.Free()
@@ -69,29 +68,23 @@ func TestDemuxRejectsNonTCP(t *testing.T) {
 func TestDemuxRejectsShortAndBadVersion(t *testing.T) {
 	m, _ := newMod(t)
 	short := msg.FromBytes(core.NewOwner("t", core.PathOwner), make([]byte, 10))
-	if v := m.Demux(nil, short); v.Kind != module.VerdictReject {
+	if v := m.Demux(short); v.Kind != module.VerdictReject {
 		t.Fatal("short datagram accepted")
 	}
 	short.Free()
 	f := frame(myIP, wire.ProtoTCP)
 	f.Bytes()[wire.EthLen] = 0x60 // IPv6 version nibble
-	if v := m.Demux(nil, f); v.Kind != module.VerdictReject {
+	if v := m.Demux(f); v.Kind != module.VerdictReject {
 		t.Fatal("bad version accepted")
 	}
 	f.Free()
 }
 
 func TestRoutingTable(t *testing.T) {
-	m, _ := newMod(t)
-	want := []Route{
-		{Dest: lib.IPv4(10, 0, 0, 0), Mask: 0xFFFFFF00, Iface: "eth"}, // local subnet
-		{Dest: 0, Mask: 0, Iface: "eth"},                              // default
-	}
-	if !slices.Equal(m.routes, want) {
-		t.Fatalf("routes = %v, want %v", m.routes, want)
-	}
-	if len(m.objs) != len(want) {
-		t.Fatalf("%d heap objects for %d routes", len(m.objs), len(want))
+	_, k := newMod(t)
+	// Two routes, the local subnet and the default, each charged once.
+	if got := k.Domains().Kernel().Heap().Allocated(); got != 2*routeKmem {
+		t.Fatalf("routing table charge = %d bytes, want %d", got, 2*routeKmem)
 	}
 }
 

@@ -23,7 +23,6 @@ type conn struct {
 	localIP, remoteIP     uint32
 	localPort, remotePort uint16
 
-	irs    uint32 // peer initial sequence number
 	rcvNxt uint32
 
 	iss    uint32

@@ -97,8 +97,7 @@ type Listener struct {
 	Match      func(srcIP uint32) bool
 	SynCap     int
 
-	path  module.PathRef
-	stage *passiveStage
+	path module.PathRef
 
 	// SynRecvd is the number of active paths created by this listener
 	// still in SYN_RECVD state.
@@ -121,11 +120,10 @@ func (l *Listener) Path() module.PathRef { return l.path }
 
 // Module is the TCP module.
 type Module struct {
-	name   string
+	name   string // node name, from Init: FindStage locates an active path's TCP stage by it
 	ipName string
 	myIP   uint32
 
-	node    *module.Node
 	factory module.PathFactory
 	k       *kernel.Kernel
 	tracer  *obs.Tracer // resolved once at Init; nil when tracing is off
@@ -195,9 +193,8 @@ type Module struct {
 
 // New returns a TCP module for address myIP whose open walk continues
 // at ipName.
-func New(name, ipName string, myIP uint32) *Module {
+func New(ipName string, myIP uint32) *Module {
 	return &Module{
-		name:   name,
 		ipName: ipName,
 		myIP:   myIP,
 		conns:  lib.NewHash(256),
@@ -210,9 +207,6 @@ func New(name, ipName string, myIP uint32) *Module {
 		MasterPeriod: 100 * sim.CyclesPerMillisecond,
 	}
 }
-
-// Name implements module.Module.
-func (m *Module) Name() string { return m.name }
 
 // Listeners returns the registered listeners.
 func (m *Module) Listeners() []*Listener { return m.listeners }
@@ -227,7 +221,7 @@ func (m *Module) OpenConns() int { return m.conns.Len() }
 // containing TCP, while per-connection timeout processing is charged to
 // each connection's path).
 func (m *Module) Init(ic *module.InitCtx) error {
-	m.node = ic.Node
+	m.name = ic.Node.Name()
 	m.factory = ic.Paths
 	m.k = ic.K
 	m.tracer = ic.K.Tracer()
@@ -329,12 +323,10 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 		st := &passiveStage{
 			mod:         m,
 			l:           l,
-			h:           pb.Handle(),
 			activeStart: start,
 			activeExtra: extra,
 			attrs:       lib.Attrs{},
 		}
-		l.stage = st
 		l.path = pb.Handle().Path()
 		m.listeners = append(m.listeners, l)
 		l.syncPattern()
@@ -359,7 +351,6 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 		remoteIP:   remoteIP,
 		localPort:  uint16(localPort),
 		remotePort: uint16(remotePort),
-		irs:        irs,
 		rcvNxt:     irs + 1,
 		iss:        m.iss,
 		sndUna:     m.iss,
@@ -402,7 +393,7 @@ func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Sta
 // SYN_RECVD budget is exhausted. Demux charges nothing; its side
 // effects are outcome counters, including the per-source demand
 // ledger (first sight of a source allocates its counter entry).
-func (m *Module) Demux(dc *module.DemuxCtx, mm *msg.Msg) module.Verdict {
+func (m *Module) Demux(mm *msg.Msg) module.Verdict {
 	b := mm.Bytes()
 	if len(b) < wire.EthLen+wire.IPv4Len+wire.TCPLen {
 		return module.Reject("tcp: short segment")
@@ -505,7 +496,6 @@ func (m *Module) findListener(port uint16, srcIP uint32) *Listener {
 type passiveStage struct {
 	mod         *Module
 	l           *Listener
-	h           module.StageHandle
 	activeStart string
 	activeExtra lib.Attrs
 	attrs       lib.Attrs // an accepted SYN's active-path attributes, refilled per SYN

@@ -60,8 +60,6 @@ func NewState(share *Share) *State {
 // Scheduler is the kernel's dispatch interface. Entities appear at most
 // once in the queue: Enqueue of a queued entity is a no-op.
 type Scheduler interface {
-	// Name identifies the scheduler in configuration listings.
-	Name() string
 	// Enqueue makes the entity runnable.
 	Enqueue(Entity)
 	// Dequeue removes and returns the next entity to run, or nil.
@@ -71,8 +69,6 @@ type Scheduler interface {
 	// Charged informs the scheduler the entity consumed CPU, so
 	// proportional-share bookkeeping can advance.
 	Charged(Entity, sim.Cycles)
-	// Len returns the number of queued entities.
-	Len() int
 }
 
 // stride1 is the stride-scheduling constant: stride = stride1 / tickets.
@@ -89,12 +85,6 @@ type Stride struct {
 
 // NewStride returns a proportional-share scheduler.
 func NewStride() *Stride { return &Stride{} }
-
-// Name implements Scheduler.
-func (s *Stride) Name() string { return "proportional-share" }
-
-// Len implements Scheduler.
-func (s *Stride) Len() int { return len(s.queue) }
 
 // Enqueue implements Scheduler. A newly runnable owner share starts at
 // the global pass so it cannot claim credit for time spent blocked.
@@ -163,17 +153,10 @@ const NumPriorities = 8
 // Priority is a fixed-priority scheduler with FIFO order per level.
 type Priority struct {
 	levels [NumPriorities][]Entity
-	count  int
 }
 
 // NewPriority returns a priority scheduler.
 func NewPriority() *Priority { return &Priority{} }
-
-// Name implements Scheduler.
-func (p *Priority) Name() string { return "priority" }
-
-// Len implements Scheduler.
-func (p *Priority) Len() int { return p.count }
 
 func clampPrio(v int) int {
 	if v < 0 {
@@ -194,7 +177,6 @@ func (p *Priority) Enqueue(e Entity) {
 	st.inQueue = true
 	l := clampPrio(st.share.Priority)
 	p.levels[l] = append(p.levels[l], e)
-	p.count++
 }
 
 // Dequeue implements Scheduler: highest priority level first.
@@ -204,7 +186,6 @@ func (p *Priority) Dequeue() Entity {
 			e := p.levels[l][0]
 			p.levels[l] = p.levels[l][1:]
 			e.SchedState().inQueue = false
-			p.count--
 			return e
 		}
 	}
@@ -221,7 +202,6 @@ func (p *Priority) Remove(e Entity) {
 	for i, q := range p.levels[l] {
 		if q == e {
 			p.levels[l] = append(p.levels[l][:i], p.levels[l][i+1:]...)
-			p.count--
 			break
 		}
 	}
@@ -239,12 +219,6 @@ type EDF struct {
 
 // NewEDF returns an EDF scheduler.
 func NewEDF() *EDF { return &EDF{} }
-
-// Name implements Scheduler.
-func (e *EDF) Name() string { return "edf" }
-
-// Len implements Scheduler.
-func (e *EDF) Len() int { return len(e.queue) }
 
 // Enqueue implements Scheduler.
 func (e *EDF) Enqueue(en Entity) {

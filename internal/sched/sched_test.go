@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -171,33 +172,52 @@ func TestEDFPeriodicDeadlineAdvance(t *testing.T) {
 	}
 }
 
+// queueLen counts the entities queued in s.
+func queueLen(s Scheduler) int {
+	switch s := s.(type) {
+	case *Stride:
+		return len(s.queue)
+	case *EDF:
+		return len(s.queue)
+	case *Priority:
+		n := 0
+		for _, l := range s.levels {
+			n += len(l)
+		}
+		return n
+	}
+	panic(fmt.Sprintf("queueLen: unknown scheduler %T", s))
+}
+
 func TestRemoveAndDoubleEnqueue(t *testing.T) {
 	for _, s := range []Scheduler{NewStride(), NewPriority(), NewEDF()} {
 		a := newEnt("a", Share{Tickets: 1})
 		s.Enqueue(a)
 		s.Enqueue(a) // double enqueue is a no-op
-		if s.Len() != 1 {
-			t.Fatalf("%s: len = %d after double enqueue", s.Name(), s.Len())
+		if n := queueLen(s); n != 1 {
+			t.Fatalf("%T: len = %d after double enqueue", s, n)
 		}
 		s.Remove(a)
-		if s.Len() != 0 || a.SchedState().inQueue {
-			t.Fatalf("%s: remove failed", s.Name())
+		if queueLen(s) != 0 || a.SchedState().inQueue {
+			t.Fatalf("%T: remove failed", s)
 		}
 		s.Remove(a) // double remove is a no-op
 		if s.Dequeue() != nil {
-			t.Fatalf("%s: dequeue after remove returned entity", s.Name())
+			t.Fatalf("%T: dequeue after remove returned entity", s)
 		}
 	}
 }
 
 func TestNewByName(t *testing.T) {
-	if New("priority").Name() != "priority" {
+	if _, ok := New("priority").(*Priority); !ok {
 		t.Fatal("priority factory")
 	}
-	if New("stride").Name() != "proportional-share" {
-		t.Fatal("stride factory")
+	for _, name := range []string{"stride", "proportional-share"} {
+		if _, ok := New(name).(*Stride); !ok {
+			t.Fatalf("%s factory", name)
+		}
 	}
-	if New("edf").Name() != "edf" {
+	if _, ok := New("edf").(*EDF); !ok {
 		t.Fatal("edf factory")
 	}
 	defer func() {
@@ -293,7 +313,7 @@ func TestSchedulerNeverLosesEntities(t *testing.T) {
 				s.Remove(e)
 				delete(queued, e)
 			}
-			if s.Len() != len(queued) {
+			if queueLen(s) != len(queued) {
 				return false
 			}
 		}

@@ -20,9 +20,9 @@ type BlockReader interface {
 	ReadBlocks(ctx *kernel.Ctx, n int) error
 }
 
-// Module is the SCSI driver.
+// Module is the SCSI driver. It keeps no per-path state, so every path
+// shares the module itself as its stage.
 type Module struct {
-	name   string
 	fsName string
 
 	k         *kernel.Kernel
@@ -34,12 +34,9 @@ type Module struct {
 }
 
 // New returns a SCSI driver whose open walk continues at fsName.
-func New(name, fsName string) *Module {
-	return &Module{name: name, fsName: fsName}
+func New(fsName string) *Module {
+	return &Module{fsName: fsName}
 }
-
-// Name implements module.Module.
-func (m *Module) Name() string { return m.name }
 
 // Init implements module.Module.
 func (m *Module) Init(ic *module.InitCtx) error {
@@ -49,23 +46,18 @@ func (m *Module) Init(ic *module.InitCtx) error {
 
 // CreateStage implements module.Module.
 func (m *Module) CreateStage(pb module.PathBuilder, attrs lib.Attrs) (module.Stage, string, error) {
-	return &stage{mod: m}, m.fsName, nil
+	return m, m.fsName, nil
 }
 
 // Demux implements module.Module: the disk is never a network entry.
-func (m *Module) Demux(*module.DemuxCtx, *msg.Msg) module.Verdict {
+func (m *Module) Demux(*msg.Msg) module.Verdict {
 	return module.Reject("scsi: not a network module")
 }
 
-type stage struct {
-	mod *Module
-}
-
-var _ BlockReader = (*stage)(nil)
+var _ BlockReader = (*Module)(nil)
 
 // ReadBlocks implements BlockReader.
-func (s *stage) ReadBlocks(ctx *kernel.Ctx, n int) error {
-	m := s.mod
+func (m *Module) ReadBlocks(ctx *kernel.Ctx, n int) error {
 	k := m.k
 	model := k.Model()
 	if err := ctx.Syscall(kernel.OpDeviceRead); err != nil {
@@ -92,9 +84,9 @@ func (s *stage) ReadBlocks(ctx *kernel.Ctx, n int) error {
 
 // Deliver implements module.Stage: the disk end of the path carries no
 // message flow in this configuration.
-func (s *stage) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (bool, error) {
+func (m *Module) Deliver(ctx *kernel.Ctx, dir module.Direction, mm *msg.Msg) (bool, error) {
 	return false, nil
 }
 
 // Destroy implements module.Stage.
-func (s *stage) Destroy(*kernel.Ctx) {}
+func (m *Module) Destroy(*kernel.Ctx) {}

@@ -116,13 +116,13 @@ func (c *Client) MeanLatency() sim.Cycles {
 	return c.TotalLatency / sim.Cycles(c.Completed)
 }
 
-// Attacker is the common control surface of the hostile actors. The
-// scenario harness drives every attack class through it: Start after
-// warmup, Stop at the end of the measurement window, then a
+// Attacker is the common teardown surface of the hostile actors. Each
+// scenario's Attack starts its attackers on their concrete types after
+// warmup; the scenario harness then drives every attack class through
+// this interface: Stop at the end of the measurement window, then a
 // teardown-quiescence check that PendingEvents reports zero — an
 // attacker must not leave timers ticking after it was told to stop.
 type Attacker interface {
-	Start()
 	Stop()
 	// PendingEvents counts the live timer handles the attacker still
 	// owns. Zero after Stop; the harness asserts exactly that.

@@ -94,45 +94,52 @@ func TestMemThrasherCyclesDocs(t *testing.T) {
 	}
 }
 
+// startable is a hostile actor as the scenarios drive it: started on
+// its concrete type, then stopped and checked through Attacker.
+type startable interface {
+	Attacker
+	Start()
+}
+
 // attackerCases builds each of the seven hostile actors against env e,
 // with the station it sends from and the work counter that must freeze
 // once it is stopped.
 var attackerCases = []struct {
 	name string
-	make func(e *env) (Attacker, *Station, func() uint64)
+	make func(e *env) (startable, *Station, func() uint64)
 }{
-	{"syn", func(e *env) (Attacker, *Station, func() uint64) {
+	{"syn", func(e *env) (startable, *Station, func() uint64) {
 		a := NewSynAttacker(e.eng, e.hub, "syn", lib.IPv4(192, 168, 9, 1),
 			0x0200_0000_9901, serverIP, 500, 21)
 		return a, a.Station, func() uint64 { return a.Sent }
 	}},
-	{"cgi", func(e *env) (Attacker, *Station, func() uint64) {
+	{"cgi", func(e *env) (startable, *Station, func() uint64) {
 		a := NewCGIAttacker(e.eng, e.hub, "cgi", lib.IPv4(192, 168, 9, 2),
 			0x0200_0000_9902, serverIP, 22)
 		a.Interval = 100 * sim.CyclesPerMillisecond
 		return a, a.Station, func() uint64 { return a.Launched }
 	}},
-	{"slowloris", func(e *env) (Attacker, *Station, func() uint64) {
+	{"slowloris", func(e *env) (startable, *Station, func() uint64) {
 		a := NewSlowAttacker(e.eng, e.hub, "slow", lib.IPv4(192, 168, 9, 3),
 			0x0200_0000_9903, serverIP, 6, 23)
 		return a, a.Station, func() uint64 { return a.TrickleSent }
 	}},
-	{"portscan", func(e *env) (Attacker, *Station, func() uint64) {
+	{"portscan", func(e *env) (startable, *Station, func() uint64) {
 		a := NewPortScanner(e.eng, e.hub, "scan", lib.IPv4(192, 168, 9, 4),
 			0x0200_0000_9904, serverIP, 500, 24)
 		return a, a.Station, func() uint64 { return a.Sent }
 	}},
-	{"bruteforce", func(e *env) (Attacker, *Station, func() uint64) {
+	{"bruteforce", func(e *env) (startable, *Station, func() uint64) {
 		a := NewBruteForcer(e.eng, e.hub, "brute", lib.IPv4(192, 168, 9, 5),
 			0x0200_0000_9905, serverIP, 50, 25)
 		return a, a.Station, func() uint64 { return a.Attempts }
 	}},
-	{"ackfinflood", func(e *env) (Attacker, *Station, func() uint64) {
+	{"ackfinflood", func(e *env) (startable, *Station, func() uint64) {
 		a := NewAckFlooder(e.eng, e.hub, "ack", lib.IPv4(192, 168, 9, 6),
 			0x0200_0000_9906, serverIP, 500, 26)
 		return a, a.Station, func() uint64 { return a.Sent }
 	}},
-	{"memthrash", func(e *env) (Attacker, *Station, func() uint64) {
+	{"memthrash", func(e *env) (startable, *Station, func() uint64) {
 		a := NewMemThrasher(e.eng, e.hub, "thrash", lib.IPv4(192, 168, 9, 7),
 			0x0200_0000_9907, serverIP, []string{"/doc1", "/doc1k"}, 3, 27)
 		return a, a.Station, func() uint64 { return a.Fetched }
